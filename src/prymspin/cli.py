@@ -17,8 +17,7 @@ from fractions import Fraction
 from . import reference
 from .exact_linear import QMatrix, kernel_basis, rank
 from .keel_ring import RingElement, build_graded_basis, canonicalize
-from .presentations import (Presentation, check_relation, dependent_generators,
-                            hilbert_function, independence_check,
+from .presentations import (DEFAULT_MAX_DEGREE, Presentation, check_relation,
                             verify_presentation)
 from .pushpull import (check_combo_vanishes, derive_linear_relation,
                        derive_m05_relations, intersection_table,
@@ -121,7 +120,7 @@ def cmd_verify(args) -> int:
         with open(preset, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         p = Presentation.from_texts(data["variables"], data["generators"],
-                                    int(data.get("max_degree", 6)))
+                                    data.get("max_degree", DEFAULT_MAX_DEGREE))
         p.name = preset
         space_tag = args.space
     rep = verify_presentation(space_tag, p)
@@ -334,7 +333,7 @@ def cmd_report_all(args) -> int:
                      f"hilbert {rep.hilbert}, isomorphic {rep.isomorphic}",
                      rep.isomorphic
                      and rep.hilbert == reference.HILBERT[preset]))
-        indep = independence_check(p)
+        indep = rep.independent
         if preset == "I":
             rows.append((f"{preset} generators independent",
                          f"{indep} (documented deviation: "

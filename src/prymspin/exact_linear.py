@@ -1,31 +1,40 @@
-"""Exact rational numbers and dense matrices over Q.
+"""Exact linear algebra over Q, with one integer-first elimination engine.
 
 Everything downstream (ring reductions, invariant subspaces, intersection
-matrices, Hilbert functions) runs on this module, so there is no floating
-point anywhere: entries are ``fractions.Fraction`` values, which are always
-stored in lowest terms with a positive denominator.
+matrices, Hilbert functions) runs on this module, and all of its elimination
+goes through ``SparseEchelon``:
+
+* ``add_row`` multiplies an incoming rational row by the least common
+  multiple of its denominators and divides out the gcd of its entries, so
+  every stored row is a primitive integer row with a positive leading entry.
+* A leading entry b is eliminated against a pivot row with leading entry a
+  by replacing the row with (a/g)*row - (b/g)*pivot, g = gcd(a, b).  This is
+  a nonzero integer multiple of row - (b/a)*pivot, so the span over Q is the
+  same after every step (the fraction-free idea of Bareiss, Math. Comp.
+  1968; dividing by the content instead of the previous pivot keeps each
+  row the smallest integer multiple of itself).
+* ``finish`` back-substitutes the same way, one combined integer step per
+  row, and only at the end divides each row by its leading entry, which
+  gives the unique reduced row-echelon form with ``Fraction`` entries.
+
+Every step is an exact integer operation: there is no floating point and no
+modular or probabilistic arithmetic, so ranks, pivots, kernels and solutions
+need no certificate.  ``rref``, ``rank``, ``kernel_basis`` and ``solve`` are
+thin adapters that feed the rows of a dense ``QMatrix`` through the engine.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from math import gcd, lcm
+from typing import Sequence
 
 # Arbitrary-precision rational; lowest terms and positive denominator are
 # guaranteed by the constructor.  str() renders "p/q", or "p" when q == 1.
 Rational = Fraction
 
-
-def rat(x, y=None) -> Rational:
-    """Build a Rational from ints, strings like '3/4', or another Rational."""
-    if y is not None:
-        return Fraction(x, y)
-    return Fraction(x)
-
-
-def format_rational(x: Rational) -> str:
-    """Render as 'p/q', or 'p' when the denominator is 1."""
-    return str(Fraction(x))
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class QMatrix:
@@ -36,7 +45,8 @@ class QMatrix:
     """
 
     def __init__(self, rows: Sequence[Sequence]):
-        self.rows = [[Fraction(x) for x in row] for row in rows]
+        self.rows = [[x if type(x) is Fraction else Fraction(x) for x in row]
+                     for row in rows]
         self.nrows = len(self.rows)
         self.ncols = len(self.rows[0]) if self.rows else 0
         for row in self.rows:
@@ -48,28 +58,11 @@ class QMatrix:
         return cls([[Fraction(1 if i == j else 0) for j in range(n)]
                     for i in range(n)])
 
-    @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "QMatrix":
-        return cls([[Fraction(0)] * ncols for _ in range(nrows)])
-
     def __eq__(self, other):
         return isinstance(other, QMatrix) and self.rows == other.rows
 
     def __repr__(self):
         return f"QMatrix({self.nrows}x{self.ncols})"
-
-    def entry(self, i: int, j: int) -> Rational:
-        return self.rows[i][j]
-
-    def row(self, i: int) -> list:
-        return list(self.rows[i])
-
-    def col(self, j: int) -> list:
-        return [r[j] for r in self.rows]
-
-    def transpose(self) -> "QMatrix":
-        return QMatrix([[self.rows[i][j] for i in range(self.nrows)]
-                        for j in range(self.ncols)])
 
     def mul_vec(self, v: Sequence) -> list:
         v = [Fraction(x) for x in v]
@@ -82,33 +75,22 @@ class QMatrix:
 def rref(m: QMatrix) -> tuple[QMatrix, list[int]]:
     """Reduced row-echelon form and the list of pivot columns.
 
-    Gauss-Jordan over Q; pivots move strictly rightwards and pivot entries
-    are normalized to 1.  The row space is preserved exactly.
+    Pivots move strictly rightwards and pivot entries are 1; the zero rows
+    are padded at the bottom, so the result has the shape of ``m``.  The row
+    space is preserved exactly.
     """
-    rows = [list(r) for r in m.rows]
-    nrows, ncols = m.nrows, m.ncols
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        if pv != 1:
-            rows[r] = [x / pv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
+    ech = SparseEchelon()
+    for row in m.rows:
+        ech.add_row({j: x for j, x in enumerate(row) if x})
+    reduced = ech.finish()
+    pivots = sorted(reduced)
+    rows = []
+    for c in pivots:
+        dense = [_ZERO] * m.ncols
+        for j, x in reduced[c].items():
+            dense[j] = x
+        rows.append(dense)
+    rows.extend([_ZERO] * m.ncols for _ in range(m.nrows - len(pivots)))
     return QMatrix(rows), pivots
 
 
@@ -128,8 +110,8 @@ def kernel_basis(m: QMatrix) -> list[list[Rational]]:
     free_cols = [c for c in range(m.ncols) if c not in pivot_set]
     basis = []
     for fc in free_cols:
-        v = [Fraction(0)] * m.ncols
-        v[fc] = Fraction(1)
+        v = [_ZERO] * m.ncols
+        v[fc] = _ONE
         for r_idx, pc in enumerate(pivots):
             v[pc] = -red.rows[r_idx][fc]
         basis.append(v)
@@ -138,67 +120,115 @@ def kernel_basis(m: QMatrix) -> list[list[Rational]]:
 
 def solve(m: QMatrix, b: Sequence) -> list[Rational] | None:
     """One solution of m x = b, or None when the system is inconsistent."""
-    b = [Fraction(x) for x in b]
     aug = QMatrix([row + [b[i]] for i, row in enumerate(m.rows)])
     red, pivots = rref(aug)
     if m.ncols in pivots:
         return None
-    x = [Fraction(0)] * m.ncols
+    x = [_ZERO] * m.ncols
     for r_idx, pc in enumerate(pivots):
         x[pc] = red.rows[r_idx][m.ncols]
     return x
 
 
-class SparseEchelon:
-    """Incremental echelon form for sparse rational rows.
+def _make_primitive(row: dict[int, int]) -> None:
+    """Divide a nonzero integer row by the gcd of its entries, in place."""
+    g = gcd(*row.values())
+    if g != 1:
+        for c in row:
+            row[c] //= g
 
-    Rows are dicts column -> Fraction.  Used to reduce the large relation
-    matrices arising from ring presentations, where rows are short but
-    numerous.  Feeding rows one at a time keeps memory proportional to the
-    rank.  The final RREF (back-substituted, pivots normalized to 1) is
-    produced by ``finish``.
+
+class SparseEchelon:
+    """Incremental integer-first echelon form for sparse rational rows.
+
+    Rows are dicts column -> rational (``Fraction`` or ``int``); the pivot
+    of a row is its smallest column.  Feeding rows one at a time keeps
+    memory proportional to the rank.  Each stored pivot row is a primitive
+    integer row with a positive leading entry, kept as the pair (leading
+    entry, other entries).  ``finish`` returns the reduced row-echelon form
+    {pivot column: row dict}, with pivot entries 1 and ``Fraction`` values.
     """
 
     def __init__(self):
-        self.pivot_rows: dict[int, dict[int, Fraction]] = {}
+        self._pivots: dict[int, tuple[int, list[tuple[int, int]]]] = {}
 
-    def add_row(self, row: dict[int, Fraction]) -> bool:
+    def add_row(self, row: dict[int, Rational]) -> bool:
         """Reduce a row against the current pivots; returns True if it added
         a new pivot (i.e. was independent)."""
-        row = dict(row)
-        while row:
-            lead = min(row)
-            piv = self.pivot_rows.get(lead)
+        den = 1
+        for v in row.values():
+            if v.denominator != 1:
+                den = lcm(den, v.denominator)
+        work = {c: v.numerator * (den // v.denominator)
+                for c, v in row.items() if v}
+        pivots = self._pivots
+        while work:
+            lead = min(work)
+            piv = pivots.get(lead)
             if piv is None:
-                inv = 1 / row[lead]
-                self.pivot_rows[lead] = {c: v * inv for c, v in row.items()}
+                _make_primitive(work)
+                lead_value = work.pop(lead)
+                sign = -1 if lead_value < 0 else 1
+                pivots[lead] = (sign * lead_value,
+                                [(c, sign * v) for c, v in work.items()])
                 return True
-            f = row[lead]
-            for c, v in piv.items():
-                nv = row.get(c, Fraction(0)) - f * v
+            a, tail = piv
+            b = work.pop(lead)
+            g = gcd(a, b)
+            a //= g
+            b //= g
+            if a != 1:
+                for c in work:
+                    work[c] *= a
+            get = work.get
+            for c, v in tail:
+                nv = get(c, 0) - b * v
                 if nv:
-                    row[c] = nv
+                    work[c] = nv
                 else:
-                    row.pop(c, None)
+                    del work[c]
+            if a != 1 and work:
+                _make_primitive(work)
         return False
 
     def finish(self) -> dict[int, dict[int, Fraction]]:
         """Back-substitute to full RREF; returns {pivot_col: row_dict}."""
-        for lead in sorted(self.pivot_rows, reverse=True):
-            row = self.pivot_rows[lead]
-            for other_lead, other in self.pivot_rows.items():
-                if other_lead >= lead:
-                    continue
-                f = other.get(lead)
-                if f:
-                    for c, v in row.items():
-                        nv = other.get(c, Fraction(0)) - f * v
-                        if nv:
-                            other[c] = nv
-                        else:
-                            other.pop(c, None)
-        return self.pivot_rows
+        pivots = self._pivots
+        for lead in sorted(pivots, reverse=True):
+            a, tail = pivots[lead]
+            hits = [(c, v) for c, v in tail if c in pivots]
+            if not hits:
+                continue
+            # Rows of larger pivots are already reduced: they hold their own
+            # pivot and free columns only, so one combined step clears every
+            # pivot column of this row.  scale makes each multiplier integral.
+            scale = 1
+            for c, v in hits:
+                p = pivots[c][0]
+                scale = lcm(scale, p // gcd(p, v))
+            work = {c: scale * v for c, v in tail if c not in pivots}
+            get = work.get
+            for c, v in hits:
+                p, other = pivots[c]
+                f = scale * v // p
+                for oc, ov in other:
+                    nv = get(oc, 0) - f * ov
+                    if nv:
+                        work[oc] = nv
+                    else:
+                        del work[oc]
+            a *= scale
+            g = gcd(a, *work.values())
+            pivots[lead] = (a // g, [(c, v // g) for c, v in work.items()])
+        out = {}
+        for lead in sorted(pivots):
+            a, tail = pivots[lead]
+            row = {lead: _ONE}
+            for c, v in sorted(tail):
+                row[c] = Fraction(v, a)
+            out[lead] = row
+        return out
 
     @property
     def rank(self) -> int:
-        return len(self.pivot_rows)
+        return len(self._pivots)

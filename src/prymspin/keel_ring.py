@@ -220,8 +220,6 @@ class GradedBasis:
     def __init__(self, n: int):
         if n < 4:
             raise ValueError("need at least 4 marks")
-        if n > DEFAULT_N_CAP:
-            raise ValueError(f"mark count cap exceeded ({n} > {DEFAULT_N_CAP})")
         self.n = n
         self.top = n - 3
         self.divisors = all_divisors(n)
@@ -260,7 +258,6 @@ class GradedBasis:
         monos = _degree_monomials(self.n, d, self.divisors)
         index = {m: i for i, m in enumerate(monos)}
         ech = SparseEchelon()
-        lower = self.basis[d - 1] if d > 1 else [()]
         lower_all = (_degree_monomials(self.n, d - 1, self.divisors)
                      if d > 1 else [()])
         for rel in self._lin_relations:
@@ -289,7 +286,6 @@ class GradedBasis:
                 red[m] = {m: Fraction(1)}
         self.basis[d] = basis
         self.reduction[d] = red
-        del lower  # basis of the lower degree is not needed here
 
     def _calibrate_point(self) -> Fraction:
         """Normalize integration so that the class of a single point — the
@@ -368,7 +364,10 @@ _CACHE: dict[int, GradedBasis] = {}
 
 
 def build_graded_basis(n: int, cap: int = DEFAULT_N_CAP) -> GradedBasis:
-    """Construct (and cache) the graded basis data for the n-pointed ring."""
+    """Construct (and cache) the graded basis data for the n-pointed ring.
+
+    This is the one place the mark count is capped; ``cap`` may raise it.
+    """
     if n > cap:
         raise ValueError(f"mark count cap exceeded ({n} > {cap})")
     if n not in _CACHE:

@@ -8,6 +8,9 @@ monomial), degree by degree, in exact arithmetic.
 
 A small expression parser (integers, rationals, + - * ^, parentheses,
 identifiers) reads the preset ideal generators and ad-hoc relation queries.
+It rejects any exponent or product of degree above the presentation's
+``max_degree`` and parentheses nested deeper than ``MAX_NESTING``, so the
+work it does is bounded by the length of its input.
 """
 
 from __future__ import annotations
@@ -35,12 +38,31 @@ class ExprError(ValueError):
     pass
 
 
+# Degrees 0..max_degree of a quotient are computed; the presets use 6.
+DEFAULT_MAX_DEGREE = 6
+MAX_DEGREE_LIMIT = 8
+# The parser recurses once per open parenthesis; stay far below the
+# interpreter's recursion limit.
+MAX_NESTING = 50
+
+
+def _checked_max_degree(value) -> int:
+    """The max_degree of a presentation, rejected outside 1..MAX_DEGREE_LIMIT."""
+    value = int(value)
+    if not 1 <= value <= MAX_DEGREE_LIMIT:
+        raise ValueError(f"max_degree must lie in 1..{MAX_DEGREE_LIMIT}, "
+                         f"got {value}")
+    return value
+
+
 class _Parser:
-    def __init__(self, text: str, variables: list[str]):
+    def __init__(self, text: str, variables: list[str], max_degree: int):
         self.tokens = self._tokenize(text)
         self.pos = 0
         self.variables = variables
         self.index = {v: i for i, v in enumerate(variables)}
+        self.max_degree = max_degree
+        self.depth = 0
 
     @staticmethod
     def _tokenize(text: str):
@@ -98,10 +120,12 @@ class _Parser:
             kind, value = self._peek()
             if kind == "op" and value == "*":
                 self._take()
-                acc = _mul(acc, self._power())
+                acc = self._bounded(_mul(acc, self._power()))
             elif kind == "op" and value == "/":
                 self._take()
                 kind2, denom = self._take("num")
+                if not denom:
+                    raise ExprError("division by zero")
                 acc = _scale(acc, Fraction(1, denom))
             else:
                 return acc
@@ -111,11 +135,21 @@ class _Parser:
         if self._peek() == ("op", "^"):
             self._take()
             _, exp = self._take("num")
+            if exp > self.max_degree:
+                raise ExprError(f"exponent {exp} exceeds max_degree "
+                                f"{self.max_degree}")
             out = _const(Fraction(1), len(self.variables))
             for _ in range(exp):
-                out = _mul(out, base)
+                out = self._bounded(_mul(out, base))
             return out
         return base
+
+    def _bounded(self, poly: Poly) -> Poly:
+        """The product just formed, rejected above max_degree."""
+        if poly and max(map(sum, poly)) > self.max_degree:
+            raise ExprError(f"term of degree above max_degree "
+                            f"{self.max_degree}")
+        return poly
 
     def _atom(self) -> Poly:
         kind, value = self._peek()
@@ -131,8 +165,12 @@ class _Parser:
             return {tuple(expo): Fraction(1)}
         if kind == "op" and value == "(":
             self._take()
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ExprError(f"parentheses nested deeper than {MAX_NESTING}")
             inner = self._expr()
             self._take("op", ")")
+            self.depth -= 1
             return inner
         raise ExprError(f"unexpected token {(kind, value)}")
 
@@ -170,8 +208,9 @@ def _mul(a: Poly, b: Poly) -> Poly:
     return out
 
 
-def parse_polynomial(text: str, variables: list[str]) -> Poly:
-    return _Parser(text, variables).parse()
+def parse_polynomial(text: str, variables: list[str],
+                     max_degree: int = DEFAULT_MAX_DEGREE) -> Poly:
+    return _Parser(text, variables, max_degree).parse()
 
 
 def poly_degree(p: Poly) -> int:
@@ -191,21 +230,23 @@ class Presentation:
     variables: list[str]
     generators: list[Poly]
     generator_texts: list[str]
-    max_degree: int = 6
+    max_degree: int = DEFAULT_MAX_DEGREE
     name: str = ""
 
     @classmethod
     def from_preset(cls, preset_name: str) -> "Presentation":
         data = load_preset_json(f"presentation_{preset_name}.json")
-        variables = list(data["variables"])
-        texts = list(data["generators"])
-        gens = [parse_polynomial(t, variables) for t in texts]
-        return cls(variables, gens, texts, int(data.get("max_degree", 6)),
-                   name=preset_name)
+        p = cls.from_texts(data["variables"], data["generators"],
+                           data.get("max_degree", DEFAULT_MAX_DEGREE))
+        p.name = preset_name
+        return p
 
     @classmethod
-    def from_texts(cls, variables, texts, max_degree: int = 6) -> "Presentation":
-        gens = [parse_polynomial(t, list(variables)) for t in texts]
+    def from_texts(cls, variables, texts,
+                   max_degree: int = DEFAULT_MAX_DEGREE) -> "Presentation":
+        max_degree = _checked_max_degree(max_degree)
+        gens = [parse_polynomial(t, list(variables), max_degree)
+                for t in texts]
         return cls(list(variables), gens, list(texts), max_degree)
 
 

@@ -234,14 +234,18 @@ def pullback_delta(space: "SpaceDescriptor") -> tuple[RingElement, RingElement]:
 
 # -- loading and audits -------------------------------------------------------
 
+# Every space is a quotient of the 6-marked rational curve space.
+MARKS = 6
+
 _SPACE_CACHE: dict[str, SpaceDescriptor] = {}
 
 
-def load_space(tag: str, n: int = 6) -> SpaceDescriptor:
+def load_space(tag: str) -> SpaceDescriptor:
     if tag not in SPACE_TAGS:
         raise ValueError(f"unknown space tag {tag!r}")
     if tag in _SPACE_CACHE:
         return _SPACE_CACHE[tag]
+    n = MARKS
     data = load_preset_json(f"space_{tag}.json")
     group = standard_group(data["group"], n)
     gb = build_graded_basis(n)

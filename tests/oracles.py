@@ -5,18 +5,81 @@ recomputed modulo a prime from raw relation rows, graded dimensions are
 recovered from point counts over finite fields via the stratification, and
 top-degree integrals are re-derived from a linear system whose only inputs
 are the four-point rewriting rule and the transversality of distinct
-pairwise-compatible splits.
+pairwise-compatible splits.  Exact elimination over Q is done by
+``FractionEchelon``, a plain ``Fraction`` Gauss-Jordan kept here as the
+reference for the integer-first production engine.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
-from prymspin.exact_linear import QMatrix, solve
 from prymspin.keel_ring import (all_divisors, canonicalize, four_point_relation,
                                 incompatible, monomial, monomial_is_zero)
 from prymspin.space_registry import tree_from_monomial
+
+
+class FractionEchelon:
+    """Reference sparse echelon over Q: rows are dicts column -> Fraction,
+    every pivot is normalized to 1 when it is stored, and ``finish``
+    back-substitutes to the reduced row-echelon form."""
+
+    def __init__(self):
+        self.pivot_rows: dict[int, dict[int, Fraction]] = {}
+
+    def add_row(self, row: dict) -> bool:
+        row = {c: Fraction(v) for c, v in row.items() if v}
+        while row:
+            lead = min(row)
+            piv = self.pivot_rows.get(lead)
+            if piv is None:
+                inv = 1 / row[lead]
+                self.pivot_rows[lead] = {c: v * inv for c, v in row.items()}
+                return True
+            f = row[lead]
+            for c, v in piv.items():
+                nv = row.get(c, Fraction(0)) - f * v
+                if nv:
+                    row[c] = nv
+                else:
+                    row.pop(c, None)
+        return False
+
+    def finish(self) -> dict[int, dict[int, Fraction]]:
+        for lead in sorted(self.pivot_rows, reverse=True):
+            row = self.pivot_rows[lead]
+            for other_lead, other in self.pivot_rows.items():
+                if other_lead >= lead:
+                    continue
+                f = other.get(lead)
+                if f:
+                    for c, v in row.items():
+                        nv = other.get(c, Fraction(0)) - f * v
+                        if nv:
+                            other[c] = nv
+                        else:
+                            other.pop(c, None)
+        return self.pivot_rows
+
+
+def reference_rref(rows: list[list], ncols: int):
+    """(pivot columns, dense RREF rows with zero rows padded at the bottom)
+    of a dense rational matrix, by ``FractionEchelon``."""
+    ech = FractionEchelon()
+    for r in rows:
+        ech.add_row({j: x for j, x in enumerate(r) if x})
+    reduced = ech.finish()
+    pivots = sorted(reduced)
+    out = []
+    for c in pivots:
+        dense = [Fraction(0)] * ncols
+        for j, x in reduced[c].items():
+            dense[j] = x
+        out.append(dense)
+    out += [[Fraction(0)] * ncols for _ in range(len(rows) - len(pivots))]
+    return pivots, out
 
 
 def mod_rank(rows: list[dict[int, int]], ncols: int, p: int) -> int:
@@ -149,8 +212,7 @@ def oracle_integrals(n: int) -> dict:
     index = {m: i for i, m in enumerate(monos)}
     nvars = len(monos)
     # Augmented sparse system: column nvars holds the right-hand side.
-    from prymspin.exact_linear import SparseEchelon
-    ech = SparseEchelon()
+    ech = FractionEchelon()
     for m in monos:
         if len(set(m)) == len(m):
             # homogenized equation x_m - 1 = 0
@@ -194,3 +256,32 @@ def _rewrites(div, n: int):
             assert coeffs.get(div) == Fraction(-1)
             coeffs.pop(div)
             yield coeffs
+
+
+# -- Hilbert functions of presentations modulo a prime -------------------------
+
+def hilbert_mod_p(nvars: int, generators: list[dict], max_degree: int,
+                  p: int) -> list[int]:
+    """Hilbert function of a quotient by homogeneous generators (dicts
+    exponent tuple -> rational), degree by degree as the monomial count
+    minus the rank modulo p of all (generator x monomial) products."""
+    out = []
+    for d in range(max_degree + 1):
+        monos = [e for e in itertools.product(range(d + 1), repeat=nvars)
+                 if sum(e) == d]
+        index = {e: i for i, e in enumerate(monos)}
+        rows = []
+        for g in generators:
+            if not g:
+                continue
+            e = sum(next(iter(g)))
+            if e > d:
+                continue
+            den = lcm(*(Fraction(c).denominator for c in g.values()))
+            for m in itertools.product(range(d - e + 1), repeat=nvars):
+                if sum(m) != d - e:
+                    continue
+                rows.append({index[tuple(a + b for a, b in zip(ge, m))]:
+                             int(Fraction(c) * den) for ge, c in g.items()})
+        out.append(len(monos) - mod_rank(rows, len(monos), p))
+    return out

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -86,3 +87,22 @@ def test_report_all_deterministic(capsys):
     assert code1 == 0 and code2 == 0
     assert out1 == out2
     assert "FAIL" not in out1
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("generators", ["d0p^3000000"], "max_degree"),
+    ("max_degree", 10**9, "max_degree"),
+    ("generators", ["(" * 3000 + "d0p" + ")" * 3000], "nested"),
+])
+def test_verify_rejects_unbounded_input_fast(tmp_path, capsys, field, value,
+                                             message):
+    doc = {"variables": ["d0p", "d0pp", "d0r", "d1", "d11"],
+           "generators": ["d0pp*d11"], "max_degree": 6}
+    doc[field] = value
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    t0 = time.perf_counter()
+    code = main(["verify", "--space", "R2", "--presentation", str(path)])
+    assert code == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert message in capsys.readouterr().err

@@ -103,6 +103,14 @@ class TestGradedBasis:
         with pytest.raises(ValueError):
             build_graded_basis(9)
 
+    def test_cap_is_checked_once_and_can_be_raised(self, monkeypatch):
+        import prymspin.keel_ring as kr
+        monkeypatch.setattr(kr, "DEFAULT_N_CAP", 4)
+        monkeypatch.setattr(kr, "_CACHE", {})
+        with pytest.raises(ValueError):
+            build_graded_basis(5, cap=4)
+        assert build_graded_basis(5, cap=5).dims() == [1, 5, 1]
+
 
 class TestMultiply:
     def test_incompatible_product_vanishes(self):

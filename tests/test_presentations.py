@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import hilbert_mod_p
 from prymspin import reference
 from prymspin.presentations import (ExprError, Presentation, check_relation,
                                     dependent_generators, hilbert_function,
@@ -27,6 +28,29 @@ class TestParser:
         with pytest.raises(ExprError):
             parse_polynomial("x + q", ["x"])
 
+    def test_exponent_and_degree_bounded_by_max_degree(self):
+        assert parse_polynomial("x^6", ["x"]) == {(6,): Fraction(1)}
+        for text in ("x^7", "x^3000000", "(x^6)^2", "x^4*x^3", "(x^3)^3"):
+            with pytest.raises(ExprError):
+                parse_polynomial(text, ["x"])
+        assert parse_polynomial("x^7", ["x"], max_degree=7) == {
+            (7,): Fraction(1)}
+        with pytest.raises(ExprError):
+            Presentation.from_texts(["x"], ["x^5"], max_degree=4)
+
+    def test_max_degree_range(self):
+        for bad in (0, -1, 9, 10**6):
+            with pytest.raises(ValueError):
+                Presentation.from_texts(["x"], ["x"], max_degree=bad)
+
+    def test_division_by_zero_and_deep_nesting(self):
+        with pytest.raises(ExprError):
+            parse_polynomial("x/0", ["x"])
+        assert parse_polynomial("(" * 50 + "x" + ")" * 50, ["x"]) == {
+            (1,): Fraction(1)}
+        with pytest.raises(ExprError):
+            parse_polynomial("(" * 51 + "x" + ")" * 51, ["x"])
+
     def test_degree(self):
         assert poly_degree(parse_polynomial("x^2*y", ["x", "y"])) == 3
         with pytest.raises(ExprError):
@@ -42,6 +66,15 @@ class TestHilbert:
     def test_presets(self, preset):
         p = Presentation.from_preset(preset)
         assert hilbert_function(p) == reference.HILBERT[preset]
+
+    @pytest.mark.parametrize("preset", ["I", "J", "K"])
+    def test_presets_match_modular_oracle(self, preset):
+        # ranks over two large primes, from rows the oracle builds itself out
+        # of the parsed generators
+        p = Presentation.from_preset(preset)
+        for prime in (2_147_483_647, 1_000_000_007):
+            assert hilbert_function(p) == hilbert_mod_p(
+                len(p.variables), p.generators, p.max_degree, prime)
 
     def test_zero_beyond_socle(self):
         for preset in ("I", "J", "K"):

@@ -105,6 +105,16 @@ def test_unknown_names_raise():
         load_space("X9")
 
 
+def test_load_space_has_no_mark_count(monkeypatch):
+    # every space lives on the 6-marked ring; a mark-count argument could
+    # only return a cached space built for another n
+    import prymspin.space_registry as sr
+    monkeypatch.setattr(sr, "_SPACE_CACHE", {})
+    with pytest.raises(TypeError):
+        sr.load_space("M2", n=5)
+    assert sr.load_space("M2").n == 6 == sr.load_space("M2").gb.n
+
+
 def test_tampered_preset_fails_loudly(tmp_path, monkeypatch):
     data = load_preset_json("space_R2.json")
     data["boundary"][0]["aut"] = 3     # break one automorphism number
