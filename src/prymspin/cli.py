@@ -23,7 +23,7 @@ from .pushpull import (check_combo_vanishes, derive_linear_relation,
                        derive_m05_relations, intersection_table,
                        m2_relation_verdicts, mumford_base_numbers,
                        pushforward, pushforward_m05, verify_lambda_identities)
-from .space_registry import load_space
+from .space_registry import MARKS, load_space
 from .strata_aut import (StratumDescriptor, count_marked_automorphisms,
                          double_cover_graph, parse_tree, prym_aut_number)
 from .symmetry import invariant_dims, standard_group
@@ -230,6 +230,10 @@ def cmd_strata(args) -> int:
     report = Report(f"strata of {args.space}")
     if args.tree:
         tree = parse_tree(args.tree)
+        marks = sum(tree.total_marks())
+        if marks != MARKS:
+            raise ValueError(f"the tree carries {marks} marks; every space "
+                             f"is a quotient of the {MARKS}-marked space")
         space = load_space(args.space) if args.space else None
         swap = space.unordered_classes if space else False
         rows = report.section("tree analysis")

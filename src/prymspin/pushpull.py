@@ -8,6 +8,11 @@ the four-point relations, the Hodge-class identity chains, the full
 intersection-number tables of boundary divisors against codimension-2
 strata, and the base-space numbers they calibrate against.
 
+The pushforward of a G-invariant class x to the base is the transfer
+sum of g.x over the |S_6|/|G| left coset representatives g of G in S_6
+(15, 10 and 6 of them for R2, S2plus and S2minus); ``push_to_base``
+refuses a class that is not G-invariant, for which that sum is wrong.
+
 Intersection numbers follow the convention d . s = n [x] with [x] the
 plain class of a general point; in the invariant-ring model this becomes
 n = C * integral(rep(d) * rep(s)) / |G| where the constant C is pinned
@@ -25,7 +30,7 @@ from .exact_linear import QMatrix, Rational, kernel_basis, rank, rref
 from .keel_ring import (BoundaryIndex, GradedBasis, RingElement,
                         build_graded_basis, canonicalize, four_point_relation)
 from .space_registry import SpaceDescriptor, load_space, pullback_delta
-from .symmetry import act, standard_group
+from .symmetry import act, coset_representatives, orbit_sum
 
 # Frozen by the single documented calibration (see intersection_number).
 INTERSECTION_CALIBRATION = Fraction(4)
@@ -442,15 +447,21 @@ def verify_lambda_identities() -> dict[str, dict]:
 # -- pushforward to the base and the projection formula ------------------------
 
 def push_to_base(space: SpaceDescriptor, element: RingElement) -> RingElement:
-    """Pushforward of an invariant class to the full symmetric-group
-    invariants (the base space): sum over cosets, i.e. the symmetric-group
-    symmetrization divided by the group order of the source."""
+    """Pushforward of a G-invariant class, G = space.group, to the full
+    symmetric-group invariants (the base space).
+
+    The pushforward is the relative transfer: the sum of g.x over the
+    |S_n|/|G| left coset representatives g of G in S_n, which equals the
+    S_n-symmetrization divided by |G| only when x is G-invariant.  That
+    precondition is checked on the generators of G first; a class that is
+    not invariant raises ValueError."""
     gb = space.gb
-    s6 = standard_group("M2", space.n)
-    acc = RingElement.zero(space.n, element.degree)
-    for g in s6.elements:
-        acc = acc + act(g, element, gb)
-    return gb.reduce(acc.scale(Fraction(1, space.group.order)))
+    reduced = gb.reduce(element)
+    for h in space.group.generators:
+        if act(h, element, gb) != reduced:
+            raise ValueError(f"push_to_base needs a {space.tag}-invariant "
+                             f"class; the generator {h} moves this one")
+    return orbit_sum(coset_representatives(space.group), element, gb, act)
 
 
 def base_class_coordinates(element: RingElement):

@@ -237,14 +237,18 @@ def pullback_delta(space: "SpaceDescriptor") -> tuple[RingElement, RingElement]:
 # Every space is a quotient of the 6-marked rational curve space.
 MARKS = 6
 
-_SPACE_CACHE: dict[str, SpaceDescriptor] = {}
+# Keyed by (tag, MODULI_PRESETS), so that a space loaded from one preset
+# directory is never returned for another.
+_SPACE_CACHE: dict[tuple[str, str | None], SpaceDescriptor] = {}
 
 
 def load_space(tag: str) -> SpaceDescriptor:
+    key = (tag, os.environ.get("MODULI_PRESETS"))
+    cached = _SPACE_CACHE.get(key)
+    if cached is not None:
+        return cached
     if tag not in SPACE_TAGS:
         raise ValueError(f"unknown space tag {tag!r}")
-    if tag in _SPACE_CACHE:
-        return _SPACE_CACHE[tag]
     n = MARKS
     data = load_preset_json(f"space_{tag}.json")
     group = standard_group(data["group"], n)
@@ -309,7 +313,7 @@ def load_space(tag: str) -> SpaceDescriptor:
     _audit_strata(space)
     if Fraction(720, group.order) != space.fundamental_pushforward:
         raise RegistryError(f"{tag}: forgetful degree mismatch")
-    _SPACE_CACHE[tag] = space
+    _SPACE_CACHE[key] = space
     return space
 
 

@@ -141,12 +141,40 @@ def act(g: Perm, x: RingElement, gb: GradedBasis) -> RingElement:
     return gb.reduce(RingElement(x.n, x.degree, out))
 
 
+def orbit_sum(perms, x: RingElement, gb: GradedBasis,
+              action=None) -> RingElement:
+    """The reduced sum of action(g, x, gb) over the permutations g.
+
+    This is the one "act, then reduce" loop behind the Reynolds projector
+    and the pushforward to the base.  ``action`` defaults to ``act``; a
+    module that imported ``act`` by name passes its own alias, so that
+    every relabelling is a call of that alias.
+    """
+    action = action or act
+    acc = RingElement.zero(x.n, x.degree)
+    for g in perms:
+        acc = acc + action(g, x, gb)
+    return gb.reduce(acc)
+
+
+def coset_representatives(group: PermGroup) -> list[Perm]:
+    """The lexicographically least element of each left coset gG of the
+    group in S_n, in increasing order: |S_n|/|G| permutations.
+
+    For a G-invariant x, act(g h, x) = act(g, x) for h in G, so a sum over
+    S_n is |G| times the sum over these representatives."""
+    covered: set[Perm] = set()
+    reps = []
+    for g in itertools.permutations(range(1, group.n + 1)):
+        if g not in covered:
+            reps.append(g)
+            covered.update(compose(g, h) for h in group.elements)
+    return reps
+
+
 def reynolds(group: PermGroup, x: RingElement, gb: GradedBasis) -> RingElement:
     """Average of the group action: the projector onto the fixed subspace."""
-    acc = RingElement.zero(x.n, x.degree)
-    for g in group.elements:
-        acc = acc + act(g, x, gb)
-    return gb.reduce(acc.scale(Fraction(1, group.order)))
+    return orbit_sum(group.elements, x, gb).scale(Fraction(1, group.order))
 
 
 def _orbit_sum_reduced(group: PermGroup, m: Monomial, gb: GradedBasis) -> RingElement:

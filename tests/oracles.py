@@ -5,19 +5,23 @@ recomputed modulo a prime from raw relation rows, graded dimensions are
 recovered from point counts over finite fields via the stratification, and
 top-degree integrals are re-derived from a linear system whose only inputs
 are the four-point rewriting rule and the transversality of distinct
-pairwise-compatible splits.  Exact elimination over Q is done by
+pairwise-compatible splits.  The pushforward to the base is recomputed
+by brute force over all of S_n, with its own relabelling of monomials and a
+single reduction.  Exact elimination over Q is done by
 ``FractionEchelon``, a plain ``Fraction`` Gauss-Jordan kept here as the
 reference for the integer-first production engine.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from math import lcm
 
-from prymspin.keel_ring import (all_divisors, canonicalize, four_point_relation,
-                                incompatible, monomial, monomial_is_zero)
+from prymspin.keel_ring import (RingElement, all_divisors, canonicalize,
+                                four_point_relation, incompatible, monomial,
+                                monomial_is_zero)
 from prymspin.space_registry import tree_from_monomial
 
 
@@ -284,4 +288,30 @@ def hilbert_mod_p(nvars: int, generators: list[dict], max_degree: int,
                 rows.append({index[tuple(a + b for a, b in zip(ge, m))]:
                              int(Fraction(c) * den) for ge, c in g.items()})
         out.append(len(monos) - mod_rank(rows, len(monos), p))
+    return out
+
+
+# -- pushforward to the base over the whole symmetric group ---------------------
+
+def push_full_group(space, x):
+    """Pushforward of an invariant class to the base by brute force: the sum
+    of the relabelled class over all n! permutations of the marks, reduced
+    once and divided by the order of the space's group."""
+    acc: dict = {}
+    for m, c in x.coeffs.items():
+        for im, k in _images_over_sn(m, space.n).items():
+            acc[im] = acc.get(im, Fraction(0)) + c * k
+    total = space.gb.reduce(RingElement(space.n, x.degree, acc))
+    return total.scale(Fraction(1, space.group.order))
+
+
+@functools.lru_cache(maxsize=None)
+def _images_over_sn(m, n: int) -> dict:
+    """How many of the n! permutations of the marks send the monomial m to
+    each of its images."""
+    out: dict = {}
+    for perm in itertools.permutations(range(1, n + 1)):
+        im = monomial(*(canonicalize({perm[i - 1] for i in d.key}, n)
+                        for d in m))
+        out[im] = out.get(im, 0) + 1
     return out

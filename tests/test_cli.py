@@ -106,3 +106,15 @@ def test_verify_rejects_unbounded_input_fast(tmp_path, capsys, field, value,
     assert code == 2
     assert time.perf_counter() - t0 < 1.0
     assert message in capsys.readouterr().err
+
+
+def test_strata_tree_with_wrong_mark_count_exits_fast(capsys):
+    # an 11-component chain is stable but carries 22 marks; it is refused
+    # before any permutation of its components is enumerated
+    chain = "(A B -1)" + "".join(f"(A B -{k} -{k + 1})" for k in range(1, 10)) \
+        + "(A B -10)"
+    t0 = time.perf_counter()
+    code = main(["strata", "--space", "R2", "--tree", chain])
+    assert code == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "22 marks" in capsys.readouterr().err

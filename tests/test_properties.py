@@ -1,0 +1,75 @@
+"""Property tests of the ring, the mark action and the pushforward.
+
+Examples are derandomized, so every run checks the same cases."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from prymspin.keel_ring import RingElement, build_graded_basis
+from prymspin.pushpull import push_to_base
+from prymspin.space_registry import load_space
+from prymspin.symmetry import act
+
+GB = build_graded_basis(6)
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
+
+perms = st.permutations(range(1, 7)).map(tuple)
+small_ints = st.integers(min_value=-5, max_value=5)
+
+
+def elements(degree: int):
+    """Integer combinations of nonzero monomials of a degree, unreduced."""
+    monos = sorted(GB.reduction[degree])
+    return st.dictionaries(st.sampled_from(monos), small_ints,
+                           min_size=1, max_size=4).map(
+        lambda coeffs: RingElement(6, degree, coeffs))
+
+
+@PROPERTY
+@given(st.integers(min_value=0, max_value=3).flatmap(elements))
+def test_reduce_is_idempotent(x):
+    once = GB.reduce(x)
+    assert GB.reduce(once) == once
+
+
+@PROPERTY
+@given(perms, elements(1), st.integers(min_value=1, max_value=2).flatmap(elements))
+def test_act_is_multiplicative(g, x, y):
+    assert act(g, GB.multiply(x, y), GB) == GB.multiply(act(g, x, GB),
+                                                       act(g, y, GB))
+
+
+@PROPERTY
+@given(perms, elements(3))
+def test_integration_is_s6_invariant(g, x):
+    assert GB.integrate(act(g, x, GB)) == GB.integrate(x)
+
+
+@st.composite
+def invariant_pairs(draw):
+    """A space, two invariant classes of one degree built as integer
+    combinations of its named classes, and two integer scalars."""
+    space = load_space(draw(st.sampled_from(["R2", "S2plus", "S2minus", "M2"])))
+    degree = draw(st.sampled_from([1, 2]))
+    names = (list(space.boundary) if degree == 1 else
+             [nm for nm, e in space.strata.items() if len(e.rep) == 2])
+
+    def combo():
+        acc = RingElement.zero(space.n, degree)
+        for name in names:
+            acc = acc + space.named_class(name).value.scale(draw(small_ints))
+        return space.gb.reduce(acc)
+
+    return space, combo(), combo(), draw(small_ints), draw(small_ints)
+
+
+@PROPERTY
+@given(invariant_pairs())
+def test_push_to_base_is_linear(case):
+    space, x, y, a, b = case
+    combo = space.gb.reduce(x.scale(a) + y.scale(b))
+    expected = (push_to_base(space, x).scale(Fraction(a))
+                + push_to_base(space, y).scale(Fraction(b)))
+    assert push_to_base(space, combo) == space.gb.reduce(expected)

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import prymspin.pushpull as pushpull
+from oracles import push_full_group
 from prymspin import reference
 from prymspin.exact_linear import kernel_basis, rank
 from prymspin.keel_ring import RingElement, build_graded_basis, canonicalize
@@ -14,6 +16,7 @@ from prymspin.pushpull import (INTERSECTION_CALIBRATION, NamedCombo,
                                pushforward_m05, stratum_pushforward_check,
                                verify_lambda_identities)
 from prymspin.space_registry import load_space
+from prymspin.symmetry import act
 
 
 def gen(*marks, n=6):
@@ -210,3 +213,46 @@ class TestPushToBase:
                 lhs = push_to_base(space, gb.multiply(a, b))
                 rhs = gb.multiply(push_to_base(space, a), b)
                 assert lhs == rhs
+
+
+def _transfer_inputs(tag):
+    """Every named class of a space, its products with delta0 and delta1,
+    and the unit."""
+    space = load_space(tag)
+    m2 = load_space("M2")
+    named = [(nm, space.named_class(nm).value) for nm in space.names()]
+    out = list(named)
+    for base in ("delta0", "delta1"):
+        b = m2.named_class(base).value
+        out += [(f"{nm}*{base}", space.gb.multiply(x, b)) for nm, x in named]
+    out.append(("1", RingElement.unit(space.n)))
+    return space, out
+
+
+class TestCosetTransfer:
+    @pytest.mark.parametrize("tag", ["R2", "S2plus", "S2minus", "M2"])
+    def test_matches_full_group_oracle(self, tag):
+        space, inputs = _transfer_inputs(tag)
+        for label, x in inputs:
+            assert push_to_base(space, x) == push_full_group(space, x), label
+
+    def test_non_invariant_class_is_refused(self):
+        with pytest.raises(ValueError, match="invariant"):
+            push_to_base(load_space("R2"), gen(1, 3))
+
+    @pytest.mark.parametrize("tag", ["R2", "S2plus", "S2minus", "M2"])
+    def test_acts_per_push(self, tag, monkeypatch):
+        # the generators' invariance checks plus one act per coset
+        calls = []
+
+        def counting_act(g, x, gb):
+            calls.append(g)
+            return act(g, x, gb)
+
+        monkeypatch.setattr(pushpull, "act", counting_act)
+        space = load_space(tag)
+        expected = len(space.group.generators) + 720 // space.group.order
+        for name in list(space.boundary)[:2]:
+            calls.clear()
+            push_to_base(space, space.named_class(name).value)
+            assert len(calls) == expected, name

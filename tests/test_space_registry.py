@@ -127,3 +127,22 @@ def test_tampered_preset_fails_loudly(tmp_path, monkeypatch):
     monkeypatch.setattr(sr, "_SPACE_CACHE", {})
     with pytest.raises(RegistryError):
         sr.load_space("R2")
+
+
+def test_space_cache_is_keyed_by_preset_directory(tmp_path, monkeypatch):
+    # a space loaded from the packaged presets must not be returned while
+    # MODULI_PRESETS points at another directory, and comes back after
+    import prymspin.space_registry as sr
+    monkeypatch.delenv("MODULI_PRESETS", raising=False)
+    original = sr.load_space("R2")
+    data = load_preset_json("space_R2.json")
+    data["boundary"][0]["aut"] = 3
+    bad_dir = tmp_path / "presets"
+    bad_dir.mkdir()
+    with open(bad_dir / "space_R2.json", "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+    monkeypatch.setenv("MODULI_PRESETS", str(bad_dir))
+    with pytest.raises(RegistryError):
+        sr.load_space("R2")
+    monkeypatch.delenv("MODULI_PRESETS")
+    assert sr.load_space("R2") is original

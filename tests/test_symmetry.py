@@ -6,9 +6,9 @@ import pytest
 
 from prymspin.keel_ring import (RingElement, all_divisors, build_graded_basis,
                                 canonicalize, four_point_relation)
-from prymspin.symmetry import (PermGroup, act, identity_perm, invariant_basis,
-                               invariant_dims, parse_cycles, reynolds,
-                               standard_group)
+from prymspin.symmetry import (PermGroup, act, coset_representatives,
+                               identity_perm, invariant_basis, invariant_dims,
+                               parse_cycles, reynolds, standard_group)
 
 
 def gen(*marks):
@@ -127,3 +127,19 @@ def test_act_is_ring_homomorphism():
             lhs = act(g, gb.multiply(x, y), gb)
             rhs = gb.multiply(act(g, x, gb), act(g, y, gb))
             assert lhs == rhs
+
+
+@pytest.mark.parametrize("tag,count", [
+    ("R2", 15), ("S2plus", 10), ("S2minus", 6), ("M2", 1)])
+def test_coset_representatives_partition_s6(tag, count):
+    group = standard_group(tag)
+    reps = coset_representatives(group)
+    assert len(reps) == count
+    assert reps == sorted(reps) and reps[0] == identity_perm(6)
+    covered = set()
+    for g in reps:
+        coset = {tuple(g[h[i] - 1] for i in range(6)) for h in group.elements}
+        assert min(coset) == g
+        assert not covered & coset
+        covered |= coset
+    assert covered == set(itertools.permutations(range(1, 7)))
