@@ -461,7 +461,7 @@ def push_to_base(space: SpaceDescriptor, element: RingElement) -> RingElement:
         if act(h, element, gb) != reduced:
             raise ValueError(f"push_to_base needs a {space.tag}-invariant "
                              f"class; the generator {h} moves this one")
-    return orbit_sum(coset_representatives(space.group), element, gb, act)
+    return orbit_sum(coset_representatives(space.group), element, gb)
 
 
 def base_class_coordinates(element: RingElement):

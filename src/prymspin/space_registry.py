@@ -36,13 +36,18 @@ class RegistryError(ValueError):
     """A preset entry failed its consistency audit."""
 
 
+_PACKAGED_PRESETS = str(resources.files("prymspin").joinpath("presets"))
+
+
 def _preset_path(name: str) -> str:
+    """Absolute path of a preset file: MODULI_PRESETS/name if that file
+    exists, else the packaged copy."""
     override = os.environ.get("MODULI_PRESETS")
     if override:
-        candidate = os.path.join(override, name)
+        candidate = os.path.abspath(os.path.join(override, name))
         if os.path.exists(candidate):
             return candidate
-    return str(resources.files("prymspin").joinpath("presets").joinpath(name))
+    return os.path.join(_PACKAGED_PRESETS, name)
 
 
 def load_preset_json(name: str) -> dict:
@@ -237,20 +242,22 @@ def pullback_delta(space: "SpaceDescriptor") -> tuple[RingElement, RingElement]:
 # Every space is a quotient of the 6-marked rational curve space.
 MARKS = 6
 
-# Keyed by (tag, MODULI_PRESETS), so that a space loaded from one preset
-# directory is never returned for another.
-_SPACE_CACHE: dict[tuple[str, str | None], SpaceDescriptor] = {}
+# Keyed by the resolved preset file, so that a space loaded from one preset
+# directory is never returned for another, whatever the working directory,
+# and a directory without the file shares the packaged space.
+_SPACE_CACHE: dict[str, SpaceDescriptor] = {}
 
 
 def load_space(tag: str) -> SpaceDescriptor:
-    key = (tag, os.environ.get("MODULI_PRESETS"))
-    cached = _SPACE_CACHE.get(key)
-    if cached is not None:
-        return cached
     if tag not in SPACE_TAGS:
         raise ValueError(f"unknown space tag {tag!r}")
+    path = _preset_path(f"space_{tag}.json")
+    cached = _SPACE_CACHE.get(path)
+    if cached is not None:
+        return cached
     n = MARKS
-    data = load_preset_json(f"space_{tag}.json")
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
     group = standard_group(data["group"], n)
     gb = build_graded_basis(n)
     a_marks = frozenset(data["a_marks"])
@@ -313,7 +320,7 @@ def load_space(tag: str) -> SpaceDescriptor:
     _audit_strata(space)
     if Fraction(720, group.order) != space.fundamental_pushforward:
         raise RegistryError(f"{tag}: forgetful degree mismatch")
-    _SPACE_CACHE[key] = space
+    _SPACE_CACHE[path] = space
     return space
 
 

@@ -141,19 +141,15 @@ def act(g: Perm, x: RingElement, gb: GradedBasis) -> RingElement:
     return gb.reduce(RingElement(x.n, x.degree, out))
 
 
-def orbit_sum(perms, x: RingElement, gb: GradedBasis,
-              action=None) -> RingElement:
-    """The reduced sum of action(g, x, gb) over the permutations g.
+def orbit_sum(perms, x: RingElement, gb: GradedBasis) -> RingElement:
+    """The reduced sum of act(g, x, gb) over the permutations g.
 
     This is the one "act, then reduce" loop behind the Reynolds projector
-    and the pushforward to the base.  ``action`` defaults to ``act``; a
-    module that imported ``act`` by name passes its own alias, so that
-    every relabelling is a call of that alias.
+    and the pushforward to the base.
     """
-    action = action or act
     acc = RingElement.zero(x.n, x.degree)
     for g in perms:
-        acc = acc + action(g, x, gb)
+        acc = acc + act(g, x, gb)
     return gb.reduce(acc)
 
 

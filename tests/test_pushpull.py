@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import prymspin.pushpull as pushpull
+import prymspin.symmetry as symmetry
 from oracles import push_full_group
 from prymspin import reference
 from prymspin.exact_linear import kernel_basis, rank
@@ -249,7 +250,9 @@ class TestCosetTransfer:
             calls.append(g)
             return act(g, x, gb)
 
+        # the invariance guard calls pushpull's alias, orbit_sum symmetry's
         monkeypatch.setattr(pushpull, "act", counting_act)
+        monkeypatch.setattr(symmetry, "act", counting_act)
         space = load_space(tag)
         expected = len(space.group.generators) + 720 // space.group.order
         for name in list(space.boundary)[:2]:

@@ -146,3 +146,39 @@ def test_space_cache_is_keyed_by_preset_directory(tmp_path, monkeypatch):
         sr.load_space("R2")
     monkeypatch.delenv("MODULI_PRESETS")
     assert sr.load_space("R2") is original
+
+
+def test_space_cache_follows_relative_preset_directory(tmp_path, monkeypatch):
+    # the same relative MODULI_PRESETS names another directory after a chdir
+    import prymspin.space_registry as sr
+    monkeypatch.delenv("MODULI_PRESETS", raising=False)
+    original = sr.load_space("R2")
+    good = tmp_path / "good" / "presets"
+    bad = tmp_path / "bad" / "presets"
+    good.mkdir(parents=True)
+    bad.mkdir(parents=True)
+    data = load_preset_json("space_R2.json")
+    with open(good / "space_R2.json", "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+    data["boundary"][0]["aut"] = 3
+    with open(bad / "space_R2.json", "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+    monkeypatch.setenv("MODULI_PRESETS", "presets")
+    monkeypatch.chdir(tmp_path / "good")
+    copied = sr.load_space("R2")
+    assert copied is not original
+    assert copied.boundary.keys() == original.boundary.keys()
+    monkeypatch.chdir(tmp_path / "bad")
+    with pytest.raises(RegistryError):
+        sr.load_space("R2")
+    monkeypatch.chdir(tmp_path / "good")
+    assert sr.load_space("R2") is copied
+
+
+def test_preset_directory_without_the_file_shares_the_packaged_space(
+        tmp_path, monkeypatch):
+    import prymspin.space_registry as sr
+    monkeypatch.delenv("MODULI_PRESETS", raising=False)
+    original = sr.load_space("R2")
+    monkeypatch.setenv("MODULI_PRESETS", str(tmp_path))
+    assert sr.load_space("R2") is original
