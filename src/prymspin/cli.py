@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import reference
-from .exact_linear import QMatrix, kernel_basis, rank
+from .exact_linear import kernel_basis, rank
 from .keel_ring import RingElement, build_graded_basis, canonicalize
 from .presentations import (DEFAULT_MAX_DEGREE, Presentation, check_relation,
                             verify_presentation)
@@ -26,7 +26,7 @@ from .pushpull import (check_combo_vanishes, derive_linear_relation,
 from .space_registry import MARKS, load_space
 from .strata_aut import (StratumDescriptor, count_marked_automorphisms,
                          double_cover_graph, parse_tree, prym_aut_number)
-from .symmetry import invariant_dims, standard_group
+from .symmetry import invariant_dims
 from .theta_f2 import verify_bijections
 
 
@@ -91,7 +91,7 @@ def cmd_keel(args) -> int:
     rows.append(("palindromic", str(dims == dims[::-1]), dims == dims[::-1]))
     if args.relations:
         rel_rows = report.section("independent linear relations")
-        for i, rel in enumerate(gb._lin_relations):
+        for i, rel in enumerate(gb.linear_relations):
             text = " + ".join(f"({c})*{m[0]}" for m, c in sorted(rel.items()))
             rel_rows.append((f"relation {i}", text, None))
     return _emit(report, args.json)
@@ -351,12 +351,7 @@ def cmd_report_all(args) -> int:
             rows.append((f"{tag}: {text} = 0", str(ok), ok))
 
     rows = report.section("pullbacks of the base relations")
-    pulls = {
-        "R2": "12*(d1 + d11)^2 + (d0p + d0pp + 2*d0r)*(d1 + d11)",
-        "S2plus": "12*(2*a1p + 2*b1p)^2 + (a0p + 2*b0p)*(2*a1p + 2*b1p)",
-        "S2minus": "24*a1m^2 + a0m*a1m + 2*b0m*a1m",
-    }
-    for tag, text in pulls.items():
+    for tag, text in reference.PULLBACK_RELATIONS.items():
         ok, _ = check_relation(tag, text)
         rows.append((f"{tag}: {text} = 0", str(ok), ok))
 
@@ -388,9 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("keel", help="graded dimensions of a pointed-curve ring")
     p.add_argument("--n", type=int, required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--betti", action="store_true")
-    group.add_argument("--relations", action="store_true")
+    p.add_argument("--relations", action="store_true")
     p.set_defaults(func=cmd_keel)
 
     p = sub.add_parser("invariants", help="invariant subring dimensions")

@@ -53,23 +53,11 @@ class QMatrix:
             if len(row) != self.ncols:
                 raise ValueError("ragged rows")
 
-    @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        return cls([[Fraction(1 if i == j else 0) for j in range(n)]
-                    for i in range(n)])
-
     def __eq__(self, other):
         return isinstance(other, QMatrix) and self.rows == other.rows
 
     def __repr__(self):
         return f"QMatrix({self.nrows}x{self.ncols})"
-
-    def mul_vec(self, v: Sequence) -> list:
-        v = [Fraction(x) for x in v]
-        if len(v) != self.ncols:
-            raise ValueError("dimension mismatch")
-        return [sum((r[j] * v[j] for j in range(self.ncols)), Fraction(0))
-                for r in self.rows]
 
 
 def rref(m: QMatrix) -> tuple[QMatrix, list[int]]:

@@ -239,7 +239,7 @@ class GradedBasis:
         for quad in itertools.combinations(range(1, n + 1), 4):
             r1, r2 = four_point_relation(n, *quad)
             raw_relations.extend([r1, r2])
-        self._lin_relations = self._independent_rows(raw_relations)
+        self.linear_relations = self._independent_rows(raw_relations)
         for d in range(1, self.top + 1):
             self._build_degree(d)
 
@@ -260,7 +260,7 @@ class GradedBasis:
         ech = SparseEchelon()
         lower_all = (_degree_monomials(self.n, d - 1, self.divisors)
                      if d > 1 else [()])
-        for rel in self._lin_relations:
+        for rel in self.linear_relations:
             for mono in lower_all:
                 row: dict[int, Fraction] = {}
                 for (div,), c in rel.items():

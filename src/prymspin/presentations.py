@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact_linear import QMatrix, rref
@@ -320,18 +320,11 @@ def independence_check(p: Presentation) -> bool:
 def evaluate_in_ring(space: SpaceDescriptor, p: Poly,
                      variables: list[str]) -> RingElement:
     """Substitute the named boundary (and Hodge) classes for the variables
-    and reduce in the invariant ring."""
-    gb = space.gb
-    degree = poly_degree(p) if p else 0
-    acc = RingElement.zero(space.n, degree)
-    values = [space.named_class(v).value for v in variables]
-    for expo, c in p.items():
-        term = RingElement.unit(space.n)
-        for vi, e in enumerate(expo):
-            for _ in range(e):
-                term = gb.multiply(term, values[vi])
-        acc = acc + term.scale(c)
-    return gb.reduce(acc)
+    and reduce in the invariant ring: each exponent tuple becomes the tuple
+    of names it multiplies."""
+    return space.evaluate({
+        tuple(v for v, e in zip(variables, expo) for _ in range(e)): c
+        for expo, c in p.items()})
 
 
 def check_relation(space_tag: str, text: str) -> tuple[bool, RingElement]:

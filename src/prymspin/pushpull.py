@@ -26,10 +26,9 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact_linear import QMatrix, Rational, kernel_basis, rank, rref
-from .keel_ring import (BoundaryIndex, GradedBasis, RingElement,
-                        build_graded_basis, canonicalize, four_point_relation)
-from .space_registry import SpaceDescriptor, load_space, pullback_delta
+from .exact_linear import QMatrix, Rational, rref
+from .keel_ring import BoundaryIndex, RingElement, four_point_relation
+from .space_registry import SpaceDescriptor, load_space
 from .symmetry import act, coset_representatives, orbit_sum
 
 # Frozen by the single documented calibration (see intersection_number).
@@ -46,7 +45,8 @@ class NamedCombo:
 
     Keys are sorted tuples of names; the empty tuple is the unit.  This is
     the exchange format for derived relations: symbolic enough to print
-    against the reference tables, and evaluable in the invariant ring.
+    against the reference tables, and evaluable in the invariant ring by
+    ``SpaceDescriptor.evaluate``, the one evaluator of named classes.
     """
     space: str
     terms: dict[tuple[str, ...], Fraction] = field(default_factory=dict)
@@ -94,21 +94,7 @@ class NamedCombo:
         return out
 
     def evaluate(self, space: SpaceDescriptor) -> RingElement:
-        gb = space.gb
-        degrees = set()
-        for names in self.terms:
-            d = sum(_name_degree(space, nm) for nm in names)
-            degrees.add(d)
-        if len(degrees) > 1:
-            raise ValueError(f"inhomogeneous combination: degrees {degrees}")
-        degree = degrees.pop() if degrees else 0
-        acc = RingElement.zero(space.n, degree)
-        for names, c in self.terms.items():
-            prod = RingElement.unit(space.n)
-            for nm in names:
-                prod = gb.multiply(prod, space.named_class(nm).value)
-            acc = acc + prod.scale(c)
-        return gb.reduce(acc)
+        return space.evaluate(self.terms)
 
     def __str__(self):
         if not self.terms:
@@ -124,14 +110,6 @@ def _gcd(a: int, b: int) -> int:
     while b:
         a, b = b, a % b
     return abs(a) if a else abs(b)
-
-
-def _name_degree(space: SpaceDescriptor, name: str) -> int:
-    if name in space.boundary or name == space.lambda_name:
-        return 1
-    if name in space.strata:
-        return len(space.strata[name].rep)
-    raise KeyError(f"unknown class {name!r} on {space.tag}")
 
 
 # -- pushforward along the 6-marked covers ------------------------------------
@@ -281,10 +259,8 @@ def intersection_number(space: SpaceDescriptor, divisor_name: str,
                         stratum_name: str) -> Rational:
     """The rational n with d . [S]_Q = n [x], [x] the plain class of a
     general point of the space."""
-    gb = space.gb
-    d = space.named_class(divisor_name).value
-    s = space.named_class(stratum_name).value
-    total = gb.integrate(gb.multiply(d, s))
+    product = space.evaluate({(divisor_name, stratum_name): 1})
+    total = space.gb.integrate(product)
     return INTERSECTION_CALIBRATION * total / space.group.order
 
 
@@ -326,23 +302,16 @@ def m2_relation_verdicts() -> dict[str, bool]:
     """The quadratic base relation and the two cross-check variants; each
     is evaluated, never assumed."""
     m2 = load_space("M2")
-    gb = m2.gb
-    d0 = m2.named_class("delta0").value
-    d1 = m2.named_class("delta1").value
-
-    def z(x):
-        return gb.reduce(x).is_zero()
-
-    sq = gb.multiply
-    out = {}
-    out["12*delta1^2 + delta0*delta1"] = z(
-        sq(d1, d1).scale(12) + sq(d0, d1))
-    out["delta0*delta1 + 12*delta0^2"] = z(
-        sq(d0, d1) + sq(d0, d0).scale(12))
-    d1cube = sq(sq(d1, d1), d1)
-    d0cube = sq(sq(d0, d0), d0)
-    out["528*delta1^3 + delta0^3"] = z(d1cube.scale(528) + d0cube)
-    return out
+    relations = {
+        "12*delta1^2 + delta0*delta1": {("delta1", "delta1"): 12,
+                                        ("delta0", "delta1"): 1},
+        "delta0*delta1 + 12*delta0^2": {("delta0", "delta1"): 1,
+                                        ("delta0", "delta0"): 12},
+        "528*delta1^3 + delta0^3": {("delta1", "delta1", "delta1"): 528,
+                                    ("delta0", "delta0", "delta0"): 1},
+    }
+    return {text: m2.evaluate(terms).is_zero()
+            for text, terms in relations.items()}
 
 
 # -- Hodge class identity chains ----------------------------------------------

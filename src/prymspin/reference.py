@@ -110,6 +110,15 @@ THETA_G2 = {"prym_total": 15, "spin_even": 10, "spin_odd": 6}
 # while the cubic one holds).
 M2_RELATION = "12*delta1^2 + delta0*delta1"
 
+# M2_RELATION pulled back to each cover, written in its boundary classes:
+# each text is a nonzero multiple of M2_RELATION with delta0 and delta1
+# replaced by the preset's pullback_delta0 and pullback_delta1.
+PULLBACK_RELATIONS = {
+    "R2": "12*(d1 + d11)^2 + (d0p + d0pp + 2*d0r)*(d1 + d11)",
+    "S2plus": "12*(2*a1p + 2*b1p)^2 + (a0p + 2*b0p)*(2*a1p + 2*b1p)",
+    "S2minus": "24*a1m^2 + a0m*a1m + 2*b0m*a1m",
+}
+
 DEVIATIONS = {
     "F11r_pushforward": (
         "the printed pushforward column gives 1 for F1:1^r, which breaks "

@@ -10,7 +10,11 @@ object, fiber count over the base stratum, and pushforward coefficient.
 
 Loading a space recomputes all of these from the dual-tree combinatorics
 and fails loudly on any mismatch, so a transcription error in the presets
-cannot survive."""
+cannot survive.
+
+``SpaceDescriptor.evaluate`` is the one evaluator of polynomials in named
+classes: relations, Hodge chains, presentation generators and pullbacks
+all reach the invariant ring through it."""
 
 from __future__ import annotations
 
@@ -20,7 +24,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
-from .exact_linear import Rational
 from .keel_ring import (BoundaryIndex, GradedBasis, Monomial, RingElement,
                         all_divisors, build_graded_basis, canonicalize,
                         monomial)
@@ -203,24 +206,33 @@ class SpaceDescriptor:
             value = self.gb.reduce(RingElement(self.n, deg, coeffs))
             return NamedClass(self.tag, name, value, e.aut, e.cite)
         if name == self.lambda_name:
-            acc = RingElement.zero(self.n, 1)
-            for bname, c in self.lambda_coeffs.items():
-                acc = acc + self.named_class(bname).value.scale(c)
-            return NamedClass(self.tag, name, self.gb.reduce(acc))
+            value = self.evaluate({(b,): c
+                                   for b, c in self.lambda_coeffs.items()})
+            return NamedClass(self.tag, name, value)
         raise KeyError(f"unknown class name {name!r} on {self.tag}")
 
-    def qclass_convert(self, name: str) -> int:
-        """Scaling factor n with plain class = n x stack-weighted class."""
-        return self.aut_number(name)
+    def evaluate(self, terms: dict[tuple[str, ...], Fraction]) -> RingElement:
+        """The reduced sum of c times the product of the named classes, over
+        the terms (names, c); the empty tuple of names is the unit.
 
-    def class_names_of_degree(self, d: int) -> list[str]:
-        out = []
-        if d == 1:
-            out.extend(self.boundary)
-        for name, e in self.strata.items():
-            if len(e.rep) == d:
-                out.append(name)
-        return out
+        Empty terms give the zero element of degree 0.  Terms of different
+        degrees raise ValueError; an unknown name raises KeyError."""
+        products = []
+        for names, c in terms.items():
+            prod, *rest = ([self.named_class(nm).value for nm in names]
+                           or [RingElement.unit(self.n)])
+            for value in rest:
+                prod = self.gb.multiply(prod, value)
+            products.append((prod, c))
+        degrees = {prod.degree for prod, _ in products}
+        if len(degrees) > 1:
+            raise ValueError(f"inhomogeneous combination: degrees "
+                             f"{sorted(degrees)}")
+        acc = RingElement.zero(self.n, degrees.pop() if degrees else 0)
+        for prod, c in products:
+            acc = acc + prod.scale(c)
+        # Named classes and products are reduced, so their sum is too.
+        return acc
 
 
 def pullback_delta(space: "SpaceDescriptor") -> tuple[RingElement, RingElement]:
@@ -228,13 +240,8 @@ def pullback_delta(space: "SpaceDescriptor") -> tuple[RingElement, RingElement]:
     elements (the base space itself is refused)."""
     if space.pullback_delta0 is None:
         raise ValueError("the base space has no forgetful pullback")
-    out = []
-    for table in (space.pullback_delta0, space.pullback_delta1):
-        acc = RingElement.zero(space.n, 1)
-        for name, c in table.items():
-            acc = acc + space.named_class(name).value.scale(c)
-        out.append(space.gb.reduce(acc))
-    return out[0], out[1]
+    return tuple(space.evaluate({(name,): c for name, c in table.items()})
+                 for table in (space.pullback_delta0, space.pullback_delta1))
 
 
 # -- loading and audits -------------------------------------------------------

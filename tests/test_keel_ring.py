@@ -8,6 +8,8 @@ from prymspin.exact_linear import QMatrix, rank
 from prymspin.keel_ring import (BoundaryIndex, RingElement, all_divisors,
                                 build_graded_basis, canonicalize,
                                 four_point_relation, incompatible, monomial)
+from prymspin.space_registry import load_space
+from prymspin.symmetry import invariant_basis
 
 
 def D(*marks, n=6):
@@ -207,17 +209,21 @@ class TestIntegrate:
 
     def test_perfect_pairing(self):
         gb = build_graded_basis(6)
+
+        def pairing_rank(lower, upper):
+            return rank(QMatrix([[gb.integrate(gb.multiply(x, y))
+                                  for y in upper] for x in lower]))
+
+        def basis(d):
+            return [RingElement(6, d, {m: Fraction(1)}) for m in gb.basis[d]]
+
         for d in (0, 1):
-            rows = []
-            for bm in gb.basis[d]:
-                x = RingElement(6, d, {bm: Fraction(1)})
-                row = []
-                for cm in gb.basis[3 - d]:
-                    y = RingElement(6, 3 - d, {cm: Fraction(1)})
-                    row.append(gb.integrate(gb.multiply(x, y)))
-                rows.append(row)
-            mat = QMatrix(rows)
-            assert rank(mat) == len(gb.basis[d])
+            assert pairing_rank(basis(d), basis(3 - d)) == len(gb.basis[d])
+        # degree 1 x degree 2 on each invariant subring
+        for tag, dim in (("R2", 4), ("S2plus", 3), ("S2minus", 3), ("M2", 2)):
+            inv = invariant_basis(load_space(tag).group, gb).per_degree
+            assert len(inv[1]) == len(inv[2]) == dim
+            assert pairing_rank(inv[1], inv[2]) == dim
 
 
 def test_serialize():

@@ -2,6 +2,8 @@
 
 Examples are derandomized, so every run checks the same cases."""
 
+import itertools
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -73,3 +75,41 @@ def test_push_to_base_is_linear(case):
     expected = (push_to_base(space, x).scale(Fraction(a))
                 + push_to_base(space, y).scale(Fraction(b)))
     assert push_to_base(space, combo) == space.gb.reduce(expected)
+
+
+@PROPERTY
+@given(elements(1), elements(1), elements(1))
+def test_multiplication_is_commutative_and_associative(x, y, z):
+    xy = GB.multiply(x, y)
+    assert xy == GB.multiply(y, x)
+    assert GB.multiply(xy, z) == GB.multiply(x, GB.multiply(y, z))
+    assert GB.multiply(xy, z) == GB.multiply(z, xy)
+
+
+@st.composite
+def named_factors(draw):
+    """A space and one to three factors, each an integer combination of its
+    degree-1 named classes (boundary divisors and the Hodge class)."""
+    space = load_space(draw(st.sampled_from(["R2", "S2plus", "S2minus", "M2"])))
+    names = list(space.boundary) + [space.lambda_name]
+    factor = st.dictionaries(st.sampled_from(names), small_ints,
+                             min_size=1, max_size=3)
+    return space, draw(st.lists(factor, min_size=1, max_size=3))
+
+
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(named_factors())
+def test_evaluate_matches_multiply_chain(case):
+    space, factors = case
+    gb = space.gb
+    terms = {}
+    for choice in itertools.product(*(f.items() for f in factors)):
+        names = tuple(name for name, _ in choice)
+        terms[names] = terms.get(names, 0) + math.prod(c for _, c in choice)
+    expected = RingElement.unit(space.n)
+    for f in factors:
+        value = RingElement.zero(space.n, 1)
+        for name, c in f.items():
+            value = value + space.named_class(name).value.scale(c)
+        expected = gb.multiply(expected, value)
+    assert space.evaluate(terms) == expected

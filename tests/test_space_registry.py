@@ -1,9 +1,13 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
 
-from prymspin.keel_ring import all_divisors, build_graded_basis, canonicalize, monomial
+from prymspin import reference
+from prymspin.keel_ring import (RingElement, all_divisors, build_graded_basis,
+                                canonicalize, monomial)
+from prymspin.presentations import parse_polynomial
 from prymspin.space_registry import (RegistryError, SpaceDescriptor,
                                      load_preset_json, load_space,
                                      pullback_delta, tree_from_monomial)
@@ -42,13 +46,13 @@ def test_boundary_entries_r2():
     assert (b1p.rep.key, b1p.degree, b1p.aut) == ((1, 2, 3), 72, 8)
 
 
-def test_qclass_convert():
+def test_aut_number():
     r2 = load_space("R2")
-    assert r2.qclass_convert("d1") == 4
-    assert r2.qclass_convert("point") == 2
-    assert r2.qclass_convert("Ep_p") == 4
+    assert r2.aut_number("d1") == 4
+    assert r2.aut_number("point") == 2
+    assert r2.aut_number("Ep_p") == 4
     m2 = load_space("M2")
-    assert m2.qclass_convert("Delta00") == 4
+    assert m2.aut_number("Delta00") == 4
 
 
 def test_named_class_lambda():
@@ -83,6 +87,37 @@ def test_pullback_delta_matches_base_classes():
         assert p0 == d0 and p1 == d1
     with pytest.raises(ValueError):
         pullback_delta(m2)
+
+
+def test_evaluate_degrees():
+    r2 = load_space("R2")
+    zero = r2.evaluate({})
+    assert zero.is_zero() and zero.degree == 0
+    assert r2.evaluate({(): 3}) == RingElement.unit(6).scale(3)
+    with pytest.raises(ValueError):
+        r2.evaluate({("d0p",): 1, ("d0p", "d1"): 1})
+    with pytest.raises(KeyError):
+        r2.evaluate({("nonexistent",): 1})
+
+
+@pytest.mark.parametrize("tag", ["R2", "S2plus", "S2minus"])
+def test_pullback_relation_texts_follow_from_presets(tag):
+    """Each printed pullback relation is a nonzero multiple of the base
+    relation with the preset's pullbacks substituted for delta0, delta1."""
+    space = load_space(tag)
+    tables = {"delta0": space.pullback_delta0, "delta1": space.pullback_delta1}
+
+    def substitute(match):
+        table = tables[match.group(0)]
+        return "(" + " + ".join(f"({c})*{nm}" for nm, c in table.items()) + ")"
+
+    variables = list(space.boundary) + [space.lambda_name]
+    pulled = parse_polynomial(re.sub(r"delta[01]", substitute,
+                                     reference.M2_RELATION), variables)
+    printed = parse_polynomial(reference.PULLBACK_RELATIONS[tag], variables)
+    assert printed and set(printed) == set(pulled)
+    ratios = {printed[k] / pulled[k] for k in printed}
+    assert len(ratios) == 1 and 0 not in ratios
 
 
 def test_tree_from_monomial_shapes():

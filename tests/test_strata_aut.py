@@ -112,6 +112,19 @@ class TestGenericAutomorphisms:
             autos = marked_tree_automorphism_group(tree, swap)
             assert len(autos) == m, name
 
+    def test_explicit_group_is_a_group(self):
+        # (swap, slot map) pairs compose as (s xor t, f o g)
+        for name, grammar, blown, swap, m, n in ALL_TABLES:
+            autos = marked_tree_automorphism_group(parse_tree(grammar), swap)
+            elements = {(s, frozenset(f.items())) for s, f in autos}
+            assert len(elements) == len(autos), name
+            slots = autos[0][1]
+            assert (False, frozenset((x, x) for x in slots)) in elements, name
+            for s, f in autos:
+                for t, g in autos:
+                    composed = frozenset((x, f[g[x]]) for x in slots)
+                    assert (s != t, composed) in elements, name
+
 
 class TestCoverGraph:
     def test_d0pp_cover(self):
