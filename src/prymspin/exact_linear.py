@@ -13,9 +13,10 @@ goes through ``SparseEchelon``:
   same after every step (the fraction-free idea of Bareiss, Math. Comp.
   1968; dividing by the content instead of the previous pivot keeps each
   row the smallest integer multiple of itself).
-* ``finish`` back-substitutes the same way, one combined integer step per
-  row, and only at the end divides each row by its leading entry, which
-  gives the unique reduced row-echelon form with ``Fraction`` entries.
+* ``integral_rref`` back-substitutes the same way, one combined integer
+  step per row, and returns the reduced rows in integer form; ``finish``
+  then divides each row by its leading entry, which gives the unique
+  reduced row-echelon form with ``Fraction`` entries.
 
 Every step is an exact integer operation: there is no floating point and no
 modular or probabilistic arithmetic, so ranks, pivots, kernels and solutions
@@ -181,6 +182,19 @@ class SparseEchelon:
 
     def finish(self) -> dict[int, dict[int, Fraction]]:
         """Back-substitute to full RREF; returns {pivot_col: row_dict}."""
+        out = {}
+        for lead, (a, tail) in sorted(self.integral_rref().items()):
+            row = {lead: _ONE}
+            for c, v in sorted(tail):
+                row[c] = Fraction(v, a)
+            out[lead] = row
+        return out
+
+    def integral_rref(self) -> dict[int, tuple[int, list[tuple[int, int]]]]:
+        """Back-substitute to full RREF in integer form: {pivot_col: (a,
+        [(col, v), ...])}, the row a*x_pivot + sum(v*x_col), primitive with
+        a > 0 and with every other column free.  Dividing by a gives the
+        rows of ``finish``."""
         pivots = self._pivots
         for lead in sorted(pivots, reverse=True):
             a, tail = pivots[lead]
@@ -208,14 +222,7 @@ class SparseEchelon:
             a *= scale
             g = gcd(a, *work.values())
             pivots[lead] = (a // g, [(c, v // g) for c, v in work.items()])
-        out = {}
-        for lead in sorted(pivots):
-            a, tail = pivots[lead]
-            row = {lead: _ONE}
-            for c, v in sorted(tail):
-                row[c] = Fraction(v, a)
-            out[lead] = row
-        return out
+        return dict(pivots)
 
     @property
     def rank(self) -> int:

@@ -5,9 +5,19 @@ Generators are the boundary divisors D^S, one for each subset S of the
 marked points with 2 <= |S| <= n-2, subject to D^S = D^{S^c}.  The ideal of
 relations is generated in degree 1 (the four-point relations) and degree 2
 (products of divisors whose defining splits cannot coexist on a stable
-curve vanish).  The ring is graded with top degree n-3; reduction to a
-fixed monomial basis in each degree is done once, by exact linear algebra,
-and cached in a GradedBasis.
+curve vanish).  The ring is graded with top degree n-3.
+
+``GradedBasis`` is the one ring kernel.  It echelonizes the relations once
+per degree, picks the non-pivot monomials as the basis, and stores the
+reduction of every nonzero monomial as an integer image: numerators over
+one common denominator, as ``SparseEchelon`` stores its rows.  Reduction,
+products, relabelling by a permutation of the marks and linear combinations
+all accumulate such images in integer ``Coordinates`` and build one
+``Fraction`` per output coordinate.  The images of products of two basis
+monomials (the structure constants) and of relabelled basis monomials are
+built on first use and kept.  ``RingElement``, a dict from monomials to
+``Fraction`` coefficients, stays the format in which elements pass between
+modules.
 """
 
 from __future__ import annotations
@@ -15,8 +25,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .exact_linear import Rational, SparseEchelon
+from .exact_linear import QMatrix, Rational, SparseEchelon, solve
 
 DEFAULT_N_CAP = 8
 
@@ -83,6 +94,15 @@ def monomial(*factors: BoundaryIndex) -> Monomial:
     return tuple(sorted(factors))
 
 
+def apply_to_divisor(g: tuple[int, ...], d: BoundaryIndex) -> BoundaryIndex:
+    """The divisor with mark i renamed g[i-1]."""
+    return canonicalize({g[i - 1] for i in d.key}, d.n)
+
+
+def apply_to_monomial(g: tuple[int, ...], m: Monomial) -> Monomial:
+    return monomial(*(apply_to_divisor(g, d) for d in m))
+
+
 def monomial_is_zero(m: Monomial) -> bool:
     return any(incompatible(a, b)
                for a, b in itertools.combinations(m, 2))
@@ -104,7 +124,8 @@ class RingElement:
         self.coeffs: dict[Monomial, Fraction] = {}
         if coeffs:
             for m, c in coeffs.items():
-                c = Fraction(c)
+                if type(c) is not Fraction:
+                    c = Fraction(c)
                 if c:
                     self.coeffs[m] = c
 
@@ -207,14 +228,46 @@ def _degree_monomials(n: int, d: int, divisors: list[BoundaryIndex]) -> list[Mon
     return [m for m in itertools.combinations_with_replacement(divisors, d) if ok(m)]
 
 
-class GradedBasis:
-    """Bases and reduction data for each degree of the n-pointed ring.
+# A reduced image in one degree: (den, ((i, num), ...)) stands for the sum
+# of num/den times the i-th basis monomial, with an integer den > 0.
+Image = tuple[int, tuple[tuple[int, int], ...]]
 
-    For each degree d the reduction rewrites every monomial as a combination
-    of the chosen basis monomials (the non-pivot columns of the echelonized
-    relation space).  The relation space in degree d is spanned by
-    (degree-1 relations) x (degree d-1 monomials); products containing an
-    incompatible pair are dropped as already zero.
+_ZERO_IMAGE: Image = (1, ())
+
+
+class Coordinates:
+    """An integer vector over one common denominator: the element
+    sum(nums[i] / den * basis[i]) of one degree."""
+
+    __slots__ = ("den", "nums")
+
+    def __init__(self, dim: int):
+        self.den = 1
+        self.nums = [0] * dim
+
+    def add(self, num: int, den: int, image: Image) -> None:
+        """Add num/den times an image, in integers only."""
+        t, terms = image
+        e = den * t
+        if self.den % e:
+            common = lcm(self.den, e)
+            k = common // self.den
+            self.nums = [v * k for v in self.nums]
+            self.den = common
+        f = num * (self.den // e)
+        nums = self.nums
+        for i, v in terms:
+            nums[i] += f * v
+
+
+class GradedBasis:
+    """The ring kernel: bases, reduction, products and relabelling of the
+    n-pointed ring in basis coordinates.
+
+    For each degree d the basis is the set of non-pivot monomials of the
+    echelonized relation space, spanned by (degree-1 relations) x (degree
+    d-1 monomials); products containing an incompatible pair are dropped as
+    already zero.
     """
 
     def __init__(self, n: int):
@@ -224,9 +277,11 @@ class GradedBasis:
         self.top = n - 3
         self.divisors = all_divisors(n)
         self.basis: dict[int, list[Monomial]] = {0: [()]}
-        # reduction[d][monomial] = dict basis_monomial -> coefficient
-        self.reduction: dict[int, dict[Monomial, dict[Monomial, Fraction]]] = {
-            0: {(): {(): Fraction(1)}}}
+        # reduction[d][monomial] = Image of the monomial in the degree-d basis
+        self.reduction: dict[int, dict[Monomial, Image]] = {
+            0: {(): (1, ((0, 1),))}}
+        self._products: dict[tuple[int, int, int], list[Image]] = {}
+        self._relabels: dict[tuple[tuple[int, ...], int], list[Image]] = {}
         self._build()
         self._point_norm = self._calibrate_point()
 
@@ -275,15 +330,22 @@ class GradedBasis:
                         row.pop(idx, None)
                 if row:
                     ech.add_row(row)
-        rref_rows = ech.finish()
-        pivots = set(rref_rows)
-        basis = [m for i, m in enumerate(monos) if i not in pivots]
-        red: dict[Monomial, dict[Monomial, Fraction]] = {}
+        # Pivot row i reads a*m_i + sum(v*m_c) = 0 over free columns c, so
+        # m_i = sum(-v/a * m_c): the image is the row itself, negated.
+        rows = ech.integral_rref()
+        column = {}
+        basis = []
         for i, m in enumerate(monos):
-            if i in pivots:
-                red[m] = {monos[c]: -v for c, v in rref_rows[i].items() if c != i}
+            if i not in rows:
+                column[i] = len(basis)
+                basis.append(m)
+        red: dict[Monomial, Image] = {}
+        for i, m in enumerate(monos):
+            if i in rows:
+                a, tail = rows[i]
+                red[m] = (a, tuple(sorted((column[c], -v) for c, v in tail)))
             else:
-                red[m] = {m: Fraction(1)}
+                red[m] = (1, ((column[i], 1),))
         self.basis[d] = basis
         self.reduction[d] = red
 
@@ -299,27 +361,65 @@ class GradedBasis:
         (coeff,) = reduced.coeffs.values()
         return coeff
 
-    # -- reduction, products, integration -----------------------------------
+    # -- coordinates ---------------------------------------------------------
 
     def dims(self) -> list[int]:
         return [len(self.basis[d]) for d in range(self.top + 1)]
 
+    def _accumulate(self, degree: int, terms) -> Coordinates:
+        """Coordinates of the reduced sum of c * x over the (x, c) terms,
+        all of the given degree; c is an int or a Fraction."""
+        red = self.reduction[degree]
+        acc = Coordinates(len(self.basis[degree]))
+        for x, c in terms:
+            if x.n != self.n or x.degree != degree:
+                raise ValueError("grade mismatch")
+            cn, cd = c.numerator, c.denominator
+            for m, xc in x.coeffs.items():
+                image = red.get(m)
+                if image is None:
+                    if monomial_is_zero(m):
+                        continue
+                    raise KeyError(f"not a sorted degree-{degree} monomial: {m}")
+                acc.add(cn * xc.numerator, cd * xc.denominator, image)
+        return acc
+
+    def _element(self, degree: int, acc: Coordinates, den: int = 1) -> RingElement:
+        """The element acc / den, one Fraction per nonzero coordinate."""
+        den *= acc.den
+        basis = self.basis[degree]
+        return RingElement(self.n, degree, {
+            basis[i]: Fraction(v, den) for i, v in enumerate(acc.nums) if v})
+
+    def coordinates(self, x: RingElement) -> Coordinates:
+        """Coordinates of reduce(x) in the basis of its degree."""
+        return self._accumulate(x.degree, ((x, 1),))
+
+    def span_coordinates(self, x: RingElement,
+                         span: list[RingElement]) -> list[Fraction] | None:
+        """Coefficients c with sum(c[k] * span[k]) = reduce(x), or None when
+        reduce(x) lies outside the span (every element of x's degree)."""
+        if not span:
+            return [] if self.reduce(x).is_zero() else None
+        vectors = [self.coordinates(y) for y in span]
+        target = self.coordinates(x)
+        rows = [[Fraction(v.nums[i], v.den) for v in vectors]
+                for i in range(len(target.nums))]
+        return solve(QMatrix(rows),
+                     [Fraction(t, target.den) for t in target.nums])
+
+    # -- reduction, products, relabelling, integration ----------------------
+
     def reduce(self, x: RingElement) -> RingElement:
         """Rewrite onto the degree's basis monomials."""
-        if x.degree > self.top:
-            return RingElement.zero(self.n, x.degree)
-        red = self.reduction[x.degree]
-        out: dict[Monomial, Fraction] = {}
-        for m, c in x.coeffs.items():
-            if monomial_is_zero(m):
-                continue
-            for bm, bc in red[m].items():
-                nv = out.get(bm, Fraction(0)) + c * bc
-                if nv:
-                    out[bm] = nv
-                else:
-                    out.pop(bm, None)
-        return RingElement(self.n, x.degree, out)
+        return self.combine(x.degree, ((x, 1),))
+
+    def combine(self, degree: int, terms) -> RingElement:
+        """The reduced sum of c * x over the (x, c) terms, all of the given
+        degree; c is an int or a Fraction."""
+        if degree > self.top:
+            return RingElement.zero(self.n, degree)
+        return self._element(degree, self._accumulate(degree, terms))
 
     def multiply(self, a: RingElement, b: RingElement) -> RingElement:
         """Bilinear product followed by reduction; degrees beyond the top
@@ -329,25 +429,51 @@ class GradedBasis:
         degree = a.degree + b.degree
         if degree > self.top:
             return RingElement.zero(self.n, degree)
-        out: dict[Monomial, Fraction] = {}
-        for ma, ca in a.coeffs.items():
-            for mb, cb in b.coeffs.items():
-                prod = monomial(*(ma + mb))
-                if monomial_is_zero(prod):
-                    continue
-                c = ca * cb
-                nv = out.get(prod, Fraction(0)) + c
-                if nv:
-                    out[prod] = nv
-                else:
-                    out.pop(prod, None)
-        return self.reduce(RingElement(self.n, degree, out))
+        va, vb = self.coordinates(a), self.coordinates(b)
+        acc = Coordinates(len(self.basis[degree]))
+        right = [(j, y) for j, y in enumerate(vb.nums) if y]
+        for i, x in enumerate(va.nums):
+            if x:
+                row = self._product_row(a.degree, i, b.degree)
+                for j, y in right:
+                    acc.add(x * y, 1, row[j])
+        return self._element(degree, acc, va.den * vb.den)
 
-    def product(self, elements) -> RingElement:
-        acc = RingElement.unit(self.n)
-        for e in elements:
-            acc = self.multiply(acc, e)
-        return acc
+    def _product_row(self, da: int, i: int, db: int) -> list[Image]:
+        """The Image of the i-th basis monomial of degree da times each basis
+        monomial of degree db (a row of structure constants), built on first
+        use and kept."""
+        row = self._products.get((da, i, db))
+        if row is None:
+            red = self.reduction[da + db]
+            left = self.basis[da][i]
+            row = self._products[(da, i, db)] = []
+            for right in self.basis[db]:
+                prod = monomial(*left, *right)
+                row.append(_ZERO_IMAGE if monomial_is_zero(prod) else red[prod])
+        return row
+
+    def relabel(self, g: tuple[int, ...], x: RingElement) -> RingElement:
+        """Rename mark i to g[i-1] in every generator, then reduce."""
+        if x.degree > self.top:
+            return RingElement.zero(self.n, x.degree)
+        v = self.coordinates(x)
+        images = self.relabel_images(g, x.degree)
+        acc = Coordinates(len(v.nums))
+        for c, image in zip(v.nums, images):
+            if c:
+                acc.add(c, 1, image)
+        return self._element(x.degree, acc, v.den)
+
+    def relabel_images(self, g: tuple[int, ...], degree: int) -> list[Image]:
+        """The Image of each basis monomial of the degree with its marks
+        renamed by g, built on first use and kept."""
+        images = self._relabels.get((g, degree))
+        if images is None:
+            red = self.reduction[degree]
+            images = self._relabels[(g, degree)] = [
+                red[apply_to_monomial(g, m)] for m in self.basis[degree]]
+        return images
 
     def integrate(self, x: RingElement) -> Rational:
         """Degree of a top-degree class against the normalized point class."""

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_linear import QMatrix, rref
+from .exact_linear import QMatrix, rank, rref
 from .keel_ring import RingElement
 from .space_registry import SpaceDescriptor, load_space, load_preset_json
 from .symmetry import invariant_basis
@@ -280,9 +280,16 @@ def _degree_relation_rows(p: Presentation, d: int, skip: int | None = None):
 
 
 def hilbert_function(p: Presentation) -> list[int]:
-    """Dimensions of the graded pieces of the quotient, degrees 0..max."""
+    """Dimensions of the graded pieces of the quotient, degrees 0..max.
+
+    The quotient is generated in degree 1, so once H(d) = 0 every monomial
+    of degree d + 1 is a multiple of one in the ideal: the remaining
+    degrees are zero and no rank is computed for them."""
     out = []
     for d in range(p.max_degree + 1):
+        if out and out[-1] == 0:
+            out.append(0)
+            continue
         monos, rows = _degree_relation_rows(p, d)
         r = len(rref(QMatrix(rows))[1]) if rows else 0
         out.append(len(monos) - r)
@@ -368,32 +375,21 @@ def verify_presentation(space_tag: str, p: Presentation) -> PresentationReport:
                          f"boundary classes of {space_tag}")
     vanish = [evaluate_in_ring(space, g, p.variables).is_zero()
               for g in p.generators]
-    inv = invariant_basis(space.group, gb)
-    inv_dims = inv.dims()
+    inv_dims = invariant_basis(space.group, gb).dims()
+    # Images of the monomials of each degree, as sorted variable-index
+    # tuples: each is the image of its prefix times one more class.
+    classes = [space.named_class(v).value for v in p.variables]
+    images = {(): RingElement.unit(space.n)}
     surjective = []
     for d in range(gb.top + 1):
-        images = [evaluate_in_ring(space, {m: Fraction(1)}, p.variables)
-                  for m in _monomials(len(p.variables), d)]
-        ambient = gb.basis[d]
-        rows = [[x.coeffs.get(mn, Fraction(0)) for mn in ambient]
-                for x in images]
-        r = len(rref(QMatrix(rows))[1]) if rows else 0
-        surjective.append(r == inv_dims[d])
+        if d:
+            images = {key + (k,): gb.multiply(x, classes[k])
+                      for key, x in images.items()
+                      for k in range(key[-1] if key else 0, len(classes))}
+        rows = [gb.coordinates(x).nums for x in images.values()]
+        surjective.append(rank(QMatrix(rows)) == inv_dims[d])
     return PresentationReport(
         space=space_tag, presentation=p.name or "(custom)",
         generators_vanish=vanish, surjective_by_degree=surjective,
         hilbert=hilbert_function(p), invariant_dims=inv_dims,
         independent=independence_check(p))
-
-
-def substitution_degree1_kernel(space_tag: str, p: Presentation):
-    """Basis of the kernel of the degree-1 substitution map, as coefficient
-    vectors over the presentation variables."""
-    space = load_space(space_tag)
-    gb = space.gb
-    ambient = gb.basis[1]
-    cols = [space.named_class(v).value for v in p.variables]
-    mat = QMatrix([[c.coeffs.get(mn, Fraction(0)) for c in cols]
-                   for mn in ambient])
-    from .exact_linear import kernel_basis
-    return kernel_basis(mat)

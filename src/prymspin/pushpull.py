@@ -436,22 +436,17 @@ def push_to_base(space: SpaceDescriptor, element: RingElement) -> RingElement:
 def base_class_coordinates(element: RingElement):
     """Express a symmetric invariant element in the named base classes of
     its degree; returns dict name -> coefficient or None if outside the
-    span (degree 1 and 2 supported)."""
+    span."""
     m2 = load_space("M2")
-    gb = m2.gb
     if element.degree == 0:
-        return {"1": element.coeffs.get((), Fraction(0))}
-    names = (["delta0", "delta1"] if element.degree == 1
-             else [n for n in m2.strata if len(m2.strata[n].rep) == element.degree])
-    basis_elems = [m2.named_class(nm).value for nm in names]
-    ambient = gb.basis[element.degree]
-    mat = QMatrix([[b.coeffs.get(mn, Fraction(0)) for b in basis_elems]
-                   for mn in ambient])
-    from .exact_linear import solve
-    sol = solve(mat, [element.coeffs.get(mn, Fraction(0)) for mn in ambient])
-    if sol is None:
-        return None
-    return dict(zip(names, sol))
+        names, span = ["1"], [RingElement.unit(m2.n)]
+    else:
+        names = (["delta0", "delta1"] if element.degree == 1
+                 else [n for n in m2.strata
+                       if len(m2.strata[n].rep) == element.degree])
+        span = [m2.named_class(nm).value for nm in names]
+    coords = m2.gb.span_coordinates(element, span)
+    return None if coords is None else dict(zip(names, coords))
 
 
 def stratum_pushforward_check(space_tag: str) -> dict[str, bool]:

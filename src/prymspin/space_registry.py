@@ -25,12 +25,12 @@ from fractions import Fraction
 from importlib import resources
 
 from .keel_ring import (BoundaryIndex, GradedBasis, Monomial, RingElement,
-                        all_divisors, build_graded_basis, canonicalize,
-                        monomial)
+                        all_divisors, apply_to_divisor, apply_to_monomial,
+                        build_graded_basis, canonicalize, monomial)
 from .strata_aut import (MarkedTree, StratumDescriptor,
                          count_marked_automorphisms, fiber_count,
                          prym_aut_number, trees_isomorphic)
-from .symmetry import PermGroup, apply_to_divisor, apply_to_monomial, standard_group
+from .symmetry import PermGroup, standard_group
 
 SPACE_TAGS = ("R2", "S2plus", "S2minus", "M2")
 
@@ -166,6 +166,10 @@ class SpaceDescriptor:
     gb: GradedBasis = field(repr=False)
     pullback_delta0: dict[str, Fraction] | None = None
     pullback_delta1: dict[str, Fraction] | None = None
+    # Named classes built so far.  A space is never changed after loading,
+    # and the space cache is keyed by its preset file.
+    _classes: dict[str, "NamedClass"] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     # -- class dictionary ---------------------------------------------------
 
@@ -193,6 +197,12 @@ class SpaceDescriptor:
         scaling under which transverse intersections of these classes
         multiply with multiplicity one, and it is validated entry by entry
         against the reference intersection tables."""
+        cached = self._classes.get(name)
+        if cached is None:
+            cached = self._classes[name] = self._build_class(name)
+        return cached
+
+    def _build_class(self, name: str) -> NamedClass:
         if name in self.boundary:
             e = self.boundary[name]
             coeffs = {(d,): Fraction(e.stab_order, e.aut) for d in e.orbit}
@@ -228,11 +238,7 @@ class SpaceDescriptor:
         if len(degrees) > 1:
             raise ValueError(f"inhomogeneous combination: degrees "
                              f"{sorted(degrees)}")
-        acc = RingElement.zero(self.n, degrees.pop() if degrees else 0)
-        for prod, c in products:
-            acc = acc + prod.scale(c)
-        # Named classes and products are reduced, so their sum is too.
-        return acc
+        return self.gb.combine(degrees.pop() if degrees else 0, products)
 
 
 def pullback_delta(space: "SpaceDescriptor") -> tuple[RingElement, RingElement]:

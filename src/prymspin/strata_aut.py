@@ -18,6 +18,7 @@ transpositions of exactly 4, and only the identity of 5 or more.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -372,7 +373,14 @@ def marked_tree_automorphism_group(tree: MarkedTree, allow_set_swap: bool = Fals
     Slots are (component, class, index) with class 'a' or 'b'; each
     automorphism is returned as a dict slot -> slot together with its swap
     flag.  This is the one enumerator: counts and fiber orbits both use it.
+    Each (tree, flag) is enumerated once; trees are immutable, and the
+    tuple returned is shared by every caller, which must not change it.
     """
+    return _automorphisms(tree, bool(allow_set_swap))
+
+
+@functools.lru_cache(maxsize=None)
+def _automorphisms(tree: MarkedTree, allow_set_swap: bool):
     total_a, total_b = tree.total_marks()
     swaps = [False]
     if allow_set_swap and total_a == total_b:
@@ -403,7 +411,7 @@ def marked_tree_automorphism_group(tree: MarkedTree, allow_set_swap: bool = Fals
                 for part in combo:
                     slot_map.update(part)
                 out.append((swap, slot_map))
-    return out
+    return tuple(out)
 
 
 def _slot_bijections(tree: MarkedTree, c: int, comp_perm, swap: bool):

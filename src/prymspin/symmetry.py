@@ -1,21 +1,25 @@
 """Permutation actions on marked points and invariant subrings.
 
 A finite group of mark permutations acts on the boundary ring by relabeling
-the defining subsets of the generators.  The fixed subring in each degree is
-computed from echelonized orbit sums of basis monomials, which is the
-Reynolds projection applied to a spanning set.
+the defining subsets of the generators.  The ring kernel
+(``GradedBasis.relabel``) applies a permutation as a linear map on basis
+coordinates, built once per permutation and degree; ``act`` is that map on
+one element and ``orbit_sum`` sums it over a list of permutations in integer
+coordinates, for the Reynolds projector and the pushforward to the base.
+The fixed subring in each degree is the common kernel of g - 1 over the
+generators g of the group, echelonized.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact_linear import QMatrix, rref
-from .keel_ring import (BoundaryIndex, GradedBasis, Monomial, RingElement,
-                        canonicalize, monomial)
+from .exact_linear import QMatrix, kernel_basis, rref
+from .keel_ring import GradedBasis, RingElement
 
 # A permutation of {1..n} is a tuple p with p[i-1] = image of i.
 Perm = tuple[int, ...]
@@ -103,9 +107,6 @@ class PermGroup:
             frontier = nxt
         return seen
 
-    def stabilizer_order(self, item, action) -> int:
-        return sum(1 for g in self.elements if action(g, item) == item)
-
 
 _STANDARD = {
     # Block structure, generators; orders 48, 72, 120, 720.
@@ -124,33 +125,18 @@ def standard_group(tag: str, n: int = 6) -> PermGroup:
     return PermGroup(n, gens)
 
 
-def apply_to_divisor(g: Perm, d: BoundaryIndex) -> BoundaryIndex:
-    return canonicalize({g[i - 1] for i in d.key}, d.n)
-
-
-def apply_to_monomial(g: Perm, m: Monomial) -> Monomial:
-    return monomial(*(apply_to_divisor(g, d) for d in m))
-
-
 def act(g: Perm, x: RingElement, gb: GradedBasis) -> RingElement:
     """Relabel marks by g in every generator, then reduce to the basis."""
-    out: dict[Monomial, Fraction] = {}
-    for m, c in x.coeffs.items():
-        im = apply_to_monomial(g, m)
-        out[im] = out.get(im, Fraction(0)) + c
-    return gb.reduce(RingElement(x.n, x.degree, out))
+    return gb.relabel(g, x)
 
 
 def orbit_sum(perms, x: RingElement, gb: GradedBasis) -> RingElement:
     """The reduced sum of act(g, x, gb) over the permutations g.
 
-    This is the one "act, then reduce" loop behind the Reynolds projector
-    and the pushforward to the base.
+    This is the one "act, then sum" loop behind the Reynolds projector and
+    the pushforward to the base; the sum is taken in integer coordinates.
     """
-    acc = RingElement.zero(x.n, x.degree)
-    for g in perms:
-        acc = acc + act(g, x, gb)
-    return gb.reduce(acc)
+    return gb.combine(x.degree, ((act(g, x, gb), 1) for g in perms))
 
 
 def coset_representatives(group: PermGroup) -> list[Perm]:
@@ -159,13 +145,18 @@ def coset_representatives(group: PermGroup) -> list[Perm]:
 
     For a G-invariant x, act(g h, x) = act(g, x) for h in G, so a sum over
     S_n is |G| times the sum over these representatives."""
+    return list(_coset_representatives(group.n, tuple(group.elements)))
+
+
+@functools.lru_cache(maxsize=None)
+def _coset_representatives(n: int, elements: tuple[Perm, ...]) -> tuple[Perm, ...]:
     covered: set[Perm] = set()
     reps = []
-    for g in itertools.permutations(range(1, group.n + 1)):
+    for g in itertools.permutations(range(1, n + 1)):
         if g not in covered:
             reps.append(g)
-            covered.update(compose(g, h) for h in group.elements)
-    return reps
+            covered.update(compose(g, h) for h in elements)
+    return tuple(reps)
 
 
 def reynolds(group: PermGroup, x: RingElement, gb: GradedBasis) -> RingElement:
@@ -173,18 +164,13 @@ def reynolds(group: PermGroup, x: RingElement, gb: GradedBasis) -> RingElement:
     return orbit_sum(group.elements, x, gb).scale(Fraction(1, group.order))
 
 
-def _orbit_sum_reduced(group: PermGroup, m: Monomial, gb: GradedBasis) -> RingElement:
-    orb = group.orbit(m, apply_to_monomial)
-    coeffs = {mm: Fraction(1) for mm in orb}
-    return gb.reduce(RingElement(gb.n, len(m), coeffs))
-
-
 class InvariantBasis:
     """Echelonized bases of the fixed subspace, one per degree.
 
-    Rows are reduced orbit sums of the ambient basis monomials, echelonized
-    over the ambient basis coordinates; coordinates therefore stay integral
-    whenever the orbit sums are.
+    The fixed subspace of a degree is the common kernel of g - 1 over the
+    generators g of the group, with g acting on basis coordinates by its
+    relabelling images; the rows kept are the reduced row-echelon basis of
+    that kernel, which depends on the subspace only.
     """
 
     def __init__(self, group: PermGroup, gb: GradedBasis):
@@ -197,40 +183,32 @@ class InvariantBasis:
     def _basis_for_degree(self, d: int) -> list[RingElement]:
         gb = self.gb
         ambient = gb.basis[d]
-        index = {m: i for i, m in enumerate(ambient)}
-        rows = []
-        seen_rows = set()
-        for m in ambient:
-            elem = _orbit_sum_reduced(self.group, m, gb)
-            row = tuple(elem.coeffs.get(bm, Fraction(0)) for bm in ambient)
-            if any(row) and row not in seen_rows:
-                seen_rows.add(row)
-                rows.append(row)
-        if not rows:
+        # A zero row keeps the matrix nonempty: no generators fix everything.
+        rows = [[Fraction(0)] * len(ambient)]
+        for g in self.group.generators:
+            # Row k of g - 1: coordinate k of each relabelled basis monomial.
+            block = [[Fraction(0)] * len(ambient) for _ in ambient]
+            for i, (den, terms) in enumerate(gb.relabel_images(g, d)):
+                block[i][i] -= 1
+                for k, v in terms:
+                    block[k][i] += Fraction(v, den)
+            rows.extend(block)
+        fixed = kernel_basis(QMatrix(rows))
+        if not fixed:
             return []
-        red, pivots = rref(QMatrix(rows))
-        out = []
-        for r in range(len(pivots)):
-            coeffs = {ambient[j]: red.rows[r][j]
-                      for j in range(len(ambient)) if red.rows[r][j]}
-            out.append(RingElement(gb.n, d, coeffs))
-        return out
+        red, pivots = rref(QMatrix(fixed))
+        return [RingElement(gb.n, d, {ambient[j]: red.rows[r][j]
+                                      for j in range(len(ambient))
+                                      if red.rows[r][j]})
+                for r in range(len(pivots))]
 
     def dims(self) -> list[int]:
         return [len(self.per_degree[d]) for d in range(self.gb.top + 1)]
 
     def coordinates(self, x: RingElement) -> list[Fraction] | None:
-        """Coordinates of a reduced invariant element in this basis, or None
-        if the element is not in the span."""
-        basis = self.per_degree[x.degree]
-        ambient = self.gb.basis[x.degree]
-        if not basis:
-            return [] if x.is_zero() else None
-        mat = QMatrix([[b.coeffs.get(m, Fraction(0)) for b in basis]
-                       for m in ambient])
-        from .exact_linear import solve
-        target = [x.coeffs.get(m, Fraction(0)) for m in ambient]
-        return solve(mat, target)
+        """Coordinates of an invariant element in this basis, or None if the
+        element is not in the span."""
+        return self.gb.span_coordinates(x, self.per_degree[x.degree])
 
 
 def invariant_basis(group: PermGroup, gb: GradedBasis) -> InvariantBasis:

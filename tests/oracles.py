@@ -5,11 +5,15 @@ recomputed modulo a prime from raw relation rows, graded dimensions are
 recovered from point counts over finite fields via the stratification, and
 top-degree integrals are re-derived from a linear system whose only inputs
 are the four-point rewriting rule and the transversality of distinct
-pairwise-compatible splits.  The pushforward to the base is recomputed
-by brute force over all of S_n, with its own relabelling of monomials and a
-single reduction.  Exact elimination over Q is done by
-``FractionEchelon``, a plain ``Fraction`` Gauss-Jordan kept here as the
-reference for the integer-first production engine.
+pairwise-compatible splits.  ``reduce``, ``multiply`` and ``act`` are the
+ring on dicts of monomials with ``Fraction`` coefficients: the reduction
+echelonizes the raw relation rows itself, and products and relabellings
+act monomial by monomial before one reduction, with no table of basis
+coordinates.  The pushforward to the base is recomputed by brute force over
+all of S_n with the same relabelling and a single reduction.  Exact
+elimination over Q is done by ``FractionEchelon``, a plain ``Fraction``
+Gauss-Jordan kept here as the reference for the integer-first production
+engine.
 """
 
 from __future__ import annotations
@@ -291,6 +295,70 @@ def hilbert_mod_p(nvars: int, generators: list[dict], max_degree: int,
     return out
 
 
+# -- the ring on dicts of monomials ------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _reduction_table(n: int, degree: int) -> dict:
+    """Every nonzero monomial of the degree rewritten onto the non-pivot
+    monomials of the raw relation rows, echelonized by ``FractionEchelon``
+    with the monomials in their sorted order."""
+    if degree == 0:
+        return {(): {(): Fraction(1)}}
+    rows, monos = raw_relation_rows(n, degree)
+    ech = FractionEchelon()
+    for row in rows:
+        ech.add_row(row)
+    reduced = ech.finish()
+    table = {}
+    for i, m in enumerate(monos):
+        if i in reduced:
+            table[m] = {monos[c]: -v for c, v in reduced[i].items() if c != i}
+        else:
+            table[m] = {m: Fraction(1)}
+    return table
+
+
+def reduce(x):
+    """The element rewritten onto the basis monomials of its degree, term
+    by term in ``Fraction`` arithmetic."""
+    if x.degree > x.n - 3:
+        return RingElement.zero(x.n, x.degree)
+    table = _reduction_table(x.n, x.degree)
+    acc: dict = {}
+    for m, c in x.coeffs.items():
+        if monomial_is_zero(m):
+            continue
+        for bm, bc in table[m].items():
+            acc[bm] = acc.get(bm, Fraction(0)) + c * bc
+    return RingElement(x.n, x.degree, acc)
+
+
+def multiply(a, b):
+    """The product of every pair of monomials, summed and reduced once."""
+    raw: dict = {}
+    for ma, ca in a.coeffs.items():
+        for mb, cb in b.coeffs.items():
+            m = monomial(*ma, *mb)
+            raw[m] = raw.get(m, Fraction(0)) + ca * cb
+    return reduce(RingElement(a.n, a.degree + b.degree, raw))
+
+
+def relabel(g, m):
+    """The monomial with mark i renamed g[i-1] in every factor."""
+    return monomial(*(canonicalize({g[i - 1] for i in d.key}, d.n)
+                      for d in m))
+
+
+def act(g, x):
+    """Every monomial relabelled by the permutation g, summed and reduced
+    once."""
+    raw: dict = {}
+    for m, c in x.coeffs.items():
+        im = relabel(g, m)
+        raw[im] = raw.get(im, Fraction(0)) + c
+    return reduce(RingElement(x.n, x.degree, raw))
+
+
 # -- pushforward to the base over the whole symmetric group ---------------------
 
 def push_full_group(space, x):
@@ -301,7 +369,7 @@ def push_full_group(space, x):
     for m, c in x.coeffs.items():
         for im, k in _images_over_sn(m, space.n).items():
             acc[im] = acc.get(im, Fraction(0)) + c * k
-    total = space.gb.reduce(RingElement(space.n, x.degree, acc))
+    total = reduce(RingElement(space.n, x.degree, acc))
     return total.scale(Fraction(1, space.group.order))
 
 
@@ -311,7 +379,6 @@ def _images_over_sn(m, n: int) -> dict:
     each of its images."""
     out: dict = {}
     for perm in itertools.permutations(range(1, n + 1)):
-        im = monomial(*(canonicalize({perm[i - 1] for i in d.key}, n)
-                        for d in m))
+        im = relabel(perm, m)
         out[im] = out.get(im, 0) + 1
     return out

@@ -1,7 +1,9 @@
 """Source hygiene of the package, checked on its syntax trees.
 
 Every imported name is used, and the arithmetic stays exact: no float
-literal, no ``float(...)`` call, and no import of ``random`` or ``numpy``."""
+literal, no ``float(...)`` call, and no import of ``random`` or ``numpy``.
+The test oracles stay independent of the code they check: they import no
+ring kernel and nothing of the symmetry or pushforward modules."""
 
 import ast
 from pathlib import Path
@@ -10,6 +12,9 @@ import pytest
 
 SOURCES = sorted((Path(__file__).parent.parent / "src" / "prymspin").glob("*.py"))
 FORBIDDEN_MODULES = {"random", "numpy"}
+ORACLES = Path(__file__).with_name("oracles.py")
+ORACLE_FORBIDDEN_NAMES = {"GradedBasis", "build_graded_basis"}
+ORACLE_FORBIDDEN_MODULES = {"prymspin.symmetry", "prymspin.pushpull"}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -51,6 +56,21 @@ def test_arithmetic_is_exact(path):
     assert not modules & FORBIDDEN_MODULES, f"{path.name} imports {modules & FORBIDDEN_MODULES}"
 
 
+def test_oracles_are_independent(path=ORACLES):
+    bad = set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            bad |= {a.name for a in node.names
+                    if a.name in ORACLE_FORBIDDEN_MODULES}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            bad |= {f"{module}.{a.name}" for a in node.names
+                    if module in ORACLE_FORBIDDEN_MODULES
+                    or a.name in ORACLE_FORBIDDEN_NAMES
+                    or f"{module}.{a.name}" in ORACLE_FORBIDDEN_MODULES}
+    assert not bad, f"{path.name} imports {sorted(bad)}"
+
+
 def test_checks_catch_violations(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("import random\nx = float(2)\ny = 0.5\n")
@@ -61,3 +81,11 @@ def test_checks_catch_violations(tmp_path):
     bad.write_text("import numpy as np\nnp.zeros(1)\n")
     with pytest.raises(AssertionError, match="numpy"):
         test_arithmetic_is_exact(bad)
+    for text in ("from prymspin.keel_ring import GradedBasis\n",
+                 "from prymspin.keel_ring import build_graded_basis as b\n",
+                 "from prymspin.symmetry import act\n",
+                 "from prymspin import pushpull\n",
+                 "import prymspin.symmetry\n"):
+        bad.write_text(text)
+        with pytest.raises(AssertionError, match="imports"):
+            test_oracles_are_independent(bad)

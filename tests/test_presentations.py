@@ -3,12 +3,24 @@ from fractions import Fraction
 import pytest
 
 from oracles import hilbert_mod_p
-from prymspin import reference
+from prymspin import presentations, reference
+from prymspin.exact_linear import QMatrix, kernel_basis
 from prymspin.presentations import (ExprError, Presentation, check_relation,
                                     dependent_generators, hilbert_function,
                                     independence_check, parse_polynomial,
-                                    poly_degree, substitution_degree1_kernel,
-                                    verify_presentation)
+                                    poly_degree, verify_presentation)
+from prymspin.space_registry import load_space
+from prymspin.symmetry import invariant_basis
+
+
+def degree1_kernel(tag, p):
+    """Kernel of the degree-1 substitution map, as coefficient vectors over
+    the presentation variables: each variable's class is solved for in the
+    invariant basis, and the kernel is that of the coordinate matrix."""
+    space = load_space(tag)
+    inv = invariant_basis(space.group, space.gb)
+    coords = [inv.coordinates(space.named_class(v).value) for v in p.variables]
+    return kernel_basis(QMatrix([list(row) for row in zip(*coords)]))
 
 
 class TestParser:
@@ -81,6 +93,25 @@ class TestHilbert:
             h = hilbert_function(Presentation.from_preset(preset))
             assert all(x == 0 for x in h[4:])
 
+    def test_stops_at_first_zero_degree(self, monkeypatch):
+        # zero from degree 2 on: degree 2 is the only rank taken (degrees 0
+        # and 1 hold no multiple of a generator)
+        p = Presentation.from_texts(["x", "y", "z"],
+                                    ["x^2 - y*z", "x*y", "y^2", "x*z", "z^2",
+                                     "y*z"], max_degree=8)
+        calls = []
+        real = presentations.rref
+
+        def counting_rref(m):
+            calls.append(m.nrows)
+            return real(m)
+
+        monkeypatch.setattr(presentations, "rref", counting_rref)
+        h = hilbert_function(p)
+        assert h == [1, 3, 0, 0, 0, 0, 0, 0, 0]
+        assert h == hilbert_mod_p(3, p.generators, 8, 2_147_483_647)
+        assert len(calls) == 1
+
 
 class TestVerify:
     @pytest.mark.parametrize("preset", ["I", "J", "K"])
@@ -102,14 +133,13 @@ class TestVerify:
         for preset in ("I", "J"):
             tag = reference.PRESENTATION_SPACES[preset]
             p = Presentation.from_preset(preset)
-            ker = substitution_degree1_kernel(tag, p)
+            ker = degree1_kernel(tag, p)
             assert len(ker) == 1
             combo = derive_linear_relation(tag)
             vec = [combo.terms.get((v,), Fraction(0)) for v in p.variables]
             scale = next(x / y for x, y in zip(ker[0], vec) if y)
             assert ker[0] == [scale * y for y in vec]
-        assert substitution_degree1_kernel(
-            "S2minus", Presentation.from_preset("K")) == []
+        assert degree1_kernel("S2minus", Presentation.from_preset("K")) == []
 
 
 class TestIndependence:

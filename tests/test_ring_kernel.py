@@ -1,0 +1,137 @@
+"""The ring kernel in basis coordinates against the ring on dicts of
+monomials in ``oracles``, which shares no table with it."""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from prymspin.keel_ring import Coordinates, RingElement, build_graded_basis
+from prymspin.space_registry import SPACE_TAGS, load_space
+from prymspin.symmetry import act, coset_representatives, invariant_basis
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
+
+
+def basis_elements(gb, d):
+    return [RingElement(gb.n, d, {m: Fraction(1)}) for m in gb.basis[d]]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_reduction_table_matches_oracle(n):
+    gb = build_graded_basis(n)
+    for d in range(gb.top + 1):
+        table = oracles._reduction_table(n, d)
+        assert sorted(gb.reduction[d]) == sorted(table)
+        for m in table:
+            x = RingElement(n, d, {m: Fraction(1)})
+            assert gb.reduce(x) == oracles.reduce(x), m
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_every_basis_pair_matches_oracle(n):
+    gb = build_graded_basis(n)
+    for da, db in itertools.product(range(gb.top + 1), repeat=2):
+        if da + db > gb.top:
+            continue
+        for a in basis_elements(gb, da):
+            for b in basis_elements(gb, db):
+                assert gb.multiply(a, b) == oracles.multiply(a, b), (a, b)
+
+
+@pytest.mark.parametrize("tag", SPACE_TAGS)
+def test_relabelling_matches_oracle(tag):
+    space = load_space(tag)
+    gb = space.gb
+    perms = set(coset_representatives(space.group)) | set(space.group.generators)
+    for g in sorted(perms):
+        for d in range(gb.top + 1):
+            for x in basis_elements(gb, d):
+                assert act(g, x, gb) == oracles.act(g, x), (g, x)
+
+
+def test_coordinates_mix_denominators():
+    acc = Coordinates(3)
+    acc.add(1, 2, (1, ((0, 1), (2, -1))))
+    acc.add(2, 3, (5, ((1, 4),)))
+    acc.add(-1, 6, (1, ((0, 3),)))
+    assert [Fraction(v, acc.den) for v in acc.nums] == [
+        Fraction(1, 2) - Fraction(1, 2), Fraction(8, 15), Fraction(-1, 2)]
+
+
+GB = build_graded_basis(6)
+fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+def elements(degree: int):
+    """Rational combinations of nonzero monomials of a degree, unreduced."""
+    monos = sorted(GB.reduction[degree])
+    return st.dictionaries(st.sampled_from(monos), fractions,
+                           min_size=1, max_size=5).map(
+        lambda coeffs: RingElement(6, degree, coeffs))
+
+
+@PROPERTY
+@given(st.integers(min_value=0, max_value=3).flatmap(elements))
+def test_reduce_matches_oracle(x):
+    assert GB.reduce(x) == oracles.reduce(x)
+
+
+@PROPERTY
+@given(st.integers(min_value=0, max_value=2).flatmap(elements),
+       st.integers(min_value=0, max_value=2).flatmap(elements))
+def test_multiply_matches_oracle(x, y):
+    assert GB.multiply(x, y) == oracles.multiply(x, y)
+
+
+@PROPERTY
+@given(st.permutations(range(1, 7)).map(tuple),
+       st.integers(min_value=0, max_value=3).flatmap(elements))
+def test_act_matches_oracle(g, x):
+    assert act(g, x, GB) == oracles.act(g, x)
+
+
+@PROPERTY
+@given(st.integers(min_value=1, max_value=2).flatmap(
+    lambda d: st.lists(st.tuples(elements(d), fractions), min_size=1,
+                       max_size=4).map(lambda terms: (d, terms))))
+def test_combine_matches_oracle(case):
+    degree, terms = case
+    total = RingElement.zero(6, degree)
+    for x, c in terms:
+        total = total + x.scale(c)
+    assert GB.combine(degree, terms) == oracles.reduce(total)
+
+
+@pytest.mark.parametrize("tag", SPACE_TAGS)
+def test_invariant_basis_matches_orbit_sums(tag):
+    # the echelonized span of the reduced orbit sums of basis monomials
+    space = load_space(tag)
+    gb = space.gb
+    basis = invariant_basis(space.group, gb)
+    for d in range(gb.top + 1):
+        ambient = gb.basis[d]
+        rows = []
+        for m in ambient:
+            orbit = {oracles.relabel(g, m) for g in space.group.elements}
+            x = oracles.reduce(RingElement(6, d, dict.fromkeys(orbit, 1)))
+            rows.append([x.coeffs.get(b, Fraction(0)) for b in ambient])
+        pivots, red = oracles.reference_rref(rows, len(ambient))
+        expected = [RingElement(6, d, dict(zip(ambient, red[r])))
+                    for r in range(len(pivots))]
+        assert basis.per_degree[d] == expected, d
+
+
+def test_span_coordinates():
+    space = load_space("R2")
+    gb = space.gb
+    span = [space.named_class(nm).value for nm in ("d0p", "d1", "d11")]
+    x = gb.combine(1, [(span[0], 2), (span[1], Fraction(-1, 3)), (span[2], 5)])
+    assert gb.span_coordinates(x, span) == [2, Fraction(-1, 3), 5]
+    # the one linear relation of R2 involves every boundary class
+    assert gb.span_coordinates(space.named_class("d0r").value, span) is None
+    assert gb.span_coordinates(RingElement.zero(6, 1), []) == []
+    assert gb.span_coordinates(span[0], []) is None

@@ -217,3 +217,47 @@ def test_preset_directory_without_the_file_shares_the_packaged_space(
     original = sr.load_space("R2")
     monkeypatch.setenv("MODULI_PRESETS", str(tmp_path))
     assert sr.load_space("R2") is original
+
+
+def test_named_class_is_built_once_per_space(tmp_path, monkeypatch):
+    # the value is kept on the space, and a space loaded from another preset
+    # file builds its own
+    import prymspin.space_registry as sr
+    monkeypatch.delenv("MODULI_PRESETS", raising=False)
+    original = sr.load_space("R2")
+    lam = original.named_class("l")
+    assert original.named_class("l") is lam
+    data = load_preset_json("space_R2.json")
+    data["lambda_class"]["coeffs"] = {
+        k: str(2 * Fraction(v)) for k, v in data["lambda_class"]["coeffs"].items()}
+    other = tmp_path / "presets"
+    other.mkdir()
+    with open(other / "space_R2.json", "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+    monkeypatch.setenv("MODULI_PRESETS", str(other))
+    assert sr.load_space("R2").named_class("l").value == lam.value.scale(2)
+    monkeypatch.delenv("MODULI_PRESETS")
+    assert sr.load_space("R2").named_class("l") is lam
+
+
+def test_each_tree_is_enumerated_once(monkeypatch):
+    # loading every space asks for the automorphisms of a tree several times
+    # (generic count, structure number, fiber count); each tree is
+    # enumerated once
+    import collections
+    import prymspin.space_registry as sr
+    import prymspin.strata_aut as sa
+    seen = collections.Counter()
+    real = sa._graph_automorphisms
+
+    def counting(tree):
+        seen[tree] += 1
+        return real(tree)
+
+    monkeypatch.setattr(sa, "_graph_automorphisms", counting)
+    monkeypatch.setattr(sr, "_SPACE_CACHE", {})
+    sa._automorphisms.cache_clear()
+    for tag in sr.SPACE_TAGS:
+        sr.load_space(tag)
+    assert seen and set(seen.values()) == {1}
+    assert sa._automorphisms.cache_info().hits > 0
