@@ -29,7 +29,9 @@ from math import lcm
 
 from .exact_linear import QMatrix, Rational, SparseEchelon, solve
 
-DEFAULT_N_CAP = 8
+# The largest mark count that is built: degree 5 of n = 8 alone would need
+# about 1.0 M relation rows over 144,186 monomials.
+DEFAULT_N_CAP = 7
 
 
 @dataclass(frozen=True, order=True)
@@ -489,13 +491,13 @@ class GradedBasis:
 _CACHE: dict[int, GradedBasis] = {}
 
 
-def build_graded_basis(n: int, cap: int = DEFAULT_N_CAP) -> GradedBasis:
+def build_graded_basis(n: int) -> GradedBasis:
     """Construct (and cache) the graded basis data for the n-pointed ring.
 
-    This is the one place the mark count is capped; ``cap`` may raise it.
+    This is the one place the mark count is capped, at ``DEFAULT_N_CAP``.
     """
-    if n > cap:
-        raise ValueError(f"mark count cap exceeded ({n} > {cap})")
+    if n > DEFAULT_N_CAP:
+        raise ValueError(f"mark count cap exceeded ({n} > {DEFAULT_N_CAP})")
     if n not in _CACHE:
         _CACHE[n] = GradedBasis(n)
     return _CACHE[n]

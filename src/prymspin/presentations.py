@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_linear import QMatrix, rank, rref
+from .exact_linear import QMatrix, kernel_basis, rank, rref
 from .keel_ring import RingElement
 from .space_registry import SpaceDescriptor, load_space, load_preset_json
 from .symmetry import invariant_basis
@@ -260,12 +260,15 @@ def _monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
     return sorted(out, reverse=True)
 
 
-def _degree_relation_rows(p: Presentation, d: int, skip: int | None = None):
+def _degree_relation_rows(p: Presentation, d: int):
+    """The degree-d monomials, the rows of the degree-d multiples of the
+    generators over them, and the generator each row is a multiple of."""
     monos = _monomials(len(p.variables), d)
     index = {m: i for i, m in enumerate(monos)}
     rows = []
+    owners = []
     for gi, g in enumerate(p.generators):
-        if gi == skip or not g:
+        if not g:
             continue
         e = poly_degree(g)
         if e > d:
@@ -276,7 +279,8 @@ def _degree_relation_rows(p: Presentation, d: int, skip: int | None = None):
             for expo, c in prod.items():
                 row[index[expo]] = c
             rows.append(row)
-    return monos, rows
+            owners.append(gi)
+    return monos, rows, owners
 
 
 def hilbert_function(p: Presentation) -> list[int]:
@@ -290,7 +294,7 @@ def hilbert_function(p: Presentation) -> list[int]:
         if out and out[-1] == 0:
             out.append(0)
             continue
-        monos, rows = _degree_relation_rows(p, d)
+        monos, rows, _ = _degree_relation_rows(p, d)
         r = len(rref(QMatrix(rows))[1]) if rows else 0
         out.append(len(monos) - r)
     return out
@@ -298,24 +302,21 @@ def hilbert_function(p: Presentation) -> list[int]:
 
 def dependent_generators(p: Presentation) -> list[int]:
     """Indices of generators lying in the degree-d truncation of the ideal
-    generated by the others (d the generator's degree)."""
-    out = []
-    for gi, g in enumerate(p.generators):
-        d = poly_degree(g)
-        monos, rows = _degree_relation_rows(p, d, skip=gi)
-        index = {m: i for i, m in enumerate(monos)}
-        target = [Fraction(0)] * len(monos)
-        for expo, c in g.items():
-            target[index[expo]] = c
-        if not rows:
-            if not any(target):
-                out.append(gi)
-            continue
-        base_rank = len(rref(QMatrix(rows))[1])
-        ext_rank = len(rref(QMatrix(rows + [target]))[1])
-        if ext_rank == base_rank:
-            out.append(gi)
-    return out
+    generated by the others (d the generator's degree).
+
+    A generator g_i of degree d is one exactly when some linear relation
+    among the degree-d multiples of the generators, that is some kernel
+    vector of their transposed rows, has a nonzero entry on g_i itself; a
+    zero generator always is.  One kernel per degree answers for all the
+    generators of that degree."""
+    out = {gi for gi, g in enumerate(p.generators) if not g}
+    for d in sorted({poly_degree(g) for g in p.generators if g}):
+        _, rows, owners = _degree_relation_rows(p, d)
+        own = [k for k, gi in enumerate(owners)
+               if poly_degree(p.generators[gi]) == d]
+        for v in kernel_basis(QMatrix(list(zip(*rows)))):
+            out.update(owners[k] for k in own if v[k])
+    return sorted(out)
 
 
 def independence_check(p: Presentation) -> bool:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 from .exact_linear import QMatrix, Rational, rref
 from .keel_ring import BoundaryIndex, RingElement, four_point_relation
@@ -80,13 +81,9 @@ class NamedCombo:
         if not self.terms:
             return NamedCombo(self.space)
         keys = sorted(self.terms)
-        denom = 1
-        for v in self.terms.values():
-            denom = denom * v.denominator // _gcd(denom, v.denominator)
+        denom = lcm(*(v.denominator for v in self.terms.values()))
         ints = [self.terms[k] * denom for k in keys]
-        g = 0
-        for v in ints:
-            g = _gcd(g, abs(int(v)))
+        g = gcd(*(int(v) for v in ints))
         sign = 1 if ints[0] > 0 else -1
         out = NamedCombo(self.space)
         for k, v in zip(keys, ints):
@@ -104,12 +101,6 @@ class NamedCombo:
             mono = "*".join(k) if k else "1"
             parts.append(f"({self.terms[k]})*{mono}")
         return " + ".join(parts)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a) if a else abs(b)
 
 
 # -- pushforward along the 6-marked covers ------------------------------------
@@ -217,8 +208,8 @@ def derive_m05_relations() -> list[NamedCombo]:
     """The three relations obtained by pushing four-point relations of the
     5-marked space through the boundary covers, after rewriting transverse
     stratum classes as products and splitting reducible intersections."""
-    rel_a = _m05_relation_element((5, 1, 2, 3), which=1)   # [51]+[23] = [53]+[12]
-    rel_b = _m05_relation_element((1, 2, 3, 4), which=0)   # [12]+[34] = [13]+[24]
+    rel_a = four_point_relation(5, 5, 1, 2, 3)[1]   # [51]+[23] = [53]+[12]
+    rel_b = four_point_relation(5, 1, 2, 3, 4)[0]   # [12]+[34] = [13]+[24]
 
     # (1) through the cover of the divisor D0' on R2, with all four image
     # strata rewritten as transverse products of boundary classes.
@@ -247,10 +238,6 @@ def derive_m05_relations() -> list[NamedCombo]:
     # (3) through the D0' cover again: a pure stratum-class relation.
     combo3 = pushforward_m05("h0p", rel_b)
     return [out1, out2, combo3.normalized()]
-
-
-def _m05_relation_element(marks, which: int) -> RingElement:
-    return four_point_relation(5, *marks)[which]
 
 
 # -- intersection numbers ------------------------------------------------------

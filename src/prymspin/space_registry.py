@@ -29,7 +29,8 @@ from .keel_ring import (BoundaryIndex, GradedBasis, Monomial, RingElement,
                         build_graded_basis, canonicalize, monomial)
 from .strata_aut import (MarkedTree, StratumDescriptor,
                          count_marked_automorphisms, fiber_count,
-                         prym_aut_number, trees_isomorphic)
+                         prym_aut_number, stratum_pushforward_coeff,
+                         trees_isomorphic)
 from .symmetry import PermGroup, standard_group
 
 SPACE_TAGS = ("R2", "S2plus", "S2minus", "M2")
@@ -131,6 +132,7 @@ class BoundaryEntry:
     aut: int
     fiber_count: int
     stab_order: int              # generic automorphisms m of the tree
+    tree: MarkedTree
     blown: bool
     cite: str
 
@@ -203,23 +205,23 @@ class SpaceDescriptor:
         return cached
 
     def _build_class(self, name: str) -> NamedClass:
-        if name in self.boundary:
-            e = self.boundary[name]
-            coeffs = {(d,): Fraction(e.stab_order, e.aut) for d in e.orbit}
-            value = self.gb.reduce(RingElement(self.n, 1, coeffs))
-            return NamedClass(self.tag, name, value, e.aut, e.cite)
-        if name in self.strata:
-            e = self.strata[name]
-            deg = len(e.rep)
-            mult = Fraction(e.stab_order, e.aut * 2 ** (deg - 1))
-            coeffs = {m: mult for m in e.orbit}
-            value = self.gb.reduce(RingElement(self.n, deg, coeffs))
-            return NamedClass(self.tag, name, value, e.aut, e.cite)
         if name == self.lambda_name:
             value = self.evaluate({(b,): c
                                    for b, c in self.lambda_coeffs.items()})
             return NamedClass(self.tag, name, value)
-        raise KeyError(f"unknown class name {name!r} on {self.tag}")
+        if name in self.boundary:
+            e = self.boundary[name]
+            orbit = [(d,) for d in e.orbit]
+        elif name in self.strata:
+            e = self.strata[name]
+            orbit = e.orbit
+        else:
+            raise KeyError(f"unknown class name {name!r} on {self.tag}")
+        # a divisor is the case k = 1
+        k = len(next(iter(orbit)))
+        mult = Fraction(e.stab_order, e.aut * 2 ** (k - 1))
+        value = self.gb.reduce(RingElement(self.n, k, {m: mult for m in orbit}))
+        return NamedClass(self.tag, name, value, e.aut, e.cite)
 
     def evaluate(self, terms: dict[tuple[str, ...], Fraction]) -> RingElement:
         """The reduced sum of c times the product of the named classes, over
@@ -287,7 +289,7 @@ def load_space(tag: str) -> SpaceDescriptor:
         entry = BoundaryEntry(
             name=item["name"], display=item["display"], rep=rep,
             orbit=orbit, degree=int(item["degree"]), aut=int(item["aut"]),
-            fiber_count=int(item["fiber_count"]), stab_order=m,
+            fiber_count=int(item["fiber_count"]), stab_order=m, tree=tree,
             blown=item["name"] in blown_names, cite=item.get("cite", ""))
         boundary[entry.name] = entry
         for d in orbit:
@@ -361,11 +363,23 @@ def _audit_strata(space: SpaceDescriptor):
                 raise RegistryError(f"{tag}: strata {seen[m]} and {e.name} "
                                     f"share the monomial {m}")
             seen[m] = e.name
-        desc = StratumDescriptor(e.tree, e.blown_edges, space.unordered_classes)
+    unordered = space.unordered_classes
+    boundary = [(e, StratumDescriptor(
+        e.tree, frozenset([0]) if e.blown else frozenset(), unordered))
+        for e in space.boundary.values()]
+    strata = [(e, StratumDescriptor(e.tree, e.blown_edges, unordered))
+              for e in space.strata.values()]
+    for e, desc in boundary + strata:
         n_computed = prym_aut_number(desc)
         if n_computed != e.aut:
             raise RegistryError(f"{tag}/{e.name}: computed automorphism "
                                 f"number {n_computed}, table says {e.aut}")
+    for e, _ in boundary:
+        m_count = fiber_count(e.tree, unordered)
+        if m_count != e.fiber_count:
+            raise RegistryError(f"{tag}/{e.name}: computed fiber count "
+                                f"{m_count}, table says {e.fiber_count}")
+    for e, desc in strata:
         if e.pushforward_target is not None:
             target = base.strata[e.pushforward_target]
             plain_src = MarkedTree(
@@ -373,22 +387,8 @@ def _audit_strata(space: SpaceDescriptor):
             if not trees_isomorphic(plain_src, target.tree):
                 raise RegistryError(f"{tag}/{e.name}: underlying tree does "
                                     f"not match {e.pushforward_target}")
-            m_count = fiber_count(e.tree, space.unordered_classes)
-            coeff = Fraction(m_count * target.aut, e.aut)
+            coeff = stratum_pushforward_coeff(desc, target.aut)
             if coeff != e.pushforward_coeff:
                 raise RegistryError(
                     f"{tag}/{e.name}: computed pushforward coefficient "
                     f"{coeff}, table says {e.pushforward_coeff}")
-    for e in space.boundary.values():
-        tree, _ = tree_from_monomial((e.rep,), space.n, space.a_marks)
-        m_count = fiber_count(tree, space.unordered_classes)
-        if m_count != e.fiber_count:
-            raise RegistryError(f"{tag}/{e.name}: computed fiber count "
-                                f"{m_count}, table says {e.fiber_count}")
-        desc = StratumDescriptor(
-            tree, frozenset([0]) if e.blown else frozenset(),
-            space.unordered_classes)
-        n_computed = prym_aut_number(desc)
-        if n_computed != e.aut:
-            raise RegistryError(f"{tag}/{e.name}: computed automorphism "
-                                f"number {n_computed}, table says {e.aut}")

@@ -8,6 +8,14 @@ edges at which the stable model is blown up.  Everything a registry table
 needs — generic automorphism count m, structure automorphism number n,
 fiber counts over the base space — is computed from this data.
 
+One enumerator answers every question about a tree: ``_tree_maps`` yields
+the component bijections (with or without exchanging the two classes) that
+carry one tree onto another.  Isomorphism is the existence of such a map;
+the explicit generic automorphism group of ``marked_tree_automorphism_group``
+is built from the maps of a tree onto itself, and the count m, the
+extremity kernel behind n and the orbits behind the fiber counts are all
+read off that group.
+
 Counting contract: automorphisms are counted at a *generic* point of the
 stratum.  Whole components can be exchanged only when they carry at most 3
 special points (more special points means moduli, which generic points do
@@ -131,13 +139,23 @@ def parse_tree(text: str) -> MarkedTree:
 
 # -- generic automorphisms ---------------------------------------------------
 
-def _graph_automorphisms(tree: MarkedTree):
-    """Component bijections preserving the edge set."""
-    n = len(tree.marks)
-    edge_set = {frozenset(e) for e in tree.edges}
+def _tree_maps(src: MarkedTree, dst: MarkedTree, allow_set_swap: bool):
+    """The (component bijection, class swap) pairs carrying the mark counts
+    of src and then its edges onto those of dst: comp_perm[c] is the image
+    of component c, and a swap exchanges the two classes."""
+    n = len(src.marks)
+    if n != len(dst.marks):
+        return
+    edge_set = {frozenset(e) for e in dst.edges}
+    wants = {False: list(src.marks)}
+    if allow_set_swap:
+        wants[True] = [m[::-1] for m in src.marks]
     for perm in itertools.permutations(range(n)):
-        if all(frozenset((perm[c], perm[d])) in edge_set for c, d in tree.edges):
-            yield perm
+        images = [dst.marks[p] for p in perm]
+        for swap, want in wants.items():
+            if images == want and all(frozenset((perm[c], perm[d])) in edge_set
+                                      for c, d in src.edges):
+                yield perm, swap
 
 
 def _is_identity_or_double_transposition(images: dict[int, int], size: int) -> bool:
@@ -157,24 +175,16 @@ def count_marked_automorphisms(tree: MarkedTree, allow_set_swap: bool = False) -
     return len(marked_tree_automorphism_group(tree, allow_set_swap))
 
 
-def _mark_swap_kernel_order(tree: MarkedTree, allow_set_swap: bool) -> int:
-    """Order of the subgroup of automorphisms supported on extremities.
-
-    Swapping the two marks of a same-class extremity always preserves the
-    partition; the only other possibility is the simultaneous swap on all
-    extremities when every mark of the tree sits on a mixed extremity and
-    the two classes may be exchanged globally.
-    """
-    exts = [c for c in range(len(tree.marks)) if tree.is_extremity(c)]
-    same = [c for c in exts if tree.marks[c] in ((2, 0), (0, 2))]
-    mixed = [c for c in exts if tree.marks[c] == (1, 1)]
-    order = 2 ** len(same)
-    total_a, total_b = tree.total_marks()
-    marks_on_mixed = sum(sum(tree.marks[c]) for c in mixed)
-    if (allow_set_swap and total_a == total_b and not same
-            and marks_on_mixed == total_a + total_b and mixed):
-        order *= 2
-    return order
+def extremity_kernel(tree: MarkedTree, allow_set_swap: bool = False):
+    """The automorphisms that keep every component and move only marks
+    sitting on extremities: the kernel of the action on the contracted mark
+    data.  Every leaf carries marks, and a tree map fixing the leaves is the
+    identity, so keeping each mark on its component keeps every component."""
+    ends = {c for c in range(len(tree.marks)) if tree.is_extremity(c)}
+    return [(swap, f) for swap, f in
+            marked_tree_automorphism_group(tree, allow_set_swap)
+            if all(s == t or (s[0] == t[0] and s[0] in ends)
+                   for s, t in f.items())]
 
 
 # -- double covers -----------------------------------------------------------
@@ -280,7 +290,7 @@ def double_cover_graph(tree: MarkedTree) -> CoverGraph:
     return CoverGraph(vertices, edges)
 
 
-@dataclass
+@dataclass(frozen=True)
 class StratumDescriptor:
     """A stratum: its marked tree, the tree edges whose node on the stable
     model is blown up in the square-root structure, and whether the two
@@ -331,38 +341,22 @@ def nonexceptional_component_count(desc: StratumDescriptor) -> int:
     return _component_count(len(keep), kept_edges)
 
 
+@functools.lru_cache(maxsize=None)
 def prym_aut_number(desc: StratumDescriptor) -> int:
     """Automorphism number of the square-root structure carried by a
     generic curve of the stratum: n = 2^(s-r) * i * h, with s components,
     r extremities, i = 2^(u-1) counting inessential automorphisms via the
-    u components of the non-exceptional subcurve, and h the automorphism
-    count of the contracted mark data."""
+    u components of the non-exceptional subcurve, and h = m / |K| the
+    automorphism count of the contracted mark data, K the extremity kernel:
+    a subgroup of the m generic automorphisms, so |K| divides m.
+    Descriptors are immutable, and each one is computed once."""
     tree = desc.tree
     m = count_marked_automorphisms(tree, desc.allow_set_swap)
-    kernel = _mark_swap_kernel_order(tree, desc.allow_set_swap)
-    if m % kernel:
-        raise ValueError("extremity-swap kernel does not divide the count")
-    h = m // kernel
+    h = m // len(extremity_kernel(tree, desc.allow_set_swap))
     s = len(tree.marks)
     r = sum(1 for c in range(s) if tree.is_extremity(c))
     u = nonexceptional_component_count(desc)
     return 2 ** (s - r) * 2 ** (u - 1) * h
-
-
-def same_class_extremities(tree: MarkedTree) -> int:
-    """Extremities whose two marks lie in the same class (the r' of the
-    count identity m = 2^(r') * h, valid except when a global class swap
-    acts through the extremities alone)."""
-    return sum(1 for c in range(len(tree.marks))
-               if tree.is_extremity(c) and tree.marks[c] in ((2, 0), (0, 2)))
-
-
-def aut_count_identity_holds(tree: MarkedTree, allow_set_swap: bool) -> bool:
-    """Whether m = 2^(r') * h holds for this stratum; it fails exactly when
-    the swap of every (mixed) extremity realizes the global class exchange,
-    which doubles the extremity-supported kernel."""
-    return _mark_swap_kernel_order(tree, allow_set_swap) == \
-        2 ** same_class_extremities(tree)
 
 
 # -- explicit automorphisms and fiber counts ---------------------------------
@@ -372,45 +366,25 @@ def marked_tree_automorphism_group(tree: MarkedTree, allow_set_swap: bool = Fals
 
     Slots are (component, class, index) with class 'a' or 'b'; each
     automorphism is returned as a dict slot -> slot together with its swap
-    flag.  This is the one enumerator: counts and fiber orbits both use it.
-    Each (tree, flag) is enumerated once; trees are immutable, and the
-    tuple returned is shared by every caller, which must not change it.
+    flag.  This is the one enumerator: counts, the extremity kernel and
+    fiber orbits all use it.  Each (tree, flag) is enumerated once; trees
+    are immutable, and the tuple returned is shared by every caller, which
+    must not change it.
     """
     return _automorphisms(tree, bool(allow_set_swap))
 
 
 @functools.lru_cache(maxsize=None)
 def _automorphisms(tree: MarkedTree, allow_set_swap: bool):
-    total_a, total_b = tree.total_marks()
-    swaps = [False]
-    if allow_set_swap and total_a == total_b:
-        swaps.append(True)
     out = []
-    ncomp = len(tree.marks)
-    for comp_perm in _graph_automorphisms(tree):
-        for swap in swaps:
-            ok = True
-            for c in range(ncomp):
-                want = tree.marks[c] if not swap else tree.marks[c][::-1]
-                if tree.marks[comp_perm[c]] != want:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            per_comp = []
-            for c in range(ncomp):
-                choices = _slot_bijections(tree, c, comp_perm, swap)
-                if not choices:
-                    per_comp = None
-                    break
-                per_comp.append(choices)
-            if per_comp is None:
-                continue
-            for combo in itertools.product(*per_comp):
-                slot_map = {}
-                for part in combo:
-                    slot_map.update(part)
-                out.append((swap, slot_map))
+    for comp_perm, swap in _tree_maps(tree, tree, allow_set_swap):
+        per_comp = [_slot_bijections(tree, c, comp_perm, swap)
+                    for c in range(len(tree.marks))]
+        for combo in itertools.product(*per_comp):
+            slot_map = {}
+            for part in combo:
+                slot_map.update(part)
+            out.append((swap, slot_map))
     return tuple(out)
 
 
@@ -425,8 +399,6 @@ def _slot_bijections(tree: MarkedTree, c: int, comp_perm, swap: bool):
     tgt_b = [(target, "b", i) for i in range(tb)]
     if swap:
         tgt_a, tgt_b = tgt_b, tgt_a
-    if len(src_a) != len(tgt_a) or len(src_b) != len(tgt_b):
-        return []
     if target != c:
         if tree.special_count(c) > 3:
             return []
@@ -435,19 +407,12 @@ def _slot_bijections(tree: MarkedTree, c: int, comp_perm, swap: bool):
             for pb in itertools.permutations(tgt_b):
                 out.append(dict(zip(src_a + src_b, list(pa) + list(pb))))
         return out
-    # component fixed: respect the 4-point / 5-point realizability rules
+    # component fixed: respect the 4-point / 5-point realizability rules;
+    # comp_perm carries each incident edge onto an incident edge
     inc = tree.incident_edges(c)
-    edge_map = {}
-    for k in inc:
-        x, y = tree.edges[k]
-        d = y if x == c else x
-        tgt_edge = frozenset((c, comp_perm[d]))
-        for k2 in inc:
-            if frozenset(tree.edges[k2]) == tgt_edge:
-                edge_map[k] = k2
-                break
-        else:
-            return []
+    by_ends = {frozenset(tree.edges[k]): k for k in inc}
+    edge_map = {k: by_ends[frozenset(comp_perm[x] for x in tree.edges[k])]
+                for k in inc}
     k_special = a + b + len(inc)
     edge_fixed = all(edge_map[k] == k for k in inc)
     a_target, b_target = ("b", "a") if swap else ("a", "b")
@@ -482,22 +447,7 @@ def _slot_bijections(tree: MarkedTree, c: int, comp_perm, swap: bool):
 def trees_isomorphic(t1: MarkedTree, t2: MarkedTree, allow_set_swap: bool = False) -> bool:
     """Isomorphism of marked trees as combinatorial types (no genericity
     constraints), optionally up to exchanging the two mark classes."""
-    if len(t1.marks) != len(t2.marks) or len(t1.edges) != len(t2.edges):
-        return False
-    edge_set2 = {frozenset(e) for e in t2.edges}
-    swaps = [False] + ([True] if allow_set_swap else [])
-    for perm in itertools.permutations(range(len(t2.marks))):
-        for swap in swaps:
-            ok = True
-            for c in range(len(t1.marks)):
-                want = t1.marks[c] if not swap else t1.marks[c][::-1]
-                if t2.marks[perm[c]] != want:
-                    ok = False
-                    break
-            if ok and all(frozenset((perm[c], perm[d])) in edge_set2
-                          for c, d in t1.edges):
-                return True
-    return False
+    return any(_tree_maps(t1, t2, allow_set_swap))
 
 
 def fiber_count(tree: MarkedTree, unordered_classes: bool = False) -> int:
@@ -506,15 +456,28 @@ def fiber_count(tree: MarkedTree, unordered_classes: bool = False) -> int:
     topological type: assignments of the A-marks to the mark slots of the
     unpartitioned tree realizing the type, counted up to the generic
     automorphisms of the unpartitioned curve (and up to exchanging the two
-    classes when the ambient partition is unordered)."""
-    total_a, total_b = tree.total_marks()
+    classes when the ambient partition is unordered).
+
+    The enumerated automorphisms are the whole group, so the orbit of an
+    assignment is its set of images."""
+    total_a, _ = tree.total_marks()
     plain = MarkedTree(tuple((a + b, 0) for a, b in tree.marks), tree.edges)
     slots = [(c, "a", i) for c in range(len(plain.marks))
              for i in range(plain.marks[c][0])]
-    autos = marked_tree_automorphism_group(plain, allow_set_swap=False)
-    matching = []
+    all_slots = frozenset(slots)
+    autos = marked_tree_automorphism_group(plain)
+
+    def canonical(assignment):
+        if unordered_classes:
+            return min(assignment, all_slots - assignment, key=sorted)
+        return assignment
+
+    seen = set()
+    orbits = 0
     for combo in itertools.combinations(slots, total_a):
-        chosen = set(combo)
+        chosen = frozenset(combo)
+        if canonical(chosen) in seen:
+            continue
         counts = []
         for c in range(len(plain.marks)):
             tot = plain.marks[c][0]
@@ -522,45 +485,15 @@ def fiber_count(tree: MarkedTree, unordered_classes: bool = False) -> int:
             counts.append((a, tot - a))
         cand = MarkedTree(tuple(counts), tree.edges)
         if trees_isomorphic(cand, tree, allow_set_swap=unordered_classes):
-            matching.append(frozenset(chosen))
-    assignments = set(matching)
-    if unordered_classes:
-        all_slots = frozenset(slots)
-        canon = {min(a, all_slots - a, key=sorted) for a in assignments}
-        assignments = canon
-
-    def act(slot_map, assignment):
-        image = frozenset(slot_map[s] for s in assignment)
-        if unordered_classes:
-            return min(image, frozenset(slots) - image, key=sorted)
-        return image
-
-    orbits = 0
-    remaining = set(assignments)
-    while remaining:
-        seed = remaining.pop()
-        orbit = {seed}
-        frontier = [seed]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for _, slot_map in autos:
-                    y = act(slot_map, x)
-                    if y not in orbit:
-                        orbit.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        remaining -= orbit
-        orbits += 1
+            orbits += 1
+            seen.update(canonical(frozenset(f[s] for s in chosen))
+                        for _, f in autos)
     return orbits
 
 
-def stratum_pushforward_coeff(desc: StratumDescriptor, image_aut: int,
-                              unordered_classes: bool | None = None) -> Fraction:
+def stratum_pushforward_coeff(desc: StratumDescriptor, image_aut: int) -> Fraction:
     """Coefficient of the image stratum class under the forgetful map:
     (number of structures over a general image point) x (automorphisms of
     the image object) / (automorphisms of the source object)."""
-    if unordered_classes is None:
-        unordered_classes = desc.allow_set_swap
-    m_count = fiber_count(desc.tree, unordered_classes)
+    m_count = fiber_count(desc.tree, desc.allow_set_swap)
     return Fraction(m_count * image_aut, prym_aut_number(desc))

@@ -5,7 +5,7 @@ the defining subsets of the generators.  The ring kernel
 (``GradedBasis.relabel``) applies a permutation as a linear map on basis
 coordinates, built once per permutation and degree; ``act`` is that map on
 one element and ``orbit_sum`` sums it over a list of permutations in integer
-coordinates, for the Reynolds projector and the pushforward to the base.
+coordinates, for the pushforward to the base.
 The fixed subring in each degree is the common kernel of g - 1 over the
 generators g of the group, echelonized.
 """
@@ -71,22 +71,7 @@ class PermGroup:
 
     def __post_init__(self):
         if not self.elements:
-            self.elements = self._expand()
-
-    def _expand(self) -> list[Perm]:
-        ident = identity_perm(self.n)
-        seen = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for g in self.generators:
-                    q = compose(g, p)
-                    if q not in seen:
-                        seen.add(q)
-                        nxt.append(q)
-            frontier = nxt
-        return sorted(seen)
+            self.elements = sorted(self.orbit(identity_perm(self.n), compose))
 
     @property
     def order(self) -> int:
@@ -133,8 +118,8 @@ def act(g: Perm, x: RingElement, gb: GradedBasis) -> RingElement:
 def orbit_sum(perms, x: RingElement, gb: GradedBasis) -> RingElement:
     """The reduced sum of act(g, x, gb) over the permutations g.
 
-    This is the one "act, then sum" loop behind the Reynolds projector and
-    the pushforward to the base; the sum is taken in integer coordinates.
+    This is the one "act, then sum" loop, behind the pushforward to the
+    base; the sum is taken in integer coordinates.
     """
     return gb.combine(x.degree, ((act(g, x, gb), 1) for g in perms))
 
@@ -157,11 +142,6 @@ def _coset_representatives(n: int, elements: tuple[Perm, ...]) -> tuple[Perm, ..
             reps.append(g)
             covered.update(compose(g, h) for h in elements)
     return tuple(reps)
-
-
-def reynolds(group: PermGroup, x: RingElement, gb: GradedBasis) -> RingElement:
-    """Average of the group action: the projector onto the fixed subspace."""
-    return orbit_sum(group.elements, x, gb).scale(Fraction(1, group.order))
 
 
 class InvariantBasis:

@@ -13,7 +13,9 @@ coordinates.  The pushforward to the base is recomputed by brute force over
 all of S_n with the same relabelling and a single reduction.  Exact
 elimination over Q is done by ``FractionEchelon``, a plain ``Fraction``
 Gauss-Jordan kept here as the reference for the integer-first production
-engine.
+engine.  The order of the extremity kernel of a marked tree is the hand
+formula, and the dependent generators of a presentation are found by one
+rank test per generator.
 """
 
 from __future__ import annotations
@@ -295,6 +297,30 @@ def hilbert_mod_p(nvars: int, generators: list[dict], max_degree: int,
     return out
 
 
+def dependent_generators_by_rank(nvars: int, generators: list[dict]) -> list[int]:
+    """Indices i such that generator i (a dict exponent tuple -> rational)
+    lies in the span of the degree-d multiples of the other generators, d
+    its degree, tested one generator at a time with ``FractionEchelon``: the
+    generator adds no pivot to the echelon of the others' multiples."""
+    out = []
+    for i, g in enumerate(generators):
+        if not g:
+            out.append(i)
+            continue
+        d = sum(next(iter(g)))
+        ech = FractionEchelon()
+        for j, h in enumerate(generators):
+            if j == i or not h or sum(next(iter(h))) > d:
+                continue
+            for m in itertools.product(range(d + 1), repeat=nvars):
+                if sum(m) == d - sum(next(iter(h))):
+                    ech.add_row({tuple(a + b for a, b in zip(e, m)): c
+                                 for e, c in h.items()})
+        if not ech.add_row(g):
+            out.append(i)
+    return out
+
+
 # -- the ring on dicts of monomials ------------------------------------------
 
 @functools.lru_cache(maxsize=None)
@@ -382,3 +408,54 @@ def _images_over_sn(m, n: int) -> dict:
         im = relabel(perm, m)
         out[im] = out.get(im, 0) + 1
     return out
+
+
+# -- marked trees ---------------------------------------------------------------
+
+def stable_marked_trees(n: int = 6) -> list:
+    """Every stable n-marked tree with its marks split into two classes, as
+    cut out by a set of pairwise compatible distinct splits (the dual tree
+    of a stratum) together with a choice of the A-marks; equal trees once."""
+    divisors = all_divisors(n)
+    out = {}
+    for k in range(n - 2):
+        for subset in itertools.combinations(divisors, k):
+            if any(incompatible(a, b)
+                   for a, b in itertools.combinations(subset, 2)):
+                continue
+            for size in range(n + 1):
+                for a_marks in itertools.combinations(range(1, n + 1), size):
+                    tree, _ = tree_from_monomial(subset, n, frozenset(a_marks))
+                    out.setdefault(tree, None)
+    return list(out)
+
+
+def same_class_extremities(tree) -> int:
+    """Extremities (one node, two marks) whose two marks lie in the same
+    class: the r' of the count identity m = 2^(r') * h."""
+    return sum(1 for c in range(len(tree.marks))
+               if tree.is_extremity(c) and tree.marks[c] in ((2, 0), (0, 2)))
+
+
+def extremity_kernel_formula(tree, allow_set_swap: bool) -> int:
+    """Order of the group of generic automorphisms supported on extremities,
+    derived by hand: swapping the two marks of a same-class extremity always
+    preserves the partition; the only other element is the simultaneous
+    swap on all extremities when every mark of the tree sits on a mixed
+    extremity and the two classes may be exchanged globally."""
+    mixed = [c for c in range(len(tree.marks))
+             if tree.is_extremity(c) and tree.marks[c] == (1, 1)]
+    order = 2 ** same_class_extremities(tree)
+    total_a, total_b = tree.total_marks()
+    if (allow_set_swap and total_a == total_b and order == 1 and mixed
+            and 2 * len(mixed) == total_a + total_b):
+        order *= 2
+    return order
+
+
+def aut_count_identity_holds(tree, allow_set_swap: bool) -> bool:
+    """Whether m = 2^(r') * h holds for this stratum; it fails exactly when
+    the swap of every (mixed) extremity realizes the global class exchange,
+    which doubles the extremity-supported kernel."""
+    return (extremity_kernel_formula(tree, allow_set_swap)
+            == 2 ** same_class_extremities(tree))

@@ -89,6 +89,9 @@ def test_input_errors_exit_2(capsys):
     assert main(["push", "--map", "bogus", "--class", "[1,2]"]) == 2
     assert main(["push", "--map", "f_R", "--class", "oops"]) == 2
     assert main(["keel", "--n", "9"]) == 2
+    capsys.readouterr()
+    assert main(["keel", "--n", "8"]) == 2
+    assert "cap exceeded (8 > 7)" in capsys.readouterr().err
 
 
 def test_report_all_deterministic(capsys):

@@ -3,7 +3,8 @@
 Every imported name is used, and the arithmetic stays exact: no float
 literal, no ``float(...)`` call, and no import of ``random`` or ``numpy``.
 The test oracles stay independent of the code they check: they import no
-ring kernel and nothing of the symmetry or pushforward modules."""
+ring kernel, no automorphism enumerator or number built on it, and nothing
+of the symmetry or pushforward modules."""
 
 import ast
 from pathlib import Path
@@ -13,7 +14,10 @@ import pytest
 SOURCES = sorted((Path(__file__).parent.parent / "src" / "prymspin").glob("*.py"))
 FORBIDDEN_MODULES = {"random", "numpy"}
 ORACLES = Path(__file__).with_name("oracles.py")
-ORACLE_FORBIDDEN_NAMES = {"GradedBasis", "build_graded_basis"}
+ORACLE_FORBIDDEN_NAMES = {"GradedBasis", "build_graded_basis",
+                          "marked_tree_automorphism_group",
+                          "count_marked_automorphisms", "prym_aut_number",
+                          "fiber_count"}
 ORACLE_FORBIDDEN_MODULES = {"prymspin.symmetry", "prymspin.pushpull"}
 
 
@@ -83,6 +87,10 @@ def test_checks_catch_violations(tmp_path):
         test_arithmetic_is_exact(bad)
     for text in ("from prymspin.keel_ring import GradedBasis\n",
                  "from prymspin.keel_ring import build_graded_basis as b\n",
+                 "from prymspin.strata_aut import marked_tree_automorphism_group\n",
+                 "from prymspin.strata_aut import count_marked_automorphisms\n",
+                 "from prymspin.strata_aut import prym_aut_number\n",
+                 "from prymspin.strata_aut import fiber_count as f\n",
                  "from prymspin.symmetry import act\n",
                  "from prymspin import pushpull\n",
                  "import prymspin.symmetry\n"):

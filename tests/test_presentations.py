@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import hilbert_mod_p
+from oracles import dependent_generators_by_rank, hilbert_mod_p
 from prymspin import presentations, reference
 from prymspin.exact_linear import QMatrix, kernel_basis
 from prymspin.presentations import (ExprError, Presentation, check_relation,
@@ -150,6 +151,33 @@ class TestIndependence:
     @pytest.mark.parametrize("preset", ["J", "K"])
     def test_presets_independent(self, preset):
         assert independence_check(Presentation.from_preset(preset))
+
+    def test_dependent_generators_of_I(self):
+        assert dependent_generators(Presentation.from_preset("I")) == \
+            [1, 3, 5, 6, 9]
+
+    def test_dependent_generators_match_rank_oracle(self):
+        # one kernel per degree against one rank test per generator, on
+        # seeded presentations with repeated, scaled and multiplied
+        # generators among random ones
+        rng = random.Random(818)
+        names = ["x", "y", "z"]
+        for _ in range(60):
+            nvars = rng.randint(1, 3)
+            texts = []
+            for _ in range(rng.randint(1, 6)):
+                if texts and rng.random() < 0.3:
+                    texts.append(f"({rng.randint(-2, 2)})*{rng.choice(names[:nvars])}"
+                                 f"^{rng.randint(0, 1)}*({rng.choice(texts)})")
+                    continue
+                d = rng.randint(1, 3)
+                texts.append(" + ".join(
+                    f"({rng.randint(-3, 3)})*" + "*".join(
+                        rng.choice(names[:nvars]) for _ in range(d))
+                    for _ in range(rng.randint(1, 3))))
+            p = Presentation.from_texts(names[:nvars], texts)
+            assert dependent_generators(p) == \
+                dependent_generators_by_rank(nvars, p.generators), texts
 
     def test_preset_I_has_a_genuine_dependency(self):
         # the reference labels these ten generators independent; the degree-2

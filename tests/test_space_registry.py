@@ -242,19 +242,20 @@ def test_named_class_is_built_once_per_space(tmp_path, monkeypatch):
 
 def test_each_tree_is_enumerated_once(monkeypatch):
     # loading every space asks for the automorphisms of a tree several times
-    # (generic count, structure number, fiber count); each tree is
-    # enumerated once
+    # (generic count, structure number, fiber count); the automorphisms are
+    # the maps of a tree onto itself, and each tree is enumerated once
     import collections
     import prymspin.space_registry as sr
     import prymspin.strata_aut as sa
     seen = collections.Counter()
-    real = sa._graph_automorphisms
+    real = sa._tree_maps
 
-    def counting(tree):
-        seen[tree] += 1
-        return real(tree)
+    def counting(src, dst, allow_set_swap):
+        if src is dst:
+            seen[src] += 1
+        return real(src, dst, allow_set_swap)
 
-    monkeypatch.setattr(sa, "_graph_automorphisms", counting)
+    monkeypatch.setattr(sa, "_tree_maps", counting)
     monkeypatch.setattr(sr, "_SPACE_CACHE", {})
     sa._automorphisms.cache_clear()
     for tag in sr.SPACE_TAGS:

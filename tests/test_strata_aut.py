@@ -2,13 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from prymspin.strata_aut import (CoverGraph, MarkedTree, StratumDescriptor,
-                                 aut_count_identity_holds,
+from oracles import (aut_count_identity_holds, extremity_kernel_formula,
+                     stable_marked_trees)
+from prymspin.strata_aut import (MarkedTree, StratumDescriptor,
                                  count_marked_automorphisms,
-                                 double_cover_graph, fiber_count,
-                                 marked_tree_automorphism_group, parse_tree,
-                                 prym_aut_number, stratum_pushforward_coeff,
-                                 trees_isomorphic)
+                                 double_cover_graph, extremity_kernel,
+                                 fiber_count, marked_tree_automorphism_group,
+                                 parse_tree, prym_aut_number,
+                                 stratum_pushforward_coeff, trees_isomorphic)
 
 # (name, tree grammar, blown edges, set swap, generic auts m, structure auts n)
 R2_TABLE = [
@@ -106,12 +107,6 @@ class TestGenericAutomorphisms:
         t = parse_tree("(A A A B B B)")
         assert count_marked_automorphisms(t, allow_set_swap=True) == 1
 
-    def test_explicit_group_sizes_match(self):
-        for name, grammar, blown, swap, m, n in ALL_TABLES:
-            tree = parse_tree(grammar)
-            autos = marked_tree_automorphism_group(tree, swap)
-            assert len(autos) == m, name
-
     def test_explicit_group_is_a_group(self):
         # (swap, slot map) pairs compose as (s xor t, f o g)
         for name, grammar, blown, swap, m, n in ALL_TABLES:
@@ -172,6 +167,14 @@ class TestStructureAutomorphisms:
             tree = parse_tree(grammar)
             holds = aut_count_identity_holds(tree, swap)
             assert holds == (name != "M"), name
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_extremity_kernel_matches_the_formula(self, swap):
+        trees = stable_marked_trees(6)
+        assert len(trees) == 692
+        for tree in trees:
+            assert len(extremity_kernel(tree, swap)) == \
+                extremity_kernel_formula(tree, swap), tree
 
 
 class TestFiberCounts:

@@ -8,7 +8,7 @@ from prymspin.keel_ring import (RingElement, all_divisors, build_graded_basis,
                                 canonicalize, four_point_relation)
 from prymspin.symmetry import (PermGroup, act, coset_representatives,
                                identity_perm, invariant_basis, invariant_dims,
-                               parse_cycles, reynolds, standard_group)
+                               orbit_sum, parse_cycles, standard_group)
 
 
 def gen(*marks):
@@ -54,8 +54,13 @@ def test_relations_closed_under_action():
 
 
 def test_reynolds_idempotent_and_projects():
+    # the Reynolds projector: the orbit sum over the group divided by |G|
     gb = build_graded_basis(6)
     group = standard_group("R2")
+
+    def reynolds(group, x, gb):
+        return orbit_sum(group.elements, x, gb).scale(Fraction(1, group.order))
+
     rng = random.Random(9)
     divisors = all_divisors(6)
     for _ in range(5):
