@@ -39,8 +39,10 @@ class BoundaryIndex:
     """A boundary divisor of the n-pointed space, named by the subset of
     marks on one side of the node.
 
-    Canonical form: the side not containing the last mark n.  Sorting is by
-    (size, sorted members), which fixes the monomial order used everywhere.
+    Canonical form: the side not containing the last mark n.  Sorting is
+    lexicographic on the sorted members, so that [1,2] < [1,2,3] <
+    [1,2,3,4] < [1,2,4] < [1,3] for n = 6; this order fixes the monomial
+    order used everywhere, and with it the chosen basis.
     """
     key: tuple[int, ...]
     n: int
@@ -212,24 +214,6 @@ def four_point_relation(n: int, i: int, j: int, k: int, l: int) -> tuple[RingEle
     return s_ij - s_ik, s_ij - s_il
 
 
-def _degree_monomials(n: int, d: int, divisors: list[BoundaryIndex]) -> list[Monomial]:
-    """All nonzero (pairwise compatible) degree-d monomials, in order."""
-    if d == 0:
-        return [()]
-    compat = {}
-    for a, b in itertools.combinations(divisors, 2):
-        compat[(a, b)] = not incompatible(a, b)
-
-    def ok(m: Monomial) -> bool:
-        for a, b in itertools.combinations(set(m), 2):
-            key = (a, b) if (a, b) in compat else (b, a)
-            if not compat[key]:
-                return False
-        return True
-
-    return [m for m in itertools.combinations_with_replacement(divisors, d) if ok(m)]
-
-
 # A reduced image in one degree: (den, ((i, num), ...)) stands for the sum
 # of num/den times the i-th basis monomial, with an integer den > 0.
 Image = tuple[int, tuple[tuple[int, int], ...]]
@@ -266,10 +250,11 @@ class GradedBasis:
     """The ring kernel: bases, reduction, products and relabelling of the
     n-pointed ring in basis coordinates.
 
-    For each degree d the basis is the set of non-pivot monomials of the
-    echelonized relation space, spanned by (degree-1 relations) x (degree
-    d-1 monomials); products containing an incompatible pair are dropped as
-    already zero.
+    The keys of ``reduction[d]`` are the nonzero degree-d monomials (those
+    whose factors are pairwise compatible) in sorted order: a monomial
+    outside them is zero.  For each degree d the basis is the set of
+    non-pivot monomials of the echelonized relation space, spanned by
+    (degree-1 relations) x (nonzero degree d-1 monomials).
     """
 
     def __init__(self, n: int):
@@ -278,6 +263,11 @@ class GradedBasis:
         self.n = n
         self.top = n - 3
         self.divisors = all_divisors(n)
+        # later[a]: the divisors from a on that are compatible with a, in
+        # order (a dict for ordered iteration and membership tests).
+        self._later = {a: dict.fromkeys(b for b in self.divisors
+                                        if b >= a and not incompatible(a, b))
+                       for a in self.divisors}
         self.basis: dict[int, list[Monomial]] = {0: [()]}
         # reduction[d][monomial] = Image of the monomial in the degree-d basis
         self.reduction: dict[int, dict[Monomial, Image]] = {
@@ -312,19 +302,23 @@ class GradedBasis:
         return out
 
     def _build_degree(self, d: int):
-        monos = _degree_monomials(self.n, d, self.divisors)
+        # Each nonzero monomial of degree d - 1, extended by every divisor
+        # from its last factor on that is compatible with all its factors:
+        # the nonzero degree-d monomials, in sorted order.
+        lower = self.reduction[d - 1]
+        later = self._later
+        monos = [m + (e,) for m in lower
+                 for e in (later[m[-1]] if m else self.divisors)
+                 if all(e in later[f] for f in m)]
         index = {m: i for i, m in enumerate(monos)}
         ech = SparseEchelon()
-        lower_all = (_degree_monomials(self.n, d - 1, self.divisors)
-                     if d > 1 else [()])
         for rel in self.linear_relations:
-            for mono in lower_all:
+            for mono in lower:
                 row: dict[int, Fraction] = {}
                 for (div,), c in rel.items():
-                    prod = monomial(div, *mono)
-                    if monomial_is_zero(prod):
+                    idx = index.get(monomial(div, *mono))
+                    if idx is None:
                         continue
-                    idx = index[prod]
                     nv = row.get(idx, Fraction(0)) + c
                     if nv:
                         row[idx] = nv
@@ -451,8 +445,7 @@ class GradedBasis:
             left = self.basis[da][i]
             row = self._products[(da, i, db)] = []
             for right in self.basis[db]:
-                prod = monomial(*left, *right)
-                row.append(_ZERO_IMAGE if monomial_is_zero(prod) else red[prod])
+                row.append(red.get(monomial(*left, *right), _ZERO_IMAGE))
         return row
 
     def relabel(self, g: tuple[int, ...], x: RingElement) -> RingElement:

@@ -29,6 +29,7 @@ from math import gcd, lcm
 
 from .exact_linear import QMatrix, Rational, rref
 from .keel_ring import BoundaryIndex, RingElement, four_point_relation
+from .presentations import check_relation
 from .space_registry import SpaceDescriptor, load_space
 from .symmetry import act, coset_representatives, orbit_sum
 
@@ -288,17 +289,10 @@ def check_combo_vanishes(combo: NamedCombo) -> tuple[bool, RingElement]:
 def m2_relation_verdicts() -> dict[str, bool]:
     """The quadratic base relation and the two cross-check variants; each
     is evaluated, never assumed."""
-    m2 = load_space("M2")
-    relations = {
-        "12*delta1^2 + delta0*delta1": {("delta1", "delta1"): 12,
-                                        ("delta0", "delta1"): 1},
-        "delta0*delta1 + 12*delta0^2": {("delta0", "delta1"): 1,
-                                        ("delta0", "delta0"): 12},
-        "528*delta1^3 + delta0^3": {("delta1", "delta1", "delta1"): 528,
-                                    ("delta0", "delta0", "delta0"): 1},
-    }
-    return {text: m2.evaluate(terms).is_zero()
-            for text, terms in relations.items()}
+    return {text: check_relation("M2", text)[0]
+            for text in ("12*delta1^2 + delta0*delta1",
+                         "delta0*delta1 + 12*delta0^2",
+                         "528*delta1^3 + delta0^3")}
 
 
 # -- Hodge class identity chains ----------------------------------------------

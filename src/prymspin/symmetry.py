@@ -34,13 +34,6 @@ def compose(p: Perm, q: Perm) -> Perm:
     return tuple(p[q[i] - 1] for i in range(len(p)))
 
 
-def inverse(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v - 1] = i + 1
-    return tuple(out)
-
-
 def perm_from_cycles(cycles, n: int) -> Perm:
     """Build a permutation from cycles like [(1, 2), (3, 4, 5)]."""
     img = list(range(1, n + 1))
@@ -67,11 +60,10 @@ class PermGroup:
     """A permutation group on {1..n}, stored with its full element list."""
     n: int
     generators: list[Perm]
-    elements: list[Perm] = field(default_factory=list)
+    elements: list[Perm] = field(init=False)
 
     def __post_init__(self):
-        if not self.elements:
-            self.elements = sorted(self.orbit(identity_perm(self.n), compose))
+        self.elements = sorted(self.orbit(identity_perm(self.n), compose))
 
     @property
     def order(self) -> int:

@@ -1,8 +1,10 @@
 """Independent oracles used by the tests.
 
-Nothing here reuses the production reduction machinery: ranks are
-recomputed modulo a prime from raw relation rows, graded dimensions are
-recovered from point counts over finite fields via the stratification, and
+Nothing here reuses the production reduction machinery: two splits are
+compatible by this module's own rule (nested or disjoint canonical sides),
+ranks are recomputed modulo a prime from raw relation rows, graded
+dimensions are recovered from point counts over finite fields via the
+stratification and from Keel's recursion for the Poincare polynomials, and
 top-degree integrals are re-derived from a linear system whose only inputs
 are the four-point rewriting rule and the transversality of distinct
 pairwise-compatible splits.  ``reduce``, ``multiply`` and ``act`` are the
@@ -23,12 +25,25 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 from prymspin.keel_ring import (RingElement, all_divisors, canonicalize,
-                                four_point_relation, incompatible, monomial,
-                                monomial_is_zero)
+                                four_point_relation, monomial)
 from prymspin.space_registry import tree_from_monomial
+
+
+def _compatible(a, b) -> bool:
+    """Whether two splits coexist on a stable curve: exactly when their
+    canonical sides (the sides without mark n) are nested or disjoint."""
+    s, t = set(a.key), set(b.key)
+    return s <= t or t <= s or not s & t
+
+
+def _pairwise_compatible(divisors) -> bool:
+    """Whether every two of the splits coexist: a monomial in them is
+    nonzero, and a set of distinct ones cuts out a stratum."""
+    return all(_compatible(a, b)
+               for a, b in itertools.combinations(divisors, 2))
 
 
 class FractionEchelon:
@@ -130,7 +145,7 @@ def raw_relation_rows(n: int, degree: int):
                 row: dict[int, int] = {}
                 for (div,), c in rel.coeffs.items():
                     prod = monomial(div, *low)
-                    if monomial_is_zero(prod):
+                    if not _pairwise_compatible(prod):
                         continue
                     i = index[prod]
                     nv = row.get(i, 0) + int(c)
@@ -149,8 +164,8 @@ def _nonzero_monomials(n: int, degree: int):
         return [()]
     out = []
     for m in itertools.combinations_with_replacement(divisors, degree):
-        if not monomial_is_zero(tuple(m)):
-            out.append(tuple(m))
+        if _pairwise_compatible(m):
+            out.append(m)
     return out
 
 
@@ -167,6 +182,25 @@ def keel_dims_mod_p(n: int, p: int) -> list[int]:
     return dims
 
 
+def keel_poincare(n: int) -> list[int]:
+    """Coefficients of the Poincare polynomial of the n-pointed space by
+    Keel's recursion: P_3 = 1 and P_{m+1} = (1+q) P_m + (q/2) sum over
+    j = 2..m-2 of C(m,j) P_{j+1} P_{m-j+1}."""
+    polys = {3: [1]}
+    for m in range(3, n):
+        total = [0] * (m - 1)
+        for j in range(2, m - 1):
+            for a, x in enumerate(polys[j + 1]):
+                for b, y in enumerate(polys[m - j + 1]):
+                    total[a + b + 1] += comb(m, j) * x * y
+        assert all(c % 2 == 0 for c in total)
+        p = polys[m]
+        polys[m + 1] = [(p[k] if k < len(p) else 0)
+                        + (p[k - 1] if k else 0) + total[k] // 2
+                        for k in range(m - 1)]
+    return polys[n]
+
+
 # -- point counts over finite fields -------------------------------------------
 
 def _open_stratum_poly(special_counts: list[int]) -> list[Fraction]:
@@ -175,8 +209,7 @@ def _open_stratum_poly(special_counts: list[int]) -> list[Fraction]:
     for m in special_counts:
         for j in range(2, m - 1):
             # multiply by (q - j)
-            poly = ([Fraction(0)] + poly[:]
-                    if False else _mul_linear(poly, -j))
+            poly = _mul_linear(poly, -j)
     return poly
 
 
@@ -197,8 +230,7 @@ def point_count_betti(n: int) -> list[int]:
     a_marks = frozenset(range(1, n + 1))
     for k in range(0, n - 2):
         for subset in itertools.combinations(divisors, k):
-            if any(incompatible(a, b)
-                   for a, b in itertools.combinations(subset, 2)):
+            if not _pairwise_compatible(subset):
                 continue
             tree, _ = tree_from_monomial(tuple(sorted(subset)), n, a_marks)
             counts = [tree.special_count(c) for c in range(len(tree.marks))]
@@ -235,7 +267,7 @@ def oracle_integrals(n: int) -> dict:
             row = {index[m]: Fraction(-1)}
             for div, c in rewrite.items():
                 new = monomial(div, *rest)
-                if monomial_is_zero(new):
+                if not _pairwise_compatible(new):
                     continue
                 i = index[new]
                 nv = row.get(i, Fraction(0)) + c
@@ -352,7 +384,7 @@ def reduce(x):
     table = _reduction_table(x.n, x.degree)
     acc: dict = {}
     for m, c in x.coeffs.items():
-        if monomial_is_zero(m):
+        if not _pairwise_compatible(m):
             continue
         for bm, bc in table[m].items():
             acc[bm] = acc.get(bm, Fraction(0)) + c * bc
@@ -420,8 +452,7 @@ def stable_marked_trees(n: int = 6) -> list:
     out = {}
     for k in range(n - 2):
         for subset in itertools.combinations(divisors, k):
-            if any(incompatible(a, b)
-                   for a, b in itertools.combinations(subset, 2)):
+            if not _pairwise_compatible(subset):
                 continue
             for size in range(n + 1):
                 for a_marks in itertools.combinations(range(1, n + 1), size):

@@ -3,8 +3,8 @@
 Every imported name is used, and the arithmetic stays exact: no float
 literal, no ``float(...)`` call, and no import of ``random`` or ``numpy``.
 The test oracles stay independent of the code they check: they import no
-ring kernel, no automorphism enumerator or number built on it, and nothing
-of the symmetry or pushforward modules."""
+ring kernel or compatibility rule, no automorphism enumerator or number
+built on it, and nothing of the symmetry or pushforward modules."""
 
 import ast
 from pathlib import Path
@@ -15,6 +15,7 @@ SOURCES = sorted((Path(__file__).parent.parent / "src" / "prymspin").glob("*.py"
 FORBIDDEN_MODULES = {"random", "numpy"}
 ORACLES = Path(__file__).with_name("oracles.py")
 ORACLE_FORBIDDEN_NAMES = {"GradedBasis", "build_graded_basis",
+                          "incompatible", "monomial_is_zero",
                           "marked_tree_automorphism_group",
                           "count_marked_automorphisms", "prym_aut_number",
                           "fiber_count"}
@@ -87,6 +88,8 @@ def test_checks_catch_violations(tmp_path):
         test_arithmetic_is_exact(bad)
     for text in ("from prymspin.keel_ring import GradedBasis\n",
                  "from prymspin.keel_ring import build_graded_basis as b\n",
+                 "from prymspin.keel_ring import incompatible\n",
+                 "from prymspin.keel_ring import RingElement, monomial_is_zero\n",
                  "from prymspin.strata_aut import marked_tree_automorphism_group\n",
                  "from prymspin.strata_aut import count_marked_automorphisms\n",
                  "from prymspin.strata_aut import prym_aut_number\n",

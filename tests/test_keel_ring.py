@@ -45,6 +45,15 @@ class TestCanonicalize:
         assert len(all_divisors(5)) == 10
         assert len(all_divisors(4)) == 3
 
+    def test_divisor_order(self):
+        # Lexicographic on the sorted members, not by size first: the order
+        # picks the non-pivot monomials, so the basis depends on it.
+        assert " ".join(str(d) for d in all_divisors(6)) == (
+            "[1,2] [1,2,3] [1,2,3,4] [1,2,3,5] [1,2,4] [1,2,4,5] [1,2,5] "
+            "[1,3] [1,3,4] [1,3,4,5] [1,3,5] [1,4] [1,4,5] [1,5] [2,3] "
+            "[2,3,4] [2,3,4,5] [2,3,5] [2,4] [2,4,5] [2,5] [3,4] [3,4,5] "
+            "[3,5] [4,5]")
+
 
 class TestIncompatible:
     def test_examples(self):
@@ -103,6 +112,18 @@ class TestGradedBasis:
         from oracles import point_count_betti
         for n in (4, 5, 6):
             assert point_count_betti(n) == build_graded_basis(n).dims()
+
+    def test_dims_match_keel_recursion(self):
+        from oracles import keel_poincare
+        for n in (4, 5, 6):
+            assert build_graded_basis(n).dims() == keel_poincare(n)
+
+    def test_nonzero_monomials_match_oracle(self):
+        from oracles import _nonzero_monomials
+        for n in (4, 5, 6):
+            gb = build_graded_basis(n)
+            for d in range(gb.top + 1):
+                assert list(gb.reduction[d]) == _nonzero_monomials(n, d)
 
     def test_palindromic(self):
         for n in (4, 5, 6):
