@@ -187,21 +187,23 @@ def cmd_intersections(args) -> int:
 
 
 def _append_intersections(report: Report, tag: str):
-    rows_names, cols, mat = intersection_table(tag)
+    rows_names, cols, table_rows = intersection_table(tag)
     order = reference.BOUNDARY_ORDER[tag]
     perm = [cols.index(c) for c in order]
     # Columns in the reference order, so rows, rank and kernel all compare
     # against the reference whatever order the table comes in.
-    ordered = QMatrix([[row[j] for j in perm] for row in mat.rows])
+    ordered = [[row[j] for j in perm] for row in table_rows]
     table = report.section(f"{tag}: strata (rows) against divisors "
                            f"{' '.join(order)}")
-    for rname, got in zip(rows_names, ordered.rows):
+    for rname, got in zip(rows_names, ordered):
         expected = [Fraction(x) for x in reference.A4_TABLES[tag][rname]]
         table.append((rname, "  ".join(str(x) for x in got), got == expected))
     summary = report.section(f"{tag}: rank and kernel")
-    r = rank(ordered)
+    mat = QMatrix([{j: x for j, x in enumerate(row) if x} for row in ordered],
+                  len(order))
+    r = rank(mat)
     summary.append(("rank", str(r), r == reference.A4_RANKS[tag]))
-    ker = kernel_basis(ordered)
+    ker = [[v.get(j, 0) for j in range(len(order))] for v in kernel_basis(mat)]
     expected_kernel = reference.A4_KERNELS[tag]
     ok = len(ker) == len(expected_kernel)
     if ok and ker:

@@ -21,74 +21,63 @@ goes through ``SparseEchelon``:
 Every step is an exact integer operation: there is no floating point and no
 modular or probabilistic arithmetic, so ranks, pivots, kernels and solutions
 need no certificate.  ``rref``, ``rank``, ``kernel_basis`` and ``solve`` are
-thin adapters that feed the rows of a dense ``QMatrix`` through the engine.
+thin adapters that feed the sparse rows of a ``QMatrix`` through the engine
+and return sparse results.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
 
 # Arbitrary-precision rational; lowest terms and positive denominator are
 # guaranteed by the constructor.  str() renders "p/q", or "p" when q == 1.
 Rational = Fraction
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
 class QMatrix:
-    """A dense rectangular matrix over Q.
+    """A matrix over Q: sparse rows, each a dict column -> int or
+    ``Fraction`` (absent columns are 0), over ``ncols`` columns."""
 
-    Rows are lists of Fractions.  Instances are treated as immutable once
-    built; the reduction routines below always return fresh matrices.
+    def __init__(self, rows: list[dict], ncols: int):
+        self.rows = rows
+        self.ncols = ncols
+
+    @property
+    def nrows(self) -> int:
+        return len(self.rows)
+
+
+def _check_columns(m: QMatrix) -> None:
+    for row in m.rows:
+        if row and not 0 <= min(row) <= max(row) < m.ncols:
+            raise ValueError(f"column outside 0..{m.ncols - 1}: {sorted(row)}")
+
+
+def rref(m: QMatrix) -> tuple[list[dict[int, Fraction]], list[int]]:
+    """The nonzero rows of the reduced row-echelon form, in pivot order, and
+    their pivot columns.
+
+    Pivots move strictly rightwards and pivot entries are 1; the row space
+    is preserved exactly.  A column outside 0..ncols-1 raises ValueError.
     """
-
-    def __init__(self, rows: Sequence[Sequence]):
-        self.rows = [[x if type(x) is Fraction else Fraction(x) for x in row]
-                     for row in rows]
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        for row in self.rows:
-            if len(row) != self.ncols:
-                raise ValueError("ragged rows")
-
-    def __eq__(self, other):
-        return isinstance(other, QMatrix) and self.rows == other.rows
-
-    def __repr__(self):
-        return f"QMatrix({self.nrows}x{self.ncols})"
-
-
-def rref(m: QMatrix) -> tuple[QMatrix, list[int]]:
-    """Reduced row-echelon form and the list of pivot columns.
-
-    Pivots move strictly rightwards and pivot entries are 1; the zero rows
-    are padded at the bottom, so the result has the shape of ``m``.  The row
-    space is preserved exactly.
-    """
+    _check_columns(m)
     ech = SparseEchelon()
     for row in m.rows:
-        ech.add_row({j: x for j, x in enumerate(row) if x})
+        ech.add_row(row)
     reduced = ech.finish()
-    pivots = sorted(reduced)
-    rows = []
-    for c in pivots:
-        dense = [_ZERO] * m.ncols
-        for j, x in reduced[c].items():
-            dense[j] = x
-        rows.append(dense)
-    rows.extend([_ZERO] * m.ncols for _ in range(m.nrows - len(pivots)))
-    return QMatrix(rows), pivots
+    return list(reduced.values()), list(reduced)
 
 
 def rank(m: QMatrix) -> int:
     return len(rref(m)[1])
 
 
-def kernel_basis(m: QMatrix) -> list[list[Rational]]:
-    """A basis of the right null space {v : m v = 0}.
+def kernel_basis(m: QMatrix) -> list[dict[int, Fraction]]:
+    """A basis of the right null space {v : m v = 0}, as sparse vectors of
+    their nonzero entries.
 
     The vectors are read off the RREF: one per non-pivot column, with a 1 in
     that column.  They are linearly independent and span the kernel, so
@@ -96,27 +85,30 @@ def kernel_basis(m: QMatrix) -> list[list[Rational]]:
     """
     red, pivots = rref(m)
     pivot_set = set(pivots)
-    free_cols = [c for c in range(m.ncols) if c not in pivot_set]
     basis = []
-    for fc in free_cols:
-        v = [_ZERO] * m.ncols
-        v[fc] = _ONE
-        for r_idx, pc in enumerate(pivots):
-            v[pc] = -red.rows[r_idx][fc]
+    for fc in range(m.ncols):
+        if fc in pivot_set:
+            continue
+        v = {fc: _ONE}
+        for row, pc in zip(red, pivots):
+            if fc in row:
+                v[pc] = -row[fc]
         basis.append(v)
     return basis
 
 
-def solve(m: QMatrix, b: Sequence) -> list[Rational] | None:
-    """One solution of m x = b, or None when the system is inconsistent."""
-    aug = QMatrix([row + [b[i]] for i, row in enumerate(m.rows)])
-    red, pivots = rref(aug)
-    if m.ncols in pivots:
+def solve(m: QMatrix, b: dict) -> dict[int, Fraction] | None:
+    """One solution x of m x = b, or None when the system is inconsistent;
+    b maps rows and x maps columns to their entries, absent entries are 0."""
+    _check_columns(m)
+    if not b.keys() <= set(range(m.nrows)):
+        raise ValueError(f"b has an entry outside rows 0..{m.nrows - 1}")
+    w = m.ncols
+    red, pivots = rref(QMatrix([{**row, w: b[i]} if i in b else row
+                                for i, row in enumerate(m.rows)], w + 1))
+    if w in pivots:
         return None
-    x = [_ZERO] * m.ncols
-    for r_idx, pc in enumerate(pivots):
-        x[pc] = red.rows[r_idx][m.ncols]
-    return x
+    return {pc: row[w] for row, pc in zip(red, pivots) if w in row}
 
 
 def _make_primitive(row: dict[int, int]) -> None:

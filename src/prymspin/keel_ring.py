@@ -395,14 +395,18 @@ class GradedBasis:
                          span: list[RingElement]) -> list[Fraction] | None:
         """Coefficients c with sum(c[k] * span[k]) = reduce(x), or None when
         reduce(x) lies outside the span (every element of x's degree)."""
-        if not span:
-            return [] if self.reduce(x).is_zero() else None
         vectors = [self.coordinates(y) for y in span]
         target = self.coordinates(x)
-        rows = [[Fraction(v.nums[i], v.den) for v in vectors]
+        # Column k holds the numerators of span[k] and the right side those
+        # of x, so a solution z gives c[k] = z[k] * den_k / den_x.
+        rows = [{k: v.nums[i] for k, v in enumerate(vectors) if v.nums[i]}
                 for i in range(len(target.nums))]
-        return solve(QMatrix(rows),
-                     [Fraction(t, target.den) for t in target.nums])
+        z = solve(QMatrix(rows, len(span)),
+                  {i: t for i, t in enumerate(target.nums) if t})
+        if z is None:
+            return None
+        return [Fraction(z.get(k, 0) * v.den, target.den)
+                for k, v in enumerate(vectors)]
 
     # -- reduction, products, relabelling, integration ----------------------
 

@@ -275,10 +275,7 @@ def _degree_relation_rows(p: Presentation, d: int):
             continue
         for m in _monomials(len(p.variables), d - e):
             prod = _mul(g, {m: Fraction(1)})
-            row = [Fraction(0)] * len(monos)
-            for expo, c in prod.items():
-                row[index[expo]] = c
-            rows.append(row)
+            rows.append({index[expo]: c for expo, c in prod.items()})
             owners.append(gi)
     return monos, rows, owners
 
@@ -295,7 +292,7 @@ def hilbert_function(p: Presentation) -> list[int]:
             out.append(0)
             continue
         monos, rows, _ = _degree_relation_rows(p, d)
-        r = len(rref(QMatrix(rows))[1]) if rows else 0
+        r = len(rref(QMatrix(rows, len(monos)))[1]) if rows else 0
         out.append(len(monos) - r)
     return out
 
@@ -311,11 +308,13 @@ def dependent_generators(p: Presentation) -> list[int]:
     generators of that degree."""
     out = {gi for gi, g in enumerate(p.generators) if not g}
     for d in sorted({poly_degree(g) for g in p.generators if g}):
-        _, rows, owners = _degree_relation_rows(p, d)
+        monos, rows, owners = _degree_relation_rows(p, d)
         own = [k for k, gi in enumerate(owners)
                if poly_degree(p.generators[gi]) == d]
-        for v in kernel_basis(QMatrix(list(zip(*rows)))):
-            out.update(owners[k] for k in own if v[k])
+        transposed = [{k: row[j] for k, row in enumerate(rows) if j in row}
+                      for j in range(len(monos))]
+        for v in kernel_basis(QMatrix(transposed, len(rows))):
+            out.update(owners[k] for k in own if k in v)
     return sorted(out)
 
 
@@ -387,8 +386,10 @@ def verify_presentation(space_tag: str, p: Presentation) -> PresentationReport:
             images = {key + (k,): gb.multiply(x, classes[k])
                       for key, x in images.items()
                       for k in range(key[-1] if key else 0, len(classes))}
-        rows = [gb.coordinates(x).nums for x in images.values()]
-        surjective.append(rank(QMatrix(rows)) == inv_dims[d])
+        rows = [{i: v for i, v in enumerate(gb.coordinates(x).nums) if v}
+                for x in images.values()]
+        surjective.append(rank(QMatrix(rows, len(gb.basis[d])))
+                          == inv_dims[d])
     return PresentationReport(
         space=space_tag, presentation=p.name or "(custom)",
         generators_vanish=vanish, surjective_by_degree=surjective,

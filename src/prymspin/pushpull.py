@@ -143,20 +143,18 @@ def derive_linear_relation(space_tag: str) -> NamedCombo:
     for quad in itertools.combinations(range(1, space.n + 1), 4):
         for rel in four_point_relation(space.n, *quad):
             combo = pushforward(space, rel)
-            row = [combo.terms.get((nm,), Fraction(0)) for nm in names]
-            if any(row):
+            row = {j: combo.terms[(nm,)] for j, nm in enumerate(names)
+                   if combo.terms.get((nm,))}
+            if row:
                 rows.append(row)
-    if not rows:
-        return NamedCombo(space_tag)
-    red, pivots = rref(QMatrix(rows))
+    red, pivots = rref(QMatrix(rows, len(names)))
     if not pivots:
         return NamedCombo(space_tag)
     if len(pivots) > 1:
         raise AssertionError("more than one independent linear relation")
     out = NamedCombo(space_tag)
-    for nm, c in zip(names, red.rows[0]):
-        if c:
-            out.add((nm,), c)
+    for j, c in red[0].items():
+        out.add((names[j],), c)
     return out.normalized()
 
 
@@ -258,13 +256,12 @@ def codim2_strata(space: SpaceDescriptor) -> list[str]:
 
 def intersection_table(space_tag: str):
     """Rows: codimension-2 strata (in registry order); columns: boundary
-    divisors.  Returns (row names, column names, QMatrix)."""
+    divisors.  Returns (row names, column names, rows of entries)."""
     space = load_space(space_tag)
     rows = codim2_strata(space)
     cols = list(space.boundary)
-    mat = QMatrix([[intersection_number(space, c, r) for c in cols]
-                   for r in rows])
-    return rows, cols, mat
+    return rows, cols, [[intersection_number(space, c, r) for c in cols]
+                        for r in rows]
 
 
 def mumford_base_numbers() -> dict[str, Rational]:

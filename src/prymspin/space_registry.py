@@ -60,56 +60,27 @@ def load_preset_json(name: str) -> dict:
 
 
 def tree_from_monomial(factors: Monomial, n: int, a_marks: frozenset[int]):
-    """Dual tree of the stratum cut out by pairwise compatible splits.
+    """Dual tree of the stratum cut out by distinct pairwise compatible
+    splits.
 
     Returns (MarkedTree, edge divisor list): edge k of the tree separates
-    the marks exactly as the k-th returned divisor does.  Components are
-    found by repeatedly splitting the vertex whose incident subtrees all
-    sit on one side of the new split."""
-    full = frozenset(range(1, n + 1))
-    comps: list[frozenset[int]] = [full]
-    # edges: (comp index, comp index, far-set as seen from the first)
-    edges: list[list] = []
-    for div in factors:
-        s = div.members
-        sc = full - s
-        target = None
-        for ci, marks in enumerate(comps):
-            sides = []
-            for e in edges:
-                if ci == e[0]:
-                    far = e[2]
-                elif ci == e[1]:
-                    far = full - e[2]
-                else:
-                    continue
-                if far <= s:
-                    sides.append("s")
-                elif far <= sc:
-                    sides.append("c")
-                else:
-                    sides.append("x")
-            if "x" not in sides:
-                target = ci
-                break
-        if target is None:
-            raise RegistryError(f"split {sorted(s)} does not refine the tree")
-        old_marks = comps[target]
-        new_index = len(comps)
-        comps[target] = old_marks & s
-        comps.append(old_marks & sc)
-        for e in edges:
-            for pos in (0, 1):
-                if e[pos] == target:
-                    far = e[2] if pos == 0 else full - e[2]
-                    if far <= sc:
-                        e[pos] = new_index
-        edges.append([target, new_index, sc])
+    the marks exactly as the k-th returned divisor does.  The canonical
+    sides (without mark n) of compatible splits are nested or disjoint, so
+    component k is side k minus the sides inside it, the last component
+    holds the remaining marks, and edge k joins side k to the least side
+    that contains it (the last component when none does)."""
+    sides = [div.members for div in factors]
+    for i, s in enumerate(sides):
+        for t in sides[:i]:
+            if s & t and not (s < t or t < s):
+                raise RegistryError(f"split {sorted(s)} does not refine the tree")
+    comps = [s.difference(*(t for t in sides if t < s)) for s in sides]
+    comps.append(frozenset(range(1, n + 1)).difference(*sides))
+    parent = [min((j for j, t in enumerate(sides) if s < t),
+                  key=lambda j: len(sides[j]), default=len(sides))
+              for s in sides]
     mark_counts = tuple((len(c & a_marks), len(c - a_marks)) for c in comps)
-    tree = MarkedTree(mark_counts,
-                      tuple((e[0], e[1]) for e in edges))
-    divisors = list(factors)
-    return tree, divisors
+    return MarkedTree(mark_counts, tuple(enumerate(parent))), list(factors)
 
 
 @dataclass

@@ -155,24 +155,19 @@ class InvariantBasis:
     def _basis_for_degree(self, d: int) -> list[RingElement]:
         gb = self.gb
         ambient = gb.basis[d]
-        # A zero row keeps the matrix nonempty: no generators fix everything.
-        rows = [[Fraction(0)] * len(ambient)]
+        rows = []
         for g in self.group.generators:
             # Row k of g - 1: coordinate k of each relabelled basis monomial.
-            block = [[Fraction(0)] * len(ambient) for _ in ambient]
+            block = [{} for _ in ambient]
             for i, (den, terms) in enumerate(gb.relabel_images(g, d)):
-                block[i][i] -= 1
+                block[i][i] = -1
                 for k, v in terms:
-                    block[k][i] += Fraction(v, den)
+                    block[k][i] = block[k].get(i, 0) + Fraction(v, den)
             rows.extend(block)
-        fixed = kernel_basis(QMatrix(rows))
-        if not fixed:
-            return []
-        red, pivots = rref(QMatrix(fixed))
-        return [RingElement(gb.n, d, {ambient[j]: red.rows[r][j]
-                                      for j in range(len(ambient))
-                                      if red.rows[r][j]})
-                for r in range(len(pivots))]
+        fixed = kernel_basis(QMatrix(rows, len(ambient)))
+        red, _ = rref(QMatrix(fixed, len(ambient)))
+        return [RingElement(gb.n, d, {ambient[j]: x for j, x in row.items()})
+                for row in red]
 
     def dims(self) -> list[int]:
         return [len(self.per_degree[d]) for d in range(self.gb.top + 1)]

@@ -16,8 +16,9 @@ all of S_n with the same relabelling and a single reduction.  Exact
 elimination over Q is done by ``FractionEchelon``, a plain ``Fraction``
 Gauss-Jordan kept here as the reference for the integer-first production
 engine.  The order of the extremity kernel of a marked tree is the hand
-formula, and the dependent generators of a presentation are found by one
-rank test per generator.
+formula, the dependent generators of a presentation are found by one
+rank test per generator, and the dual tree of a set of splits is built by
+cutting one component at a time.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from math import comb, lcm
 
 from prymspin.keel_ring import (RingElement, all_divisors, canonicalize,
                                 four_point_relation, monomial)
-from prymspin.space_registry import tree_from_monomial
+from prymspin.strata_aut import MarkedTree
 
 
 def _compatible(a, b) -> bool:
@@ -232,7 +233,7 @@ def point_count_betti(n: int) -> list[int]:
         for subset in itertools.combinations(divisors, k):
             if not _pairwise_compatible(subset):
                 continue
-            tree, _ = tree_from_monomial(tuple(sorted(subset)), n, a_marks)
+            tree, _ = tree_from_splits(tuple(sorted(subset)), n, a_marks)
             counts = [tree.special_count(c) for c in range(len(tree.marks))]
             poly = _open_stratum_poly(counts)
             for i, c in enumerate(poly):
@@ -444,6 +445,55 @@ def _images_over_sn(m, n: int) -> dict:
 
 # -- marked trees ---------------------------------------------------------------
 
+def tree_from_splits(factors, n: int, a_marks: frozenset[int]):
+    """Dual tree of the stratum cut out by pairwise compatible splits, built
+    incrementally: each split cuts the one component whose incident subtrees
+    all sit on one side of it.  Returns (MarkedTree, splits); edge k is cut
+    by the k-th split and separates the marks as it does."""
+    full = frozenset(range(1, n + 1))
+    comps: list[frozenset[int]] = [full]
+    # edges: (comp index, comp index, far-set as seen from the first)
+    edges: list[list] = []
+    for div in factors:
+        s = div.members
+        sc = full - s
+        target = None
+        for ci, marks in enumerate(comps):
+            sides = []
+            for e in edges:
+                if ci == e[0]:
+                    far = e[2]
+                elif ci == e[1]:
+                    far = full - e[2]
+                else:
+                    continue
+                if far <= s:
+                    sides.append("s")
+                elif far <= sc:
+                    sides.append("c")
+                else:
+                    sides.append("x")
+            if "x" not in sides:
+                target = ci
+                break
+        if target is None:
+            raise ValueError(f"split {sorted(s)} does not refine the tree")
+        old_marks = comps[target]
+        new_index = len(comps)
+        comps[target] = old_marks & s
+        comps.append(old_marks & sc)
+        for e in edges:
+            for pos in (0, 1):
+                if e[pos] == target:
+                    far = e[2] if pos == 0 else full - e[2]
+                    if far <= sc:
+                        e[pos] = new_index
+        edges.append([target, new_index, sc])
+    mark_counts = tuple((len(c & a_marks), len(c - a_marks)) for c in comps)
+    return (MarkedTree(mark_counts, tuple((e[0], e[1]) for e in edges)),
+            list(factors))
+
+
 def stable_marked_trees(n: int = 6) -> list:
     """Every stable n-marked tree with its marks split into two classes, as
     cut out by a set of pairwise compatible distinct splits (the dual tree
@@ -456,7 +506,7 @@ def stable_marked_trees(n: int = 6) -> list:
                 continue
             for size in range(n + 1):
                 for a_marks in itertools.combinations(range(1, n + 1), size):
-                    tree, _ = tree_from_monomial(subset, n, frozenset(a_marks))
+                    tree, _ = tree_from_splits(subset, n, frozenset(a_marks))
                     out.setdefault(tree, None)
     return list(out)
 

@@ -137,13 +137,12 @@ def test_strata_tree_with_wrong_mark_count_exits_fast(capsys):
 def test_intersections_compare_in_reference_order(capsys, monkeypatch, tag):
     # a table whose columns come in another order gives the same report
     import prymspin.cli as cli
-    from prymspin.exact_linear import QMatrix
     code, expected = run(capsys, "intersections", "--space", tag)
     real = cli.intersection_table
 
     def reversed_columns(space_tag):
-        rows, cols, mat = real(space_tag)
-        return rows, cols[::-1], QMatrix([row[::-1] for row in mat.rows])
+        rows, cols, table = real(space_tag)
+        return rows, cols[::-1], [row[::-1] for row in table]
 
     monkeypatch.setattr(cli, "intersection_table", reversed_columns)
     assert run(capsys, "intersections", "--space", tag) == (code, expected)

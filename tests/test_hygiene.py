@@ -4,7 +4,10 @@ Every imported name is used, and the arithmetic stays exact: no float
 literal, no ``float(...)`` call, and no import of ``random`` or ``numpy``.
 The test oracles stay independent of the code they check: they import no
 ring kernel or compatibility rule, no automorphism enumerator or number
-built on it, and nothing of the symmetry or pushforward modules."""
+built on it, and nothing of the symmetry or pushforward modules.  Only
+the engine's own module and the Keel build name ``SparseEchelon``: every
+other module eliminates through the adapters ``rref``, ``rank``,
+``kernel_basis`` and ``solve``."""
 
 import ast
 from pathlib import Path
@@ -18,8 +21,9 @@ ORACLE_FORBIDDEN_NAMES = {"GradedBasis", "build_graded_basis",
                           "incompatible", "monomial_is_zero",
                           "marked_tree_automorphism_group",
                           "count_marked_automorphisms", "prym_aut_number",
-                          "fiber_count"}
+                          "fiber_count", "tree_from_monomial"}
 ORACLE_FORBIDDEN_MODULES = {"prymspin.symmetry", "prymspin.pushpull"}
+ENGINE_MODULES = {"exact_linear.py", "keel_ring.py"}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -76,6 +80,23 @@ def test_oracles_are_independent(path=ORACLES):
     assert not bad, f"{path.name} imports {sorted(bad)}"
 
 
+def test_engine_is_fed_through_adapters(paths=SOURCES):
+    bad = []
+    for path in paths:
+        tree = _tree(path)
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        if path.name not in ENGINE_MODULES and "SparseEchelon" in names:
+            bad.append(path.name)
+    assert not bad, f"{bad} name SparseEchelon"
+
+
 def test_checks_catch_violations(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("import random\nx = float(2)\ny = 0.5\n")
@@ -94,9 +115,16 @@ def test_checks_catch_violations(tmp_path):
                  "from prymspin.strata_aut import count_marked_automorphisms\n",
                  "from prymspin.strata_aut import prym_aut_number\n",
                  "from prymspin.strata_aut import fiber_count as f\n",
+                 "from prymspin.space_registry import tree_from_monomial\n",
                  "from prymspin.symmetry import act\n",
                  "from prymspin import pushpull\n",
                  "import prymspin.symmetry\n"):
         bad.write_text(text)
         with pytest.raises(AssertionError, match="imports"):
             test_oracles_are_independent(bad)
+    for text in ("from prymspin.exact_linear import SparseEchelon as E\n",
+                 "from prymspin import exact_linear\n"
+                 "exact_linear.SparseEchelon().add_row({})\n"):
+        bad.write_text(text)
+        with pytest.raises(AssertionError, match="SparseEchelon"):
+            test_engine_is_fed_through_adapters([bad])

@@ -242,8 +242,9 @@ class TestIntegrate:
         gb = build_graded_basis(6)
 
         def pairing_rank(lower, upper):
-            return rank(QMatrix([[gb.integrate(gb.multiply(x, y))
-                                  for y in upper] for x in lower]))
+            return rank(QMatrix([{j: gb.integrate(gb.multiply(x, y))
+                                  for j, y in enumerate(upper)}
+                                 for x in lower], len(upper)))
 
         def basis(d):
             return [RingElement(6, d, {m: Fraction(1)}) for m in gb.basis[d]]

@@ -21,7 +21,9 @@ def degree1_kernel(tag, p):
     space = load_space(tag)
     inv = invariant_basis(space.group, space.gb)
     coords = [inv.coordinates(space.named_class(v).value) for v in p.variables]
-    return kernel_basis(QMatrix([list(row) for row in zip(*coords)]))
+    ker = kernel_basis(QMatrix([{j: x for j, x in enumerate(row) if x}
+                                for row in zip(*coords)], len(coords)))
+    return [[v.get(j, 0) for j in range(len(coords))] for v in ker]
 
 
 class TestParser:

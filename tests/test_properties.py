@@ -1,4 +1,5 @@
-"""Property tests of the ring, the mark action and the pushforward.
+"""Property tests of the exact engine, the ring, the mark action and the
+pushforward.
 
 Examples are derandomized, so every run checks the same cases."""
 
@@ -9,6 +10,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prymspin.exact_linear import QMatrix, kernel_basis, rank, solve
 from prymspin.keel_ring import RingElement, build_graded_basis
 from prymspin.pushpull import push_to_base
 from prymspin.space_registry import load_space
@@ -113,3 +115,50 @@ def test_evaluate_matches_multiply_chain(case):
             value = value + space.named_class(name).value.scale(c)
         expected = gb.multiply(expected, value)
     assert space.evaluate(terms) == expected
+
+
+entries = st.one_of(small_ints, st.fractions(min_value=-5, max_value=5,
+                                             max_denominator=6))
+
+
+def sparse_vectors(ncols: int):
+    """Dicts column -> integer or Fraction over ncols columns, zero entries
+    included."""
+    return st.dictionaries(st.integers(min_value=0, max_value=max(ncols - 1, 0)),
+                           entries, max_size=ncols)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """A matrix of up to 7 sparse rows over up to 6 columns."""
+    ncols = draw(st.integers(min_value=0, max_value=6))
+    return QMatrix(draw(st.lists(sparse_vectors(ncols), max_size=7)), ncols)
+
+
+def apply(m: QMatrix, x: dict) -> dict:
+    """m x as a sparse vector of its nonzero entries."""
+    out = {}
+    for i, row in enumerate(m.rows):
+        value = sum(c * x.get(j, 0) for j, c in row.items())
+        if value:
+            out[i] = value
+    return out
+
+
+@PROPERTY
+@given(sparse_matrices())
+def test_kernel_vectors_annihilate_every_row(m):
+    ker = kernel_basis(m)
+    assert all(apply(m, v) == {} for v in ker)
+    assert rank(m) + len(ker) == m.ncols
+
+
+@PROPERTY
+@given(sparse_matrices().flatmap(
+    lambda m: st.tuples(st.just(m), sparse_vectors(m.ncols))))
+def test_solve_recovers_a_consistent_right_side(case):
+    m, x = case
+    b = apply(m, x)
+    y = solve(m, b)
+    assert y is not None and apply(m, y) == b
+

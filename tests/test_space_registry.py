@@ -1,9 +1,11 @@
+import itertools
 import json
 import re
 from fractions import Fraction
 
 import pytest
 
+import oracles
 from prymspin import reference
 from prymspin.keel_ring import (RingElement, all_divisors, build_graded_basis,
                                 canonicalize, monomial)
@@ -11,6 +13,7 @@ from prymspin.presentations import parse_polynomial
 from prymspin.space_registry import (RegistryError, SpaceDescriptor,
                                      load_preset_json, load_space,
                                      pullback_delta, tree_from_monomial)
+from prymspin.strata_aut import trees_isomorphic
 
 
 @pytest.mark.parametrize("tag", ["R2", "S2plus", "S2minus", "M2"])
@@ -130,6 +133,45 @@ def test_tree_from_monomial_shapes():
                                  frozenset({1, 2}))
     assert sorted(tree.marks) == [(0, 1), (0, 1), (0, 2), (2, 0)]
     assert len(tree.edges) == 3
+
+
+def _edge_sides(tree, k):
+    """Mark counts (A, B) on the first endpoint's side of edge k."""
+    side, frontier = {tree.edges[k][0]}, [tree.edges[k][0]]
+    while frontier:
+        c = frontier.pop()
+        for j, (u, v) in enumerate(tree.edges):
+            for x, y in ((u, v), (v, u)):
+                if j != k and x == c and y not in side:
+                    side.add(y)
+                    frontier.append(y)
+    return tuple(map(sum, zip(*(tree.marks[c] for c in side))))
+
+
+def test_tree_builder_matches_oracle():
+    # for every set of distinct pairwise compatible splits: the tree is the
+    # oracle's up to isomorphism, and edge k cuts the marks as split k does
+    for n in range(4, 7):
+        a_marks = frozenset(range(1, n + 1, 2))
+        for k in range(n - 2):
+            for splits in itertools.combinations(all_divisors(n), k):
+                if not oracles._pairwise_compatible(splits):
+                    continue
+                tree, divs = tree_from_monomial(splits, n, a_marks)
+                expected, _ = oracles.tree_from_splits(splits, n, a_marks)
+                assert trees_isomorphic(tree, expected), splits
+                assert divs == list(splits)
+                for e, div in enumerate(divs):
+                    s = div.members
+                    cut = (len(s & a_marks), len(s - a_marks))
+                    rest = (len(a_marks) - cut[0], n - len(a_marks) - cut[1])
+                    assert _edge_sides(tree, e) in (cut, rest), (splits, e)
+
+
+def test_crossing_splits_raise():
+    d = lambda *m: canonicalize(set(m), 6)
+    with pytest.raises(RegistryError):
+        tree_from_monomial(monomial(d(1, 2), d(2, 3)), 6, frozenset())
 
 
 def test_unknown_names_raise():
