@@ -10,7 +10,12 @@ curve vanish).  The ring is graded with top degree n-3.
 ``GradedBasis`` is the one ring kernel.  It echelonizes the relations once
 per degree, picks the non-pivot monomials as the basis, and stores the
 reduction of every nonzero monomial as an integer image: numerators over
-one common denominator, as ``SparseEchelon`` stores its rows.  Reduction,
+one common denominator, as ``SparseEchelon`` stores its rows.  The build
+works on divisor ranks (positions in the fixed divisor order): a monomial
+is a sorted tuple of ranks, and the divisors compatible with a given one
+form one integer bitset, so a relation row is found by index arithmetic
+and the tables are named by ``BoundaryIndex`` factors once at the end of
+each degree.  Reduction,
 products, relabelling by a permutation of the marks and linear combinations
 all accumulate such images in integer ``Coordinates`` and build one
 ``Fraction`` per output coordinate.  The images of products of two basis
@@ -68,16 +73,11 @@ def canonicalize(members, n: int) -> BoundaryIndex:
 
 
 def all_divisors(n: int) -> list[BoundaryIndex]:
-    """All canonical boundary divisors, in the fixed order."""
-    seen = set()
-    out = []
-    for size in range(2, n - 1):
-        for combo in itertools.combinations(range(1, n + 1), size):
-            d = canonicalize(combo, n)
-            if d not in seen:
-                seen.add(d)
-                out.append(d)
-    return sorted(out)
+    """All canonical boundary divisors, in the fixed order: the sides
+    without mark n are the subsets of 1..n-1 of size 2..n-2."""
+    sides = [side for size in range(2, n - 1)
+             for side in itertools.combinations(range(1, n), size)]
+    return [BoundaryIndex(side, n) for side in sorted(sides)]
 
 
 def incompatible(s: BoundaryIndex, t: BoundaryIndex) -> bool:
@@ -255,6 +255,13 @@ class GradedBasis:
     outside them is zero.  For each degree d the basis is the set of
     non-pivot monomials of the echelonized relation space, spanned by
     (degree-1 relations) x (nonzero degree d-1 monomials).
+
+    Divisor i is ``divisors[i]``, and ``compatibility[i]`` is the bitset
+    of the divisors compatible with it.  The build extends each nonzero
+    degree d-1 monomial, held as a sorted tuple of ranks with the AND of
+    its factors' bitsets, by the set bits of that AND from its last factor
+    on, in ascending rank; this keeps the sorted monomial order and so the
+    choice of basis.  Only the bitsets outlive the build.
     """
 
     def __init__(self, n: int):
@@ -263,11 +270,14 @@ class GradedBasis:
         self.n = n
         self.top = n - 3
         self.divisors = all_divisors(n)
-        # later[a]: the divisors from a on that are compatible with a, in
-        # order (a dict for ordered iteration and membership tests).
-        self._later = {a: dict.fromkeys(b for b in self.divisors
-                                        if b >= a and not incompatible(a, b))
-                       for a in self.divisors}
+        # The side of divisor i (its rank in the fixed order) as a bitmask,
+        # bit k-1 for mark k.  Two splits are compatible when their sides
+        # are nested or disjoint; compatibility[i] has bit j set when
+        # divisors i and j are.
+        sides = [sum(1 << (k - 1) for k in div.key) for div in self.divisors]
+        self.compatibility = [
+            sum(1 << j for j, b in enumerate(sides) if a & b in (0, a, b))
+            for a in sides]
         self.basis: dict[int, list[Monomial]] = {0: [()]}
         # reduction[d][monomial] = Image of the monomial in the degree-d basis
         self.reduction: dict[int, dict[Monomial, Image]] = {
@@ -281,69 +291,73 @@ class GradedBasis:
 
     def _build(self):
         n = self.n
+        divisors = self.divisors
+        rank = {div: i for i, div in enumerate(divisors)}
         # Degree-1 relations, echelonized once and reused in every degree.
-        raw_relations = []
+        ech = SparseEchelon()
         for quad in itertools.combinations(range(1, n + 1), 4):
-            r1, r2 = four_point_relation(n, *quad)
-            raw_relations.extend([r1, r2])
-        self.linear_relations = self._independent_rows(raw_relations)
+            for rel in four_point_relation(n, *quad):
+                ech.add_row({rank[div]: c for (div,), c in rel.coeffs.items()})
+        rows = [row for _, row in sorted(ech.finish().items())]
+        self.linear_relations = [{(divisors[r],): c for r, c in row.items()}
+                                 for row in rows]
+        # The same relations as (rank, integer coefficient) pairs.
+        relations = []
+        for row in rows:
+            den = lcm(*(c.denominator for c in row.values()))
+            relations.append([(r, int(c * den)) for r, c in row.items()])
+        # The unit monomial, compatible with every divisor.
+        lower = [((), (1 << len(divisors)) - 1)]
         for d in range(1, self.top + 1):
-            self._build_degree(d)
+            lower = self._build_degree(d, lower, relations)
 
-    def _independent_rows(self, relations: list[RingElement]) -> list[dict[Monomial, Fraction]]:
-        order = {(div,): i for i, div in enumerate(self.divisors)}
+    def _build_degree(self, d: int, lower, relations):
+        """Basis and reductions of degree d, from the nonzero monomials of
+        degree d - 1: sorted tuples of divisor ranks, each with the bitset
+        of the divisors compatible with all its factors.  Returns the
+        nonzero degree-d monomials in the same form."""
+        compatibility = self.compatibility
+        # Each lower monomial extended by every compatible divisor from its
+        # last factor on, in ascending rank: the nonzero degree-d monomials,
+        # in sorted order.
+        monos = []
+        for m, allowed in lower:
+            bits = allowed >> m[-1] << m[-1] if m else allowed
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                r = low.bit_length() - 1
+                monos.append((m + (r,), allowed & compatibility[r]))
+        index = {m: i for i, (m, _) in enumerate(monos)}
         ech = SparseEchelon()
         for rel in relations:
-            ech.add_row({order[m]: c for m, c in rel.coeffs.items()})
-        rows = ech.finish()
-        out = []
-        for lead in sorted(rows):
-            out.append({(self.divisors[c],): v for c, v in rows[lead].items()})
-        return out
-
-    def _build_degree(self, d: int):
-        # Each nonzero monomial of degree d - 1, extended by every divisor
-        # from its last factor on that is compatible with all its factors:
-        # the nonzero degree-d monomials, in sorted order.
-        lower = self.reduction[d - 1]
-        later = self._later
-        monos = [m + (e,) for m in lower
-                 for e in (later[m[-1]] if m else self.divisors)
-                 if all(e in later[f] for f in m)]
-        index = {m: i for i, m in enumerate(monos)}
-        ech = SparseEchelon()
-        for rel in self.linear_relations:
-            for mono in lower:
-                row: dict[int, Fraction] = {}
-                for (div,), c in rel.items():
-                    idx = index.get(monomial(div, *mono))
-                    if idx is None:
-                        continue
-                    nv = row.get(idx, Fraction(0)) + c
-                    if nv:
-                        row[idx] = nv
-                    else:
-                        row.pop(idx, None)
+            for m, allowed in lower:
+                row = {index[tuple(sorted(m + (r,)))]: c
+                       for r, c in rel if allowed >> r & 1}
                 if row:
                     ech.add_row(row)
         # Pivot row i reads a*m_i + sum(v*m_c) = 0 over free columns c, so
         # m_i = sum(-v/a * m_c): the image is the row itself, negated.
         rows = ech.integral_rref()
+        divisors = self.divisors
+        names = [tuple(divisors[r] for r in m) for m, _ in monos]
         column = {}
         basis = []
-        for i, m in enumerate(monos):
+        for i, name in enumerate(names):
             if i not in rows:
                 column[i] = len(basis)
-                basis.append(m)
+                basis.append(name)
         red: dict[Monomial, Image] = {}
-        for i, m in enumerate(monos):
+        for i, name in enumerate(names):
             if i in rows:
                 a, tail = rows[i]
-                red[m] = (a, tuple(sorted((column[c], -v) for c, v in tail)))
+                red[name] = (a, tuple(sorted((column[c], -v)
+                                             for c, v in tail)))
             else:
-                red[m] = (1, ((column[i], 1),))
+                red[name] = (1, ((column[i], 1),))
         self.basis[d] = basis
         self.reduction[d] = red
+        return monos
 
     def _calibrate_point(self) -> Fraction:
         """Normalize integration so that the class of a single point — the

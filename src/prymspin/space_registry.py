@@ -25,8 +25,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .keel_ring import (BoundaryIndex, GradedBasis, Monomial, RingElement,
-                        all_divisors, apply_to_divisor, apply_to_monomial,
-                        build_graded_basis, canonicalize, monomial)
+                        apply_to_divisor, build_graded_basis, canonicalize)
 from .strata_aut import (MarkedTree, StratumDescriptor,
                          count_marked_automorphisms, fiber_count,
                          prym_aut_number, stratum_pushforward_coeff,
@@ -249,12 +248,23 @@ def load_space(tag: str) -> SpaceDescriptor:
     a_marks = frozenset(data["a_marks"])
     unordered = bool(data["unordered_classes"])
     blown_names = set(data["blown_boundary"])
+    # Orbits are taken on divisor ranks: each generator permutes the ranks
+    # through its table, and a monomial is a sorted tuple of ranks.
+    divisors = gb.divisors
+    rank = {div: i for i, div in enumerate(divisors)}
+    tables = {g: [rank[apply_to_divisor(g, div)] for div in divisors]
+              for g in group.generators}
+
+    def relabel(g, m):
+        table = tables[g]
+        return tuple(sorted(table[r] for r in m))
 
     boundary: dict[str, BoundaryEntry] = {}
     divisor_to_name: dict[BoundaryIndex, str] = {}
     for item in data["boundary"]:
-        rep = canonicalize(set(item["rep"][0]), n)
-        orbit = frozenset(group.orbit(rep, apply_to_divisor))
+        r = rank[canonicalize(set(item["rep"][0]), n)]
+        rep = divisors[r]
+        orbit = frozenset(divisors[i] for (i,) in group.orbit((r,), relabel))
         tree, _ = tree_from_monomial((rep,), n, a_marks)
         m = count_marked_automorphisms(tree, unordered)
         entry = BoundaryEntry(
@@ -269,12 +279,15 @@ def load_space(tag: str) -> SpaceDescriptor:
                     f"{tag}: divisor orbits of {divisor_to_name[d]} and "
                     f"{entry.name} overlap")
             divisor_to_name[d] = entry.name
-    _audit_boundary(tag, group, boundary, divisor_to_name, n, unordered)
+    _audit_boundary(tag, group, boundary, divisor_to_name, divisors)
 
     strata: dict[str, StratumEntry] = {}
     for item in data["strata"]:
-        rep = monomial(*(canonicalize(set(s), n) for s in item["rep"]))
-        orbit = frozenset(group.orbit(rep, apply_to_monomial))
+        ranks = tuple(sorted(rank[canonicalize(set(s), n)]
+                             for s in item["rep"]))
+        rep = tuple(divisors[r] for r in ranks)
+        orbit = frozenset(tuple(divisors[r] for r in m)
+                          for m in group.orbit(ranks, relabel))
         tree, edge_divs = tree_from_monomial(rep, n, a_marks)
         blown_edges = frozenset(
             k for k, d in enumerate(edge_divs)
@@ -310,9 +323,9 @@ def load_space(tag: str) -> SpaceDescriptor:
     return space
 
 
-def _audit_boundary(tag, group, boundary, divisor_to_name, n, unordered):
+def _audit_boundary(tag, group, boundary, divisor_to_name, divisors):
     covered = set(divisor_to_name)
-    expected = set(all_divisors(n))
+    expected = set(divisors)
     if covered != expected:
         missing = sorted(str(d) for d in expected - covered)
         raise RegistryError(f"{tag}: boundary orbits do not cover all "

@@ -473,18 +473,22 @@ def fiber_count(tree: MarkedTree, unordered_classes: bool = False) -> int:
         return assignment
 
     seen = set()
+    # Many assignments give the same mark counts: one test per count vector.
+    realizes: dict[tuple[tuple[int, int], ...], bool] = {}
     orbits = 0
     for combo in itertools.combinations(slots, total_a):
         chosen = frozenset(combo)
         if canonical(chosen) in seen:
             continue
-        counts = []
-        for c in range(len(plain.marks)):
-            tot = plain.marks[c][0]
-            a = sum(1 for s in chosen if s[0] == c)
-            counts.append((a, tot - a))
-        cand = MarkedTree(tuple(counts), tree.edges)
-        if trees_isomorphic(cand, tree, allow_set_swap=unordered_classes):
+        taken = [0] * len(plain.marks)
+        for c, _, _ in chosen:
+            taken[c] += 1
+        counts = tuple((a, tot - a) for a, (tot, _) in zip(taken, plain.marks))
+        if counts not in realizes:
+            realizes[counts] = trees_isomorphic(
+                MarkedTree(counts, tree.edges), tree,
+                allow_set_swap=unordered_classes)
+        if realizes[counts]:
             orbits += 1
             seen.update(canonical(frozenset(f[s] for s in chosen))
                         for _, f in autos)

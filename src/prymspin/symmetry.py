@@ -31,7 +31,7 @@ def identity_perm(n: int) -> Perm:
 
 def compose(p: Perm, q: Perm) -> Perm:
     """(p o q)(i) = p(q(i))."""
-    return tuple(p[q[i] - 1] for i in range(len(p)))
+    return tuple(p[i - 1] for i in q)
 
 
 def perm_from_cycles(cycles, n: int) -> Perm:

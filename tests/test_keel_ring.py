@@ -144,6 +144,35 @@ class TestGradedBasis:
         monkeypatch.setattr(kr, "DEFAULT_N_CAP", 5)
         assert build_graded_basis(5).dims() == [1, 5, 1]
 
+    def test_compatibility_bitsets_match_oracle(self):
+        from oracles import _compatible
+        for n in (4, 5, 6):
+            gb = build_graded_basis(n)
+            for i, a in enumerate(gb.divisors):
+                for j, b in enumerate(gb.divisors):
+                    assert bool(gb.compatibility[i] >> j & 1) == _compatible(a, b)
+
+    def test_build_works_on_divisor_ranks(self, monkeypatch):
+        # the build forms no monomial of divisors and compares no two
+        # divisors, apart from the one chain that calibrates the point class
+        import prymspin.keel_ring as kr
+        calls = {"monomial": 0, "__lt__": 0}
+        real_monomial, real_lt = kr.monomial, BoundaryIndex.__lt__
+
+        def counting_monomial(*factors):
+            calls["monomial"] += 1
+            return real_monomial(*factors)
+
+        def counting_lt(a, b):
+            calls["__lt__"] += 1
+            return real_lt(a, b)
+
+        monkeypatch.setattr(kr, "monomial", counting_monomial)
+        monkeypatch.setattr(BoundaryIndex, "__lt__", counting_lt)
+        assert kr.GradedBasis(6).dims() == [1, 16, 16, 1]
+        assert calls["monomial"] <= 1
+        assert calls["__lt__"] <= 3
+
 
 class TestMultiply:
     def test_incompatible_product_vanishes(self):

@@ -33,6 +33,19 @@ def test_boundary_orbits_cover_all_divisors():
         assert covered == set(all_divisors(6))
 
 
+@pytest.mark.parametrize("tag", ["R2", "S2plus", "S2minus", "M2"])
+def test_orbits_match_oracle(tag):
+    # every orbit is the set of images of its representative under the
+    # whole group, relabelled by the oracle
+    space = load_space(tag)
+    elements = space.group.elements
+    for e in space.boundary.values():
+        assert ({(d,) for d in e.orbit}
+                == {oracles.relabel(g, (e.rep,)) for g in elements})
+    for e in space.strata.values():
+        assert e.orbit == {oracles.relabel(g, e.rep) for g in elements}
+
+
 def test_orbit_degree_aut_identity():
     for tag in ("R2", "S2plus", "S2minus", "M2"):
         space = load_space(tag)
