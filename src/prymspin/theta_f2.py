@@ -1,14 +1,15 @@
 """Two-torsion and theta characteristics of a hyperelliptic curve in the
-field-of-two-elements model.
+field-of-two-elements model, on integer bitmasks: branch point i is bit i-1.
 
 The 2-torsion of a double cover of the line branched at 2g+2 points is the
-even-weight subsets of the branch points modulo complementation, with the
-intersection pairing |S meet T| mod 2.  Square roots of the trivial bundle
-correspond to balanced partitions of the branch points into even parts;
-theta characteristics correspond to the partitions of the opposite parity,
-with the parity of sections given by the residue of g - n + 1 modulo 4.
-All of this is checked against a brute-force Arf census of quadratic
-refinements of the standard symplectic form.
+even-weight masks modulo the all-ones mask, with the intersection pairing
+popcount(S & T) mod 2.  Square roots of the trivial bundle correspond to
+balanced partitions of the branch points into even parts; theta
+characteristics correspond to the partitions of the opposite parity, with
+the parity of sections given by the residue of g - n + 1 modulo 4.  All of
+this is checked against a brute-force Arf census: each quadratic refinement
+of the standard symplectic form is the mask of its values at all 2^(2g)
+points, and a Gray-code walk reaches each from the last by one XOR.
 """
 
 from __future__ import annotations
@@ -16,6 +17,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
+
+
+def _mask(g: int, points) -> int:
+    """The bitmask of a set of branch points in 1..2g+2."""
+    n_pts = 2 * g + 2
+    bits = 0
+    for i in points:
+        if not 1 <= i <= n_pts:
+            raise ValueError(f"branch point {i} out of range")
+        bits |= 1 << (i - 1)
+    return bits
 
 
 @dataclass(frozen=True)
@@ -28,15 +40,10 @@ class TorsionVector:
 
     @classmethod
     def from_subset(cls, g: int, subset) -> "TorsionVector":
-        n_pts = 2 * g + 2
-        bits = 0
-        for i in subset:
-            if not 1 <= i <= n_pts:
-                raise ValueError(f"branch point {i} out of range")
-            bits |= 1 << (i - 1)
+        bits = _mask(g, subset)
         if bits.bit_count() % 2:
             raise ValueError("torsion vectors have even weight")
-        return cls(g, _canonical_bits(bits, n_pts))
+        return cls(g, _canonical_bits(bits, 2 * g + 2))
 
     def is_zero(self) -> bool:
         return self.bits == 0
@@ -67,38 +74,42 @@ def _canonical_bits(bits: int, n_pts: int) -> int:
 @dataclass(frozen=True)
 class PartitionClass:
     """An unordered partition of the 2g+2 branch points into a part of size
-    n and its complement; stored as the smaller part (for the balanced case
-    the part containing the first point)."""
+    n and its complement; stored as the bitmask of the smaller part (for
+    the balanced case the part containing the first point)."""
     g: int
-    side: frozenset[int]
+    side: int
 
     @classmethod
     def make(cls, g: int, part) -> "PartitionClass":
         n_pts = 2 * g + 2
-        part = frozenset(part)
-        if not all(1 <= i <= n_pts for i in part):
-            raise ValueError("branch point out of range")
-        comp = frozenset(range(1, n_pts + 1)) - part
-        if len(part) > len(comp):
-            part = comp
-        elif len(part) == len(comp) and 1 not in part:
-            part = comp
-        return cls(g, part)
+        side = _canonical_bits(_mask(g, part), n_pts)
+        if 2 * side.bit_count() == n_pts:   # balanced: keep point 1's part
+            side ^= (1 << n_pts) - 1
+        return cls(g, side)
 
     @property
     def n(self) -> int:
-        return len(self.side)
+        return self.side.bit_count()
+
+
+def _side_masks(g: int, n: int) -> list[int]:
+    """The side masks of the size-n partitions in lexicographic order:
+    the k-subsets of the powers of two, k the smaller part size."""
+    n_pts = 2 * g + 2
+    if not 0 <= n <= n_pts:
+        raise ValueError("part size out of range")
+    k = min(n, n_pts - n)
+    points = [1 << i for i in range(n_pts)]
+    if 2 * k == n_pts:
+        # balanced: the first half of the k-subsets, those holding point 1
+        return [1 | sum(c) for c in itertools.combinations(points[1:], k - 1)]
+    return [sum(c) for c in itertools.combinations(points, k)]
 
 
 def partition_classes(g: int, n: int) -> list[PartitionClass]:
     """All partitions of the branch points with a distinguished part of
     size n (equivalently 2g+2-n)."""
-    n_pts = 2 * g + 2
-    if not 0 <= n <= n_pts:
-        raise ValueError("part size out of range")
-    out = {PartitionClass.make(g, c)
-           for c in itertools.combinations(range(1, n_pts + 1), n)}
-    return sorted(out, key=lambda p: sorted(p.side))
+    return [PartitionClass(g, side) for side in _side_masks(g, n)]
 
 
 def count_partitions(g: int, n: int) -> int:
@@ -115,7 +126,7 @@ def phi_R(p: PartitionClass) -> TorsionVector:
     Nontrivial for every admissible part size."""
     if p.n % 2 != 0 or not 2 <= p.n <= p.g + 1:
         raise ValueError("need an even part of size between 2 and g+1")
-    return TorsionVector.from_subset(p.g, p.side)
+    return TorsionVector(p.g, _canonical_bits(p.side, 2 * p.g + 2))
 
 
 def spin_parity(g: int, n: int) -> str:
@@ -131,39 +142,28 @@ def arf_census(g: int) -> tuple[int, int]:
     standard symplectic form on a 2g-dimensional space over the field with
     two elements.  A refinement is even when it has 2^(2g-1) + 2^(g-1)
     zeros; the census comes out (2^(2g-1)+2^(g-1), 2^(2g-1)-2^(g-1))."""
-    if g < 1 or g > 8:
-        raise ValueError("census supported for genus 1..8")
+    if not 1 <= g <= 8:
+        raise ValueError(f"genus {g} is outside the supported range 1..8")
     dim = 2 * g
     size = 1 << dim
-    # bitmask over all x of q0(x) = sum x_{2i} x_{2i+1}
-    q0_mask = 0
-    for x in range(size):
-        val = 0
-        for i in range(g):
-            val ^= (x >> (2 * i)) & (x >> (2 * i + 1)) & 1
-        if val:
-            q0_mask |= 1 << x
-    # linear-form masks l_i(x) = x_i
-    lin = []
-    for i in range(dim):
-        mask = 0
-        for x in range(size):
-            if (x >> i) & 1:
-                mask |= 1 << x
-        lin.append(mask)
+    # bit x of q0 is q0(x) = sum x_{2i} x_{2i+1}; a new pair (x_{2k},
+    # x_{2k+1}) = t picks the block t of four, negated when t = 3
+    q0 = 0
+    for k in range(g):
+        s = 1 << (2 * k)
+        q0 |= q0 << s | q0 << (2 * s) | (q0 ^ ((1 << s) - 1)) << (3 * s)
+    # bit x of lin[i] is x_i: blocks of 2^i zeros and 2^i ones in turn
+    ones = (1 << size) - 1
+    lin = [ones // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
+           for i in range(dim)]
     even_zero_count = (1 << (dim - 1)) + (1 << (g - 1))
-    even = odd = 0
-    for c in range(size):
-        qc = q0_mask
-        for i in range(dim):
-            if (c >> i) & 1:
-                qc ^= lin[i]
-        zeros = size - qc.bit_count()
-        if zeros == even_zero_count:
-            even += 1
-        else:
-            odd += 1
-    return even, odd
+    # Gray code: step j flips c_i for i the lowest set bit of j
+    qc = q0
+    even = int(size - qc.bit_count() == even_zero_count)
+    for j in range(1, size):
+        qc ^= lin[(j & -j).bit_length() - 1]
+        even += size - qc.bit_count() == even_zero_count
+    return even, size - even
 
 
 def torsion_census(g: int) -> dict:
@@ -183,21 +183,20 @@ def torsion_census(g: int) -> dict:
 def verify_bijections(g: int) -> dict:
     """Checks the three counting statements: the even partitions biject
     with the nonzero 2-torsion (injectivity checked pointwise), and the
-    partition parity census equals the brute-force Arf census."""
-    if g > 8:
-        raise ValueError("desk-scale genus only")
+    partition parity census equals the brute-force Arf census.  The Arf
+    census runs first, so a genus outside 1..8 is refused before any work."""
+    arf_even, arf_odd = arf_census(g)
     census = torsion_census(g)
     prym_expected = (1 << (2 * g)) - 1
-    images = set()
+    images: set[int] = set()
     injective = True
     for n in census["prym_by_size"]:
-        for p in partition_classes(g, n):
-            v = phi_R(p)
-            if v.is_zero() or v in images:
+        for side in _side_masks(g, n):
+            v = _canonical_bits(side, 2 * g + 2)
+            if not v or v in images:
                 injective = False
             images.add(v)
     surjective = len(images) == prym_expected
-    arf_even, arf_odd = arf_census(g)
     return {
         "genus": g,
         "prym_count_matches": census["prym_total"] == prym_expected,

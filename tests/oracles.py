@@ -18,7 +18,9 @@ Gauss-Jordan kept here as the reference for the integer-first production
 engine.  The order of the extremity kernel of a marked tree is the hand
 formula, the dependent generators of a presentation are found by one
 rank test per generator, and the dual tree of a set of splits is built by
-cutting one component at a time.
+cutting one component at a time.  The partitions of the branch points are
+sets of points canonicalized and sorted, and the Arf census evaluates every
+quadratic refinement point by point, with no bitmask.
 """
 
 from __future__ import annotations
@@ -540,3 +542,40 @@ def aut_count_identity_holds(tree, allow_set_swap: bool) -> bool:
     which doubles the extremity-supported kernel."""
     return (extremity_kernel_formula(tree, allow_set_swap)
             == 2 ** same_class_extremities(tree))
+
+
+# -- theta characteristics -----------------------------------------------------
+
+def oracle_partition_sides(g: int, n: int) -> list[frozenset[int]]:
+    """The partitions of the 2g+2 branch points with a part of size n, each
+    as the set of its smaller part (the part holding point 1 when both have
+    the same size): every n-subset is canonicalized into a set of sides,
+    which is sorted by the sorted members."""
+    points = frozenset(range(1, 2 * g + 3))
+    sides = set()
+    for c in itertools.combinations(sorted(points), n):
+        part = frozenset(c)
+        comp = points - part
+        if len(part) > len(comp) or (len(part) == len(comp) and 1 not in part):
+            part = comp
+        sides.add(part)
+    return sorted(sides, key=sorted)
+
+
+def oracle_arf_census(g: int) -> tuple[int, int]:
+    """Even and odd quadratic refinements q_c(x) = sum x_{2i} x_{2i+1} +
+    sum c_i x_i of the standard symplectic form on 2g coordinates, each
+    evaluated point by point on tuples of bits; q_c is even when it takes
+    the value 0 more often than 1 (its Arf invariant is its majority
+    value)."""
+    vectors = list(itertools.product((0, 1), repeat=2 * g))
+    quad = [sum(x[2 * i] * x[2 * i + 1] for i in range(g)) for x in vectors]
+    even = odd = 0
+    for c in vectors:
+        zeros = sum((q + sum(ci * xi for ci, xi in zip(c, x))) % 2 == 0
+                    for x, q in zip(vectors, quad))
+        if 2 * zeros > len(vectors):
+            even += 1
+        else:
+            odd += 1
+    return even, odd

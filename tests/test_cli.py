@@ -78,6 +78,14 @@ def test_theta(capsys):
     assert "(10, 6)" in out
 
 
+@pytest.mark.parametrize("genus", ["-1", "0", "9"])
+def test_theta_genus_out_of_range(capsys, genus):
+    assert main(["theta", "--genus", genus]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"genus {genus} is outside the supported range 1..8" in captured.err
+
+
 def test_json_output(capsys):
     code, out = run(capsys, "--json", "invariants", "--space", "M2")
     assert code == 0

@@ -4,10 +4,10 @@ Every imported name is used, and the arithmetic stays exact: no float
 literal, no ``float(...)`` call, and no import of ``random`` or ``numpy``.
 The test oracles stay independent of the code they check: they import no
 ring kernel or compatibility rule, no automorphism enumerator or number
-built on it, and nothing of the symmetry or pushforward modules.  Only
-the engine's own module and the Keel build name ``SparseEchelon``: every
-other module eliminates through the adapters ``rref``, ``rank``,
-``kernel_basis`` and ``solve``."""
+built on it, no theta census, and nothing of the symmetry or pushforward
+modules.  Only the engine's own module and the Keel build name
+``SparseEchelon``: every other module eliminates through the adapters
+``rref``, ``rank``, ``kernel_basis`` and ``solve``."""
 
 import ast
 from pathlib import Path
@@ -21,7 +21,9 @@ ORACLE_FORBIDDEN_NAMES = {"GradedBasis", "build_graded_basis",
                           "incompatible", "monomial_is_zero",
                           "marked_tree_automorphism_group",
                           "count_marked_automorphisms", "prym_aut_number",
-                          "fiber_count", "tree_from_monomial"}
+                          "fiber_count", "tree_from_monomial",
+                          "arf_census", "partition_classes", "phi_R",
+                          "verify_bijections"}
 ORACLE_FORBIDDEN_MODULES = {"prymspin.symmetry", "prymspin.pushpull"}
 ENGINE_MODULES = {"exact_linear.py", "keel_ring.py"}
 
@@ -116,6 +118,7 @@ def test_checks_catch_violations(tmp_path):
                  "from prymspin.strata_aut import prym_aut_number\n",
                  "from prymspin.strata_aut import fiber_count as f\n",
                  "from prymspin.space_registry import tree_from_monomial\n",
+                 "from prymspin.theta_f2 import arf_census, phi_R\n",
                  "from prymspin.symmetry import act\n",
                  "from prymspin import pushpull\n",
                  "import prymspin.symmetry\n"):

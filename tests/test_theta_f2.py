@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from oracles import oracle_arf_census, oracle_partition_sides
 from prymspin.theta_f2 import (PartitionClass, TorsionVector, arf_census,
                                count_partitions, partition_classes, phi_R,
                                spin_parity, torsion_census, verify_bijections)
@@ -16,6 +17,10 @@ class TestTorsionVector:
         v = TorsionVector.from_subset(2, {1, 2})
         w = TorsionVector.from_subset(2, {3, 4, 5, 6})
         assert v == w
+        # balanced weight: the side without the first point is kept
+        u = TorsionVector.from_subset(3, {1, 2, 3, 4})
+        assert u == TorsionVector.from_subset(3, {5, 6, 7, 8})
+        assert u.bits == 0b11110000
 
     def test_pairing_well_defined_and_alternating(self):
         g = 2
@@ -56,6 +61,21 @@ class TestPhiR:
             phi_R(PartitionClass.make(2, {1, 2, 3}))
 
 
+class TestPartitionClasses:
+    @pytest.mark.parametrize("g", range(1, 7))
+    def test_sides_match_oracle(self, g):
+        n_pts = 2 * g + 2
+        for n in range(n_pts + 1):
+            sides = [frozenset(i + 1 for i in range(n_pts) if p.side >> i & 1)
+                     for p in partition_classes(g, n)]
+            assert sides == oracle_partition_sides(g, n)
+            assert len(sides) == count_partitions(g, n)
+
+    def test_make_keeps_canonical_side(self):
+        assert PartitionClass.make(2, {3, 4, 5, 6}).side == 0b11
+        assert PartitionClass.make(2, {4, 5, 6}).side == 0b111
+
+
 class TestSpinParity:
     def test_examples(self):
         assert spin_parity(2, 3) == "even"
@@ -74,19 +94,43 @@ class TestArf:
         assert arf_census(3) == (36, 28)
 
     def test_closed_form(self):
-        for g in range(1, 6):
+        for g in range(1, 8):
             even, odd = arf_census(g)
             assert even == 2 ** (2 * g - 1) + 2 ** (g - 1)
             assert odd == 2 ** (2 * g - 1) - 2 ** (g - 1)
 
+    @pytest.mark.parametrize("g", range(1, 5))
+    def test_matches_pointwise_oracle(self, g):
+        assert arf_census(g) == oracle_arf_census(g)
+
 
 class TestCensuses:
-    @pytest.mark.parametrize("g", range(1, 7))
+    @pytest.mark.parametrize("g", range(1, 8))
     def test_verify_bijections(self, g):
         rep = verify_bijections(g)
         assert rep["prym_count_matches"]
         assert rep["phi_bijective"]
         assert rep["census_match"]
+
+    def test_census_works_on_masks(self, monkeypatch):
+        # the census forms no PartitionClass or TorsionVector through their
+        # constructors from point sets; the masks go straight into a set
+        calls = {"make": 0, "from_subset": 0}
+        real_make, real_from = PartitionClass.make, TorsionVector.from_subset
+
+        def counting_make(g, part):
+            calls["make"] += 1
+            return real_make(g, part)
+
+        def counting_from(g, subset):
+            calls["from_subset"] += 1
+            return real_from(g, subset)
+
+        monkeypatch.setattr(PartitionClass, "make", staticmethod(counting_make))
+        monkeypatch.setattr(TorsionVector, "from_subset",
+                            staticmethod(counting_from))
+        assert verify_bijections(6)["phi_bijective"]
+        assert calls == {"make": 0, "from_subset": 0}
 
     def test_g2_values(self):
         census = torsion_census(2)
