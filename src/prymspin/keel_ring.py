@@ -15,20 +15,26 @@ works on divisor ranks (positions in the fixed divisor order): a monomial
 is a sorted tuple of ranks, and the divisors compatible with a given one
 form one integer bitset, so a relation row is found by index arithmetic
 and the tables are named by ``BoundaryIndex`` factors once at the end of
-each degree.  Reduction,
-products, relabelling by a permutation of the marks and linear combinations
-all accumulate such images in integer ``Coordinates`` and build one
-``Fraction`` per output coordinate.  The images of products of two basis
-monomials (the structure constants) and of relabelled basis monomials are
-built on first use and kept.  ``RingElement``, a dict from monomials to
-``Fraction`` coefficients, stays the format in which elements pass between
-modules.
+each degree.  Reduction, products and linear combinations all accumulate
+such images in integer ``Coordinates`` and build one ``Fraction`` per output
+coordinate.  The images of products of two basis monomials (the structure
+constants) are built on first use and kept.
+
+Relabelling works on ranks too.  ``divisor_permutation(g)`` is the table
+of divisor ranks renamed by a permutation g of the marks, read off the side
+bitmasks (a side holding mark n is complemented); it checks g once and is
+kept per g.  ``relabel_images`` maps each basis monomial's ranks through
+that table and keeps the image per g and degree.  ``relabel(perms, x)`` is
+the one relabel-sum: it takes the coordinates of x once, adds the images of
+every permutation into one ``Coordinates`` and builds one element.
+``RingElement``, a dict from monomials to ``Fraction`` coefficients, stays
+the format in which elements pass between modules.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -51,6 +57,15 @@ class BoundaryIndex:
     """
     key: tuple[int, ...]
     n: int
+    # The hash of (key, n), the value the dataclass would compute on every
+    # call, taken once: monomials of these are the kernel's dict keys.
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.key, self.n)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def members(self) -> frozenset[int]:
@@ -96,15 +111,6 @@ Monomial = tuple[BoundaryIndex, ...]
 
 def monomial(*factors: BoundaryIndex) -> Monomial:
     return tuple(sorted(factors))
-
-
-def apply_to_divisor(g: tuple[int, ...], d: BoundaryIndex) -> BoundaryIndex:
-    """The divisor with mark i renamed g[i-1]."""
-    return canonicalize({g[i - 1] for i in d.key}, d.n)
-
-
-def apply_to_monomial(g: tuple[int, ...], m: Monomial) -> Monomial:
-    return monomial(*(apply_to_divisor(g, d) for d in m))
 
 
 def monomial_is_zero(m: Monomial) -> bool:
@@ -261,7 +267,9 @@ class GradedBasis:
     degree d-1 monomial, held as a sorted tuple of ranks with the AND of
     its factors' bitsets, by the set bits of that AND from its last factor
     on, in ascending rank; this keeps the sorted monomial order and so the
-    choice of basis.  Only the bitsets outlive the build.
+    choice of basis.  Of the rank data, the bitsets, the side masks and
+    the basis monomials as rank tuples outlive the build; the last two
+    serve relabelling.
     """
 
     def __init__(self, n: int):
@@ -278,12 +286,19 @@ class GradedBasis:
         self.compatibility = [
             sum(1 << j for j, b in enumerate(sides) if a & b in (0, a, b))
             for a in sides]
+        # The rank of each side, in rank order.
+        self._side_rank = {side: r for r, side in enumerate(sides)}
         self.basis: dict[int, list[Monomial]] = {0: [()]}
+        # The basis monomials of each degree as sorted tuples of ranks.
+        self._basis_ranks: dict[int, list[tuple[int, ...]]] = {0: [()]}
         # reduction[d][monomial] = Image of the monomial in the degree-d basis
         self.reduction: dict[int, dict[Monomial, Image]] = {
             0: {(): (1, ((0, 1),))}}
         self._products: dict[tuple[int, int, int], list[Image]] = {}
+        self._divisor_perms: dict[tuple[int, ...], list[int]] = {}
         self._relabels: dict[tuple[tuple[int, ...], int], list[Image]] = {}
+        # Invariant bases of symmetry.invariant_basis, by group generators.
+        self.invariant_bases: dict[tuple[tuple[int, ...], ...], object] = {}
         self._build()
         self._point_norm = self._calibrate_point()
 
@@ -343,10 +358,12 @@ class GradedBasis:
         names = [tuple(divisors[r] for r in m) for m, _ in monos]
         column = {}
         basis = []
+        basis_ranks = []
         for i, name in enumerate(names):
             if i not in rows:
                 column[i] = len(basis)
                 basis.append(name)
+                basis_ranks.append(monos[i][0])
         red: dict[Monomial, Image] = {}
         for i, name in enumerate(names):
             if i in rows:
@@ -356,6 +373,7 @@ class GradedBasis:
             else:
                 red[name] = (1, ((column[i], 1),))
         self.basis[d] = basis
+        self._basis_ranks[d] = basis_ranks
         self.reduction[d] = red
         return monos
 
@@ -398,8 +416,11 @@ class GradedBasis:
         """The element acc / den, one Fraction per nonzero coordinate."""
         den *= acc.den
         basis = self.basis[degree]
-        return RingElement(self.n, degree, {
-            basis[i]: Fraction(v, den) for i, v in enumerate(acc.nums) if v})
+        out = RingElement(self.n, degree)
+        # nonzero Fractions already, so RingElement's own filter is skipped
+        out.coeffs = {basis[i]: Fraction(v, den)
+                      for i, v in enumerate(acc.nums) if v}
+        return out
 
     def coordinates(self, x: RingElement) -> Coordinates:
         """Coordinates of reduce(x) in the basis of its degree."""
@@ -466,16 +487,19 @@ class GradedBasis:
                 row.append(red.get(monomial(*left, *right), _ZERO_IMAGE))
         return row
 
-    def relabel(self, g: tuple[int, ...], x: RingElement) -> RingElement:
-        """Rename mark i to g[i-1] in every generator, then reduce."""
+    def relabel(self, perms, x: RingElement) -> RingElement:
+        """The reduced sum of x with mark i renamed g[i-1], over the
+        permutations g in perms: one accumulation in integer coordinates
+        and one element at the end."""
         if x.degree > self.top:
             return RingElement.zero(self.n, x.degree)
         v = self.coordinates(x)
-        images = self.relabel_images(g, x.degree)
+        terms = [(i, c) for i, c in enumerate(v.nums) if c]
         acc = Coordinates(len(v.nums))
-        for c, image in zip(v.nums, images):
-            if c:
-                acc.add(c, 1, image)
+        for g in perms:
+            images = self.relabel_images(g, x.degree)
+            for i, c in terms:
+                acc.add(c, 1, images[i])
         return self._element(x.degree, acc, v.den)
 
     def relabel_images(self, g: tuple[int, ...], degree: int) -> list[Image]:
@@ -483,10 +507,40 @@ class GradedBasis:
         renamed by g, built on first use and kept."""
         images = self._relabels.get((g, degree))
         if images is None:
+            table = self.divisor_permutation(g)
             red = self.reduction[degree]
+            divisors = self.divisors
+            # Ranks follow the divisor order, so sorted ranks name the
+            # sorted monomial.
             images = self._relabels[(g, degree)] = [
-                red[apply_to_monomial(g, m)] for m in self.basis[degree]]
+                red[tuple(divisors[r] for r in sorted(table[r] for r in m))]
+                for m in self._basis_ranks[degree]]
         return images
+
+    def divisor_permutation(self, g: tuple[int, ...]) -> list[int]:
+        """Entry r is the rank of divisor r with mark i renamed g[i-1],
+        built from the side bitmasks on first use and kept; g must be a
+        permutation of 1..n."""
+        table = self._divisor_perms.get(g)
+        if table is None:
+            n = self.n
+            if sorted(g) != list(range(1, n + 1)):
+                raise ValueError(
+                    f"not a permutation of the marks 1..{n}: {tuple(g)}")
+            images = [1 << (k - 1) for k in g]
+            full = (1 << n) - 1
+            table = []
+            for side in self._side_rank:
+                image = 0
+                for i in range(n - 1):
+                    if side >> i & 1:
+                        image |= images[i]
+                # the canonical side is the one without mark n
+                if image >> (n - 1):
+                    image ^= full
+                table.append(self._side_rank[image])
+            self._divisor_perms[g] = table
+        return table
 
     def integrate(self, x: RingElement) -> Rational:
         """Degree of a top-degree class against the normalized point class."""

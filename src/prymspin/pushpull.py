@@ -400,8 +400,10 @@ def push_to_base(space: SpaceDescriptor, element: RingElement) -> RingElement:
     The pushforward is the relative transfer: the sum of g.x over the
     |S_n|/|G| left coset representatives g of G in S_n, which equals the
     S_n-symmetrization divided by |G| only when x is G-invariant.  That
-    precondition is checked on the generators of G first; a class that is
-    not invariant raises ValueError."""
+    precondition is checked on the generators of G first, one ``act`` each;
+    a class that is not invariant raises ValueError.  The transfer is then
+    one ``orbit_sum``: the kernel's relabel-sum adds the images of all the
+    representatives in integer coordinates and builds one element."""
     gb = space.gb
     reduced = gb.reduce(element)
     for h in space.group.generators:

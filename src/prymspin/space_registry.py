@@ -25,7 +25,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .keel_ring import (BoundaryIndex, GradedBasis, Monomial, RingElement,
-                        apply_to_divisor, build_graded_basis, canonicalize)
+                        build_graded_basis, canonicalize)
 from .strata_aut import (MarkedTree, StratumDescriptor,
                          count_marked_automorphisms, fiber_count,
                          prym_aut_number, stratum_pushforward_coeff,
@@ -249,14 +249,12 @@ def load_space(tag: str) -> SpaceDescriptor:
     unordered = bool(data["unordered_classes"])
     blown_names = set(data["blown_boundary"])
     # Orbits are taken on divisor ranks: each generator permutes the ranks
-    # through its table, and a monomial is a sorted tuple of ranks.
+    # through the kernel's table, and a monomial is a sorted tuple of ranks.
     divisors = gb.divisors
     rank = {div: i for i, div in enumerate(divisors)}
-    tables = {g: [rank[apply_to_divisor(g, div)] for div in divisors]
-              for g in group.generators}
 
     def relabel(g, m):
-        table = tables[g]
+        table = gb.divisor_permutation(g)
         return tuple(sorted(table[r] for r in m))
 
     boundary: dict[str, BoundaryEntry] = {}

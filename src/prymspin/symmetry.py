@@ -1,13 +1,17 @@
 """Permutation actions on marked points and invariant subrings.
 
 A finite group of mark permutations acts on the boundary ring by relabeling
-the defining subsets of the generators.  The ring kernel
-(``GradedBasis.relabel``) applies a permutation as a linear map on basis
-coordinates, built once per permutation and degree; ``act`` is that map on
-one element and ``orbit_sum`` sums it over a list of permutations in integer
-coordinates, for the pushforward to the base.
+the defining subsets of the generators.  The ring kernel renames divisors by
+rank (``GradedBasis.divisor_permutation``, one table per permutation read
+off the side bitmasks) and keeps the image of each relabelled basis
+monomial per permutation and degree.  ``GradedBasis.relabel`` is the one
+relabel-sum: it takes the coordinates of an element once, adds the images
+of every given permutation into one integer vector and builds one element.
+``act`` is that sum over one permutation and ``orbit_sum`` over a list of
+them, for the pushforward to the base.
 The fixed subring in each degree is the common kernel of g - 1 over the
-generators g of the group, echelonized.
+generators g of the group, echelonized once per generator list and kept on
+the graded basis.
 """
 
 from __future__ import annotations
@@ -104,16 +108,14 @@ def standard_group(tag: str, n: int = 6) -> PermGroup:
 
 def act(g: Perm, x: RingElement, gb: GradedBasis) -> RingElement:
     """Relabel marks by g in every generator, then reduce to the basis."""
-    return gb.relabel(g, x)
+    return gb.relabel((g,), x)
 
 
 def orbit_sum(perms, x: RingElement, gb: GradedBasis) -> RingElement:
-    """The reduced sum of act(g, x, gb) over the permutations g.
-
-    This is the one "act, then sum" loop, behind the pushforward to the
-    base; the sum is taken in integer coordinates.
-    """
-    return gb.combine(x.degree, ((act(g, x, gb), 1) for g in perms))
+    """The reduced sum of act(g, x, gb) over the permutations g, taken by
+    the kernel's one relabel-sum in integer coordinates; behind the
+    pushforward to the base."""
+    return gb.relabel(perms, x)
 
 
 def coset_representatives(group: PermGroup) -> list[Perm]:
@@ -179,7 +181,13 @@ class InvariantBasis:
 
 
 def invariant_basis(group: PermGroup, gb: GradedBasis) -> InvariantBasis:
-    return InvariantBasis(group, gb)
+    """The invariant basis of the group, built once per generator list and
+    kept on the graded basis."""
+    key = tuple(group.generators)
+    basis = gb.invariant_bases.get(key)
+    if basis is None:
+        basis = gb.invariant_bases[key] = InvariantBasis(group, gb)
+    return basis
 
 
 def invariant_dims(group: PermGroup, gb: GradedBasis) -> list[int]:

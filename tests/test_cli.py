@@ -3,7 +3,9 @@ import time
 
 import pytest
 
+import prymspin.symmetry as symmetry
 from prymspin.cli import main
+from prymspin.keel_ring import build_graded_basis
 
 
 def run(capsys, *argv):
@@ -108,6 +110,23 @@ def test_report_all_deterministic(capsys):
     assert code1 == 0 and code2 == 0
     assert out1 == out2
     assert "FAIL" not in out1
+
+
+def test_report_all_builds_each_invariant_basis_once(capsys, monkeypatch):
+    # the invariant subring dimensions and the presentation checks share
+    # one invariant basis per space
+    monkeypatch.setattr(build_graded_basis(6), "invariant_bases", {})
+    built = []
+    init = symmetry.InvariantBasis.__init__
+
+    def counting_init(self, group, gb):
+        built.append(tuple(group.generators))
+        init(self, group, gb)
+
+    monkeypatch.setattr(symmetry.InvariantBasis, "__init__", counting_init)
+    code, _ = run(capsys, "report-all")
+    assert code == 0
+    assert len(built) == len(set(built)) == 4
 
 
 @pytest.mark.parametrize("field,value,message", [

@@ -8,7 +8,8 @@ import prymspin.symmetry as symmetry
 from oracles import push_full_group
 from prymspin import reference
 from prymspin.exact_linear import QMatrix, kernel_basis, rank
-from prymspin.keel_ring import RingElement, build_graded_basis, canonicalize
+from prymspin.keel_ring import (GradedBasis, RingElement, build_graded_basis,
+                                canonicalize)
 from prymspin.pushpull import (INTERSECTION_CALIBRATION, NamedCombo,
                                check_combo_vanishes, derive_linear_relation,
                                derive_m05_relations, intersection_number,
@@ -17,7 +18,7 @@ from prymspin.pushpull import (INTERSECTION_CALIBRATION, NamedCombo,
                                pushforward_m05, stratum_pushforward_check,
                                verify_lambda_identities)
 from prymspin.space_registry import load_space
-from prymspin.symmetry import act
+from prymspin.symmetry import act, coset_representatives
 
 
 def gen(*marks, n=6):
@@ -245,19 +246,29 @@ class TestCosetTransfer:
 
     @pytest.mark.parametrize("tag", ["R2", "S2plus", "S2minus", "M2"])
     def test_acts_per_push(self, tag, monkeypatch):
-        # the generators' invariance checks plus one act per coset
-        calls = []
+        # the invariance guard acts once per generator; the transfer applies
+        # one permutation per coset in one relabel-sum, never all of S6
+        acts, applied = [], []
+        relabel_images = GradedBasis.relabel_images
 
         def counting_act(g, x, gb):
-            calls.append(g)
+            acts.append(g)
             return act(g, x, gb)
 
-        # the invariance guard calls pushpull's alias, orbit_sum symmetry's
+        def counting_images(gb, g, degree):
+            applied.append(g)
+            return relabel_images(gb, g, degree)
+
+        # the invariance guard calls pushpull's alias; the transfer calls none
         monkeypatch.setattr(pushpull, "act", counting_act)
         monkeypatch.setattr(symmetry, "act", counting_act)
+        monkeypatch.setattr(GradedBasis, "relabel_images", counting_images)
         space = load_space(tag)
-        expected = len(space.group.generators) + 720 // space.group.order
+        gens = space.group.generators
         for name in list(space.boundary)[:2]:
-            calls.clear()
+            acts.clear()
+            applied.clear()
             push_to_base(space, space.named_class(name).value)
-            assert len(calls) == expected, name
+            assert acts == gens, name
+            assert len(applied) == len(gens) + 720 // space.group.order, name
+            assert applied[len(gens):] == coset_representatives(space.group)

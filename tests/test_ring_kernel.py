@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 import oracles
 from prymspin.keel_ring import Coordinates, RingElement, build_graded_basis
 from prymspin.space_registry import SPACE_TAGS, load_space
-from prymspin.symmetry import act, coset_representatives, invariant_basis
+from prymspin.symmetry import (act, coset_representatives, invariant_basis,
+                               perm_from_cycles)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -42,15 +43,54 @@ def test_every_basis_pair_matches_oracle(n):
                 assert gb.multiply(a, b) == oracles.multiply(a, b), (a, b)
 
 
+# One permutation of each of the 11 cycle types of S6 (the partitions 1^6,
+# 2, 2^2, 2^3, 3, 3.2, 3^2, 4, 4.2, 5 and 6), on consecutive marks.
+CYCLE_TYPE_PERMS = [perm_from_cycles(c, 6) for c in [
+    (), ((1, 2),), ((1, 2), (3, 4)), ((1, 2), (3, 4), (5, 6)), ((1, 2, 3),),
+    ((1, 2, 3), (4, 5)), ((1, 2, 3), (4, 5, 6)), ((1, 2, 3, 4),),
+    ((1, 2, 3, 4), (5, 6)), ((1, 2, 3, 4, 5),), ((1, 2, 3, 4, 5, 6),)]]
+
+
 @pytest.mark.parametrize("tag", SPACE_TAGS)
 def test_relabelling_matches_oracle(tag):
     space = load_space(tag)
     gb = space.gb
-    perms = set(coset_representatives(space.group)) | set(space.group.generators)
+    perms = (set(coset_representatives(space.group))
+             | set(space.group.generators) | set(CYCLE_TYPE_PERMS))
     for g in sorted(perms):
         for d in range(gb.top + 1):
             for x in basis_elements(gb, d):
                 assert act(g, x, gb) == oracles.act(g, x), (g, x)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_divisor_permutation_matches_oracle(n):
+    gb = build_graded_basis(n)
+    for g in itertools.permutations(range(1, n + 1)):
+        renamed = [gb.divisors[r] for r in gb.divisor_permutation(g)]
+        assert renamed == [oracles.relabel(g, (d,))[0] for d in gb.divisors], g
+
+
+@pytest.mark.parametrize("g", [(1, 2, 3, 4, 5), (1, 2, 3, 4, 5, 6, 7),
+                               (1, 1, 3, 4, 5, 6), (0, 2, 3, 4, 5, 6)])
+def test_non_permutation_is_refused(g):
+    # (1, 1, 3, 4, 5, 6) would send the side {1,2,3} to the divisor {1,3}
+    gb = build_graded_basis(6)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not a permutation"):
+            gb.divisor_permutation(g)
+    with pytest.raises(ValueError, match="not a permutation"):
+        act(g, RingElement.unit(6), gb)
+
+
+def test_relabel_sums_over_permutations():
+    gb = build_graded_basis(6)
+    x = basis_elements(gb, 2)[3]
+    total = RingElement.zero(6, 2)
+    for g in CYCLE_TYPE_PERMS:
+        total = total + oracles.act(g, x)
+    assert gb.relabel(CYCLE_TYPE_PERMS, x) == total
+    assert gb.relabel((), x) == RingElement.zero(6, 2)
 
 
 def test_coordinates_mix_denominators():

@@ -106,6 +106,14 @@ def test_invariant_basis_degree0_and_top():
         assert len(basis.per_degree[3]) == 1
 
 
+def test_invariant_basis_is_built_once_per_group():
+    gb = build_graded_basis(6)
+    first = invariant_basis(standard_group("R2"), gb)
+    # a second group object with the same generators shares the basis
+    assert invariant_basis(standard_group("R2"), gb) is first
+    assert invariant_basis(standard_group("S2plus"), gb) is not first
+
+
 def test_r2_degree1_orbit_sums_span():
     # five divisor orbits, one linear relation: dimension 4
     gb = build_graded_basis(6)
