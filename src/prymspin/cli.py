@@ -117,10 +117,15 @@ def cmd_verify(args) -> int:
         p = Presentation.from_preset(preset)
         space_tag = reference.PRESENTATION_SPACES[preset]
     else:
+        if args.space is None:
+            raise ValueError(f"a presentation file ({preset}) needs --space")
         with open(preset, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        p = Presentation.from_texts(data["variables"], data["generators"],
-                                    data.get("max_degree", DEFAULT_MAX_DEGREE))
+        if not isinstance(data, dict):
+            raise ValueError(f"{preset} must hold a JSON object")
+        p = Presentation.from_texts(
+            data.get("variables"), data.get("generators"),
+            data.get("max_degree", DEFAULT_MAX_DEGREE))
         p.name = preset
         space_tag = args.space
     rep = verify_presentation(space_tag, p)

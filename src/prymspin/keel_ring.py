@@ -26,7 +26,8 @@ bitmasks (a side holding mark n is complemented); it checks g once and is
 kept per g.  ``relabel_images`` maps each basis monomial's ranks through
 that table and keeps the image per g and degree.  ``relabel(perms, x)`` is
 the one relabel-sum: it takes the coordinates of x once, adds the images of
-every permutation into one ``Coordinates`` and builds one element.
+every permutation into one ``Coordinates`` and builds one element; the
+mark-permutation action and the pushforward to the base both call it.
 ``RingElement``, a dict from monomials to ``Fraction`` coefficients, stays
 the format in which elements pass between modules.
 """

@@ -47,8 +47,10 @@ MAX_NESTING = 50
 
 
 def _checked_max_degree(value) -> int:
-    """The max_degree of a presentation, rejected outside 1..MAX_DEGREE_LIMIT."""
-    value = int(value)
+    """The max_degree of a presentation, rejected unless it is an integer
+    in 1..MAX_DEGREE_LIMIT."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"max_degree must be an integer, got {value!r}")
     if not 1 <= value <= MAX_DEGREE_LIMIT:
         raise ValueError(f"max_degree must lie in 1..{MAX_DEGREE_LIMIT}, "
                          f"got {value}")
@@ -244,6 +246,11 @@ class Presentation:
     @classmethod
     def from_texts(cls, variables, texts,
                    max_degree: int = DEFAULT_MAX_DEGREE) -> "Presentation":
+        for field, value in (("variables", variables), ("generators", texts)):
+            if not (isinstance(value, list)
+                    and all(isinstance(t, str) for t in value)):
+                raise ValueError(f"{field} must be a list of strings, "
+                                 f"got {value!r}")
         max_degree = _checked_max_degree(max_degree)
         gens = [parse_polynomial(t, list(variables), max_degree)
                 for t in texts]

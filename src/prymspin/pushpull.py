@@ -31,7 +31,7 @@ from .exact_linear import QMatrix, Rational, rref
 from .keel_ring import BoundaryIndex, RingElement, four_point_relation
 from .presentations import check_relation
 from .space_registry import SpaceDescriptor, load_space
-from .symmetry import act, coset_representatives, orbit_sum
+from .symmetry import act, coset_representatives
 
 # Frozen by the single documented calibration (see intersection_number).
 INTERSECTION_CALIBRATION = Fraction(4)
@@ -402,15 +402,15 @@ def push_to_base(space: SpaceDescriptor, element: RingElement) -> RingElement:
     S_n-symmetrization divided by |G| only when x is G-invariant.  That
     precondition is checked on the generators of G first, one ``act`` each;
     a class that is not invariant raises ValueError.  The transfer is then
-    one ``orbit_sum``: the kernel's relabel-sum adds the images of all the
-    representatives in integer coordinates and builds one element."""
+    one ``GradedBasis.relabel``: the kernel's relabel-sum adds the images of
+    all the representatives in integer coordinates and builds one element."""
     gb = space.gb
     reduced = gb.reduce(element)
     for h in space.group.generators:
         if act(h, element, gb) != reduced:
             raise ValueError(f"push_to_base needs a {space.tag}-invariant "
                              f"class; the generator {h} moves this one")
-    return orbit_sum(coset_representatives(space.group), element, gb)
+    return gb.relabel(coset_representatives(space.group), element)
 
 
 def base_class_coordinates(element: RingElement):

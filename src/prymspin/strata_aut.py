@@ -16,12 +16,13 @@ is built from the maps of a tree onto itself, and the count m, the
 extremity kernel behind n and the orbits behind the fiber counts are all
 read off that group.
 
-Counting contract: automorphisms are counted at a *generic* point of the
-stratum.  Whole components can be exchanged only when they carry at most 3
-special points (more special points means moduli, which generic points do
-not share); a component fixed by the symmetry admits any permutation of at
-most 3 special points, only the identity and the three double
-transpositions of exactly 4, and only the identity of 5 or more.
+One slot order: ``mark_slots`` numbers the marks component by component,
+A-slots before B-slots, and an automorphism is a class swap flag with the
+tuple of slot images.  One genericity rule, ``_realizable``, decides which
+maps of a component's special points a generic curve carries: any map of at
+most 3 points; with more points the component has moduli, so it must stay
+where it is, and then only the identity and the three double transpositions
+of exactly 4 points, and only the identity of 5 or more, are realizable.
 """
 
 from __future__ import annotations
@@ -158,13 +159,27 @@ def _tree_maps(src: MarkedTree, dst: MarkedTree, allow_set_swap: bool):
                 yield perm, swap
 
 
-def _is_identity_or_double_transposition(images: dict[int, int], size: int) -> bool:
-    if all(images[i] == i for i in range(size)):
+def mark_slots(tree: MarkedTree) -> list[tuple[int, int]]:
+    """(component, class) of every mark slot, class 0 for A and 1 for B:
+    component by component, its A-slots and then its B-slots."""
+    return [(c, cls) for c, m in enumerate(tree.marks)
+            for cls in (0, 1) for _ in range(m[cls])]
+
+
+def _realizable(points: dict[int, int], moved: bool) -> bool:
+    """Whether a generic curve carries the map ``points`` of one component's
+    special points (its edges and mark slots), the component being carried
+    onto another one when ``moved``: any map of at most 3 points; otherwise
+    the component stays, and the map is the identity or, on exactly 4
+    points, a double transposition."""
+    if len(points) <= 3:
         return True
-    moved = [i for i in range(size) if images[i] != i]
-    if len(moved) != 4:
+    if moved:
         return False
-    return all(images[images[i]] == i for i in moved)
+    shifted = [p for p, q in points.items() if p != q]
+    if len(points) == 4 and len(shifted) == 4:
+        return all(points[q] == p for p, q in points.items())
+    return not shifted
 
 
 def count_marked_automorphisms(tree: MarkedTree, allow_set_swap: bool = False) -> int:
@@ -180,11 +195,12 @@ def extremity_kernel(tree: MarkedTree, allow_set_swap: bool = False):
     sitting on extremities: the kernel of the action on the contracted mark
     data.  Every leaf carries marks, and a tree map fixing the leaves is the
     identity, so keeping each mark on its component keeps every component."""
+    comp = [c for c, _ in mark_slots(tree)]
     ends = {c for c in range(len(tree.marks)) if tree.is_extremity(c)}
-    return [(swap, f) for swap, f in
+    return [(swap, sigma) for swap, sigma in
             marked_tree_automorphism_group(tree, allow_set_swap)
-            if all(s == t or (s[0] == t[0] and s[0] in ends)
-                   for s, t in f.items())]
+            if all(s == t or (comp[s] == comp[t] and comp[s] in ends)
+                   for s, t in enumerate(sigma))]
 
 
 # -- double covers -----------------------------------------------------------
@@ -206,13 +222,14 @@ class CoverGraph:
     edges: list[tuple[int, int, int]]   # (vertex, vertex, tree edge id)
 
     def total_genus(self) -> int:
-        comps = _component_count(len(self.vertices),
-                                 [(a, b) for a, b, _ in self.edges])
+        comps = len(set(_components(len(self.vertices),
+                                    [(a, b) for a, b, _ in self.edges])))
         cycles = len(self.edges) - len(self.vertices) + comps
         return sum(v.genus for v in self.vertices) + cycles
 
 
-def _component_count(nverts: int, edges) -> int:
+def _components(nverts: int, edges) -> list[int]:
+    """A representative vertex of the connected component of each vertex."""
     parent = list(range(nverts))
 
     def find(x):
@@ -222,10 +239,8 @@ def _component_count(nverts: int, edges) -> int:
         return x
 
     for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(v) for v in range(nverts)})
+        parent[find(a)] = find(b)
+    return [find(v) for v in range(nverts)]
 
 
 def double_cover_graph(tree: MarkedTree) -> CoverGraph:
@@ -275,18 +290,8 @@ def double_cover_graph(tree: MarkedTree) -> CoverGraph:
                 raise ValueError("branched node on a split cover component")
             edges.append((vc[0], vd[0], k))
         else:
-            if len(vc) == 1 and len(vd) == 1:
-                edges.append((vc[0], vd[0], k))
-                edges.append((vc[0], vd[0], k))
-            elif len(vc) == 2 and len(vd) == 1:
-                edges.append((vc[0], vd[0], k))
-                edges.append((vc[1], vd[0], k))
-            elif len(vc) == 1 and len(vd) == 2:
-                edges.append((vc[0], vd[0], k))
-                edges.append((vc[0], vd[1], k))
-            else:
-                edges.append((vc[0], vd[0], k))
-                edges.append((vc[1], vd[1], k))
+            for i in (0, 1):
+                edges.append((vc[i % len(vc)], vd[i % len(vd)], k))
     return CoverGraph(vertices, edges)
 
 
@@ -300,45 +305,17 @@ class StratumDescriptor:
     allow_set_swap: bool = False
 
 
-def _stable_model_graph(cover: CoverGraph):
-    """Contract exceptional cover vertices: each has exactly two incident
-    cover edges over the same tree edge, which merge into one node of the
-    stable model.  Returns (vertex ids kept, list of (v, w, tree edge id))."""
-    keep = [i for i, v in enumerate(cover.vertices) if not v.exceptional]
-    node_edges = []
-    consumed = set()
-    for i, v in enumerate(cover.vertices):
-        if not v.exceptional:
-            continue
-        inc = [j for j, e in enumerate(cover.edges) if i in (e[0], e[1])]
-        if len(inc) != 2:
-            raise ValueError("exceptional cover component must meet 2 nodes")
-        (a1, b1, k1), (a2, b2, k2) = cover.edges[inc[0]], cover.edges[inc[1]]
-        if k1 != k2:
-            raise ValueError("exceptional component over two distinct edges")
-        w1 = a1 if b1 == i else b1
-        w2 = a2 if b2 == i else b2
-        node_edges.append((w1, w2, k1))
-        consumed.update(inc)
-    for j, (a, b, k) in enumerate(cover.edges):
-        if j in consumed:
-            continue
-        if cover.vertices[a].exceptional or cover.vertices[b].exceptional:
-            continue
-        node_edges.append((a, b, k))
-    return keep, node_edges
-
-
 def nonexceptional_component_count(desc: StratumDescriptor) -> int:
     """Connected components of the square-root support after removing its
-    exceptional components: contract exceptional cover vertices, then delete
-    the nodes that are blown up."""
+    exceptional components and the blown-up nodes.  An exceptional cover
+    vertex meets the two lifts of one tree edge, which make one node of the
+    stable model, so the count is that of the cover without the blown lifts,
+    taken at its non-exceptional vertices."""
     cover = double_cover_graph(desc.tree)
-    keep, node_edges = _stable_model_graph(cover)
-    index = {v: i for i, v in enumerate(keep)}
-    kept_edges = [(index[a], index[b]) for a, b, k in node_edges
-                  if k not in desc.blown_edges]
-    return _component_count(len(keep), kept_edges)
+    root = _components(len(cover.vertices), [(a, b) for a, b, k in cover.edges
+                                             if k not in desc.blown_edges])
+    return len({root[i] for i, v in enumerate(cover.vertices)
+                if not v.exceptional})
 
 
 @functools.lru_cache(maxsize=None)
@@ -364,84 +341,40 @@ def prym_aut_number(desc: StratumDescriptor) -> int:
 def marked_tree_automorphism_group(tree: MarkedTree, allow_set_swap: bool = False):
     """Explicit generic automorphisms as slot permutations.
 
-    Slots are (component, class, index) with class 'a' or 'b'; each
-    automorphism is returned as a dict slot -> slot together with its swap
-    flag.  This is the one enumerator: counts, the extremity kernel and
-    fiber orbits all use it.  Each (tree, flag) is enumerated once; trees
-    are immutable, and the tuple returned is shared by every caller, which
-    must not change it.
+    Each automorphism is a pair (swap, sigma): the swap flag, and the tuple
+    of images ``sigma[s]`` of the slots s of ``mark_slots``.  This is the
+    one enumerator: counts, the extremity kernel and fiber orbits all use
+    it.  Each (tree, flag) is enumerated once; trees are immutable, and the
+    tuple returned is shared by every caller, which must not change it.
     """
     return _automorphisms(tree, bool(allow_set_swap))
 
 
 @functools.lru_cache(maxsize=None)
 def _automorphisms(tree: MarkedTree, allow_set_swap: bool):
+    slots = [[[], []] for _ in tree.marks]
+    for s, (c, cls) in enumerate(mark_slots(tree)):
+        slots[c][cls].append(s)
+    edge_index = {frozenset(e): k for k, e in enumerate(tree.edges)}
     out = []
-    for comp_perm, swap in _tree_maps(tree, tree, allow_set_swap):
-        per_comp = [_slot_bijections(tree, c, comp_perm, swap)
-                    for c in range(len(tree.marks))]
-        for combo in itertools.product(*per_comp):
-            slot_map = {}
-            for part in combo:
-                slot_map.update(part)
-            out.append((swap, slot_map))
+    for perm, swap in _tree_maps(tree, tree, allow_set_swap):
+        edge_image = [edge_index[frozenset((perm[c], perm[d]))]
+                      for c, d in tree.edges]
+        per_comp = []
+        for c, (src_a, src_b) in enumerate(slots):
+            # edge k is the point ~k, apart from every slot number
+            edge_points = {~k: ~edge_image[k]
+                           for k in tree.incident_edges(c)}
+            tgt_a, tgt_b = slots[perm[c]][swap], slots[perm[c]][not swap]
+            per_comp.append([
+                pa + pb for pa in itertools.permutations(tgt_a)
+                for pb in itertools.permutations(tgt_b)
+                if _realizable(edge_points | dict(zip(src_a + src_b, pa + pb)),
+                               perm[c] != c)])
+        # the slots run component by component, so the images concatenate
+        out.extend((swap, sum(combo, ()))
+                   for combo in itertools.product(*per_comp))
     return tuple(out)
-
-
-def _slot_bijections(tree: MarkedTree, c: int, comp_perm, swap: bool):
-    """All realizable mark-slot bijections of component c onto its image."""
-    a, b = tree.marks[c]
-    target = comp_perm[c]
-    src_a = [(c, "a", i) for i in range(a)]
-    src_b = [(c, "b", i) for i in range(b)]
-    ta, tb = tree.marks[target]
-    tgt_a = [(target, "a", i) for i in range(ta)]
-    tgt_b = [(target, "b", i) for i in range(tb)]
-    if swap:
-        tgt_a, tgt_b = tgt_b, tgt_a
-    if target != c:
-        if tree.special_count(c) > 3:
-            return []
-        out = []
-        for pa in itertools.permutations(tgt_a):
-            for pb in itertools.permutations(tgt_b):
-                out.append(dict(zip(src_a + src_b, list(pa) + list(pb))))
-        return out
-    # component fixed: respect the 4-point / 5-point realizability rules;
-    # comp_perm carries each incident edge onto an incident edge
-    inc = tree.incident_edges(c)
-    by_ends = {frozenset(tree.edges[k]): k for k in inc}
-    edge_map = {k: by_ends[frozenset(comp_perm[x] for x in tree.edges[k])]
-                for k in inc}
-    k_special = a + b + len(inc)
-    edge_fixed = all(edge_map[k] == k for k in inc)
-    a_target, b_target = ("b", "a") if swap else ("a", "b")
-    out = []
-    for pa in itertools.permutations(range(len(tgt_a))):
-        for pb in itertools.permutations(range(len(tgt_b))):
-            if k_special <= 3:
-                valid = True
-            elif k_special >= 5:
-                valid = (edge_fixed and not swap
-                         and pa == tuple(range(a)) and pb == tuple(range(b)))
-                if swap and a == 0 and b == 0:
-                    valid = edge_fixed
-            else:
-                slots = [("e", k) for k in inc] + \
-                        [("a", i) for i in range(a)] + [("b", i) for i in range(b)]
-                pos = {s: i for i, s in enumerate(slots)}
-                images = {}
-                for k in inc:
-                    images[pos[("e", k)]] = pos[("e", edge_map[k])]
-                for i in range(a):
-                    images[pos[("a", i)]] = pos[(a_target, pa[i])]
-                for i in range(b):
-                    images[pos[("b", i)]] = pos[(b_target, pb[i])]
-                valid = _is_identity_or_double_transposition(images, len(slots))
-            if valid:
-                out.append(dict(zip(src_a + src_b,
-                                    [tgt_a[i] for i in pa] + [tgt_b[i] for i in pb])))
-    return out
 
 
 def trees_isomorphic(t1: MarkedTree, t2: MarkedTree, allow_set_swap: bool = False) -> bool:
@@ -462,27 +395,19 @@ def fiber_count(tree: MarkedTree, unordered_classes: bool = False) -> int:
     assignment is its set of images."""
     total_a, _ = tree.total_marks()
     plain = MarkedTree(tuple((a + b, 0) for a, b in tree.marks), tree.edges)
-    slots = [(c, "a", i) for c in range(len(plain.marks))
-             for i in range(plain.marks[c][0])]
-    all_slots = frozenset(slots)
+    comp = [c for c, _ in mark_slots(plain)]
+    full = (1 << len(comp)) - 1
     autos = marked_tree_automorphism_group(plain)
-
-    def canonical(assignment):
-        if unordered_classes:
-            return min(assignment, all_slots - assignment, key=sorted)
-        return assignment
-
     seen = set()
     # Many assignments give the same mark counts: one test per count vector.
     realizes: dict[tuple[tuple[int, int], ...], bool] = {}
     orbits = 0
-    for combo in itertools.combinations(slots, total_a):
-        chosen = frozenset(combo)
-        if canonical(chosen) in seen:
+    for chosen in itertools.combinations(range(len(comp)), total_a):
+        if sum(1 << s for s in chosen) in seen:
             continue
         taken = [0] * len(plain.marks)
-        for c, _, _ in chosen:
-            taken[c] += 1
+        for s in chosen:
+            taken[comp[s]] += 1
         counts = tuple((a, tot - a) for a, (tot, _) in zip(taken, plain.marks))
         if counts not in realizes:
             realizes[counts] = trees_isomorphic(
@@ -490,8 +415,11 @@ def fiber_count(tree: MarkedTree, unordered_classes: bool = False) -> int:
                 allow_set_swap=unordered_classes)
         if realizes[counts]:
             orbits += 1
-            seen.update(canonical(frozenset(f[s] for s in chosen))
-                        for _, f in autos)
+            for _, sigma in autos:
+                image = sum(1 << sigma[s] for s in chosen)
+                seen.add(image)
+                if unordered_classes:
+                    seen.add(full ^ image)
     return orbits
 
 

@@ -7,8 +7,8 @@ off the side bitmasks) and keeps the image of each relabelled basis
 monomial per permutation and degree.  ``GradedBasis.relabel`` is the one
 relabel-sum: it takes the coordinates of an element once, adds the images
 of every given permutation into one integer vector and builds one element.
-``act`` is that sum over one permutation and ``orbit_sum`` over a list of
-them, for the pushforward to the base.
+``act`` is that sum over one permutation; ``pushpull.push_to_base``
+calls ``relabel`` itself over the coset representatives of a group.
 The fixed subring in each degree is the common kernel of g - 1 over the
 generators g of the group, echelonized once per generator list and kept on
 the graded basis.
@@ -109,13 +109,6 @@ def standard_group(tag: str, n: int = 6) -> PermGroup:
 def act(g: Perm, x: RingElement, gb: GradedBasis) -> RingElement:
     """Relabel marks by g in every generator, then reduce to the basis."""
     return gb.relabel((g,), x)
-
-
-def orbit_sum(perms, x: RingElement, gb: GradedBasis) -> RingElement:
-    """The reduced sum of act(g, x, gb) over the permutations g, taken by
-    the kernel's one relabel-sum in integer coordinates; behind the
-    pushforward to the base."""
-    return gb.relabel(perms, x)
 
 
 def coset_representatives(group: PermGroup) -> list[Perm]:

@@ -95,13 +95,30 @@ def test_json_output(capsys):
     assert doc["ok"] is True
 
 
-def test_input_errors_exit_2(capsys):
+def test_input_errors_exit_2(capsys, tmp_path):
     assert main(["push", "--map", "bogus", "--class", "[1,2]"]) == 2
     assert main(["push", "--map", "f_R", "--class", "oops"]) == 2
     assert main(["keel", "--n", "9"]) == 2
     capsys.readouterr()
     assert main(["keel", "--n", "8"]) == 2
     assert "cap exceeded (8 > 7)" in capsys.readouterr().err
+    # malformed presentation files: one message on stderr, no traceback
+    good = {"variables": ["d0p"], "generators": ["d0p^2"], "max_degree": 3}
+    path = tmp_path / "f.json"
+    for doc, message in (([], "JSON object"),
+                         ({**good, "generators": 5}, "generators must be"),
+                         ({**good, "generators": [3]}, "generators must be"),
+                         ({**good, "variables": "d0p"}, "variables must be"),
+                         ({"variables": ["d0p"]}, "generators must be"),
+                         ({**good, "max_degree": 2.9}, "max_degree must be"),
+                         ({**good, "max_degree": "3"}, "max_degree must be")):
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify", "--space", "R2",
+                     "--presentation", str(path)]) == 2, doc
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err, (doc, err)
+    assert main(["verify", "--presentation", str(path)]) == 2
+    assert "needs --space" in capsys.readouterr().err
 
 
 def test_report_all_deterministic(capsys):

@@ -21,7 +21,10 @@ ORACLE_FORBIDDEN_NAMES = {"GradedBasis", "build_graded_basis",
                           "incompatible", "monomial_is_zero",
                           "marked_tree_automorphism_group",
                           "count_marked_automorphisms", "prym_aut_number",
-                          "fiber_count", "tree_from_monomial",
+                          "fiber_count", "extremity_kernel",
+                          "nonexceptional_component_count",
+                          "double_cover_graph", "mark_slots",
+                          "tree_from_monomial",
                           "arf_census", "partition_classes", "phi_R",
                           "verify_bijections"}
 ORACLE_FORBIDDEN_MODULES = {"prymspin.symmetry", "prymspin.pushpull"}
@@ -117,6 +120,7 @@ def test_checks_catch_violations(tmp_path):
                  "from prymspin.strata_aut import count_marked_automorphisms\n",
                  "from prymspin.strata_aut import prym_aut_number\n",
                  "from prymspin.strata_aut import fiber_count as f\n",
+                 "from prymspin.strata_aut import MarkedTree, extremity_kernel\n",
                  "from prymspin.space_registry import tree_from_monomial\n",
                  "from prymspin.theta_f2 import arf_census, phi_R\n",
                  "from prymspin.symmetry import act\n",

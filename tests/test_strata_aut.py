@@ -1,14 +1,16 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from oracles import (aut_count_identity_holds, extremity_kernel_formula,
                      stable_marked_trees)
-from prymspin.strata_aut import (MarkedTree, StratumDescriptor,
+from prymspin.strata_aut import (MarkedTree, StratumDescriptor, _realizable,
                                  count_marked_automorphisms,
                                  double_cover_graph, extremity_kernel,
-                                 fiber_count, marked_tree_automorphism_group,
-                                 parse_tree, prym_aut_number,
+                                 fiber_count, mark_slots,
+                                 marked_tree_automorphism_group, parse_tree,
+                                 prym_aut_number,
                                  stratum_pushforward_coeff, trees_isomorphic)
 
 # (name, tree grammar, blown edges, set swap, generic auts m, structure auts n)
@@ -108,17 +110,42 @@ class TestGenericAutomorphisms:
         assert count_marked_automorphisms(t, allow_set_swap=True) == 1
 
     def test_explicit_group_is_a_group(self):
-        # (swap, slot map) pairs compose as (s xor t, f o g)
-        for name, grammar, blown, swap, m, n in ALL_TABLES:
-            autos = marked_tree_automorphism_group(parse_tree(grammar), swap)
-            elements = {(s, frozenset(f.items())) for s, f in autos}
-            assert len(elements) == len(autos), name
-            slots = autos[0][1]
-            assert (False, frozenset((x, x) for x in slots)) in elements, name
+        # (swap, slot images) pairs compose as (s xor t, f o g)
+        for tree, swap in itertools.product(stable_marked_trees(6),
+                                            (False, True)):
+            autos = marked_tree_automorphism_group(tree, swap)
+            elements = set(autos)
+            assert len(elements) == len(autos), tree
+            slots = range(len(mark_slots(tree)))
+            assert (False, tuple(slots)) in elements, tree
             for s, f in autos:
                 for t, g in autos:
-                    composed = frozenset((x, f[g[x]]) for x in slots)
-                    assert (s != t, composed) in elements, name
+                    composed = tuple(f[g[x]] for x in slots)
+                    assert (s != t, composed) in elements, tree
+
+
+class TestGenericityRule:
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_at_most_three_points_always_realizable(self, k):
+        for images in itertools.permutations(range(k)):
+            for moved in (False, True):
+                assert _realizable(dict(enumerate(images)), moved)
+
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    def test_moved_component_with_moduli_refused(self, k):
+        for images in itertools.permutations(range(k)):
+            assert not _realizable(dict(enumerate(images)), moved=True)
+
+    def test_four_points_identity_or_double_transposition(self):
+        passing = [images for images in itertools.permutations(range(4))
+                   if _realizable(dict(enumerate(images)), moved=False)]
+        assert passing == [(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1),
+                           (3, 2, 1, 0)]
+
+    def test_five_points_only_identity(self):
+        passing = [images for images in itertools.permutations(range(5))
+                   if _realizable(dict(enumerate(images)), moved=False)]
+        assert passing == [(0, 1, 2, 3, 4)]
 
 
 class TestCoverGraph:

@@ -8,7 +8,7 @@ from prymspin.keel_ring import (RingElement, all_divisors, build_graded_basis,
                                 canonicalize, four_point_relation)
 from prymspin.symmetry import (PermGroup, act, coset_representatives,
                                identity_perm, invariant_basis, invariant_dims,
-                               orbit_sum, parse_cycles, standard_group)
+                               parse_cycles, standard_group)
 
 
 def gen(*marks):
@@ -59,7 +59,7 @@ def test_reynolds_idempotent_and_projects():
     group = standard_group("R2")
 
     def reynolds(group, x, gb):
-        return orbit_sum(group.elements, x, gb).scale(Fraction(1, group.order))
+        return gb.relabel(group.elements, x).scale(Fraction(1, group.order))
 
     rng = random.Random(9)
     divisors = all_divisors(6)
