@@ -158,7 +158,14 @@ def _parse_divisor_expr(text: str, n: int) -> RingElement:
         c = Fraction(int(mult) if mult else 1)
         if sign == "-":
             c = -c
-        div = canonicalize({int(t) for t in body.split(",")}, n)
+        term = f"[{body}]"
+        tokens = [t.strip() for t in body.split(",")]
+        if not all(tokens):
+            raise ValueError(f"empty mark in class term {term}")
+        marks = [int(t) for t in tokens]
+        if len(set(marks)) != len(marks):
+            raise ValueError(f"repeated mark in class term {term}")
+        div = canonicalize(marks, n)
         coeffs[(div,)] = coeffs.get((div,), Fraction(0)) + c
         pos = m.end()
     return RingElement(n, 1, coeffs)

@@ -35,8 +35,8 @@ the format in which elements pass between modules.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import total_ordering
 from math import lcm
 
 from .exact_linear import QMatrix, Rational, SparseEchelon, solve
@@ -46,7 +46,7 @@ from .exact_linear import QMatrix, Rational, SparseEchelon, solve
 DEFAULT_N_CAP = 7
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class BoundaryIndex:
     """A boundary divisor of the n-pointed space, named by the subset of
     marks on one side of the node.
@@ -54,19 +54,37 @@ class BoundaryIndex:
     Canonical form: the side not containing the last mark n.  Sorting is
     lexicographic on the sorted members, so that [1,2] < [1,2,3] <
     [1,2,3,4] < [1,2,4] < [1,3] for n = 6; this order fixes the monomial
-    order used everywhere, and with it the chosen basis.
+    order used everywhere, and with it the chosen basis.  Instances are
+    immutable values: equal, hashed and ordered as the tuple (key, n).
     """
-    key: tuple[int, ...]
-    n: int
-    # The hash of (key, n), the value the dataclass would compute on every
-    # call, taken once: monomials of these are the kernel's dict keys.
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("key", "n", "_hash")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.key, self.n)))
+    def __init__(self, key: tuple[int, ...], n: int):
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "n", n)
+        # hash((key, n)) taken once: monomials of these are the kernel's
+        # dict keys, so the hash is asked for far more often than built.
+        object.__setattr__(self, "_hash", hash((key, n)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not BoundaryIndex:
+            return NotImplemented
+        return self.key == other.key and self.n == other.n
+
+    def __lt__(self, other):
+        if other.__class__ is not BoundaryIndex:
+            return NotImplemented
+        return self.key < other.key or (self.key == other.key
+                                        and self.n < other.n)
 
     def __hash__(self):
         return self._hash
+
+    def __repr__(self):
+        return f"BoundaryIndex(key={self.key!r}, n={self.n!r})"
 
     @property
     def members(self) -> frozenset[int]:

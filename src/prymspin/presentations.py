@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact_linear import QMatrix, kernel_basis, rank, rref
@@ -226,14 +225,17 @@ def poly_degree(p: Poly) -> int:
 
 # -- presentations -------------------------------------------------------------
 
-@dataclass
 class Presentation:
     """A graded quotient of a polynomial ring, all variables in degree 1."""
-    variables: list[str]
-    generators: list[Poly]
-    generator_texts: list[str]
-    max_degree: int = DEFAULT_MAX_DEGREE
-    name: str = ""
+
+    def __init__(self, variables: list[str], generators: list[Poly],
+                 generator_texts: list[str],
+                 max_degree: int = DEFAULT_MAX_DEGREE, name: str = ""):
+        self.variables = variables
+        self.generators = generators
+        self.generator_texts = generator_texts
+        self.max_degree = max_degree
+        self.name = name
 
     @classmethod
     def from_preset(cls, preset_name: str) -> "Presentation":
@@ -351,15 +353,20 @@ def check_relation(space_tag: str, text: str) -> tuple[bool, RingElement]:
     return residue.is_zero(), residue
 
 
-@dataclass
 class PresentationReport:
-    space: str
-    presentation: str
-    generators_vanish: list[bool]
-    surjective_by_degree: list[bool]
-    hilbert: list[int]
-    invariant_dims: list[int]
-    independent: bool
+    """The comparison of a presentation with the invariant ring of a space."""
+
+    def __init__(self, space: str, presentation: str,
+                 generators_vanish: list[bool],
+                 surjective_by_degree: list[bool], hilbert: list[int],
+                 invariant_dims: list[int], independent: bool):
+        self.space = space
+        self.presentation = presentation
+        self.generators_vanish = generators_vanish
+        self.surjective_by_degree = surjective_by_degree
+        self.hilbert = hilbert
+        self.invariant_dims = invariant_dims
+        self.independent = independent
 
     @property
     def isomorphic(self) -> bool:

@@ -23,7 +23,6 @@ table entry is a check, not an input.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -41,7 +40,6 @@ QUOTIENT_TAGS = ("R2", "S2plus", "S2minus")
 
 # -- linear combinations of named classes -------------------------------------
 
-@dataclass
 class NamedCombo:
     """A rational combination of formal products of class names on a space.
 
@@ -50,8 +48,11 @@ class NamedCombo:
     against the reference tables, and evaluable in the invariant ring by
     ``SpaceDescriptor.evaluate``, the one evaluator of named classes.
     """
-    space: str
-    terms: dict[tuple[str, ...], Fraction] = field(default_factory=dict)
+
+    def __init__(self, space: str,
+                 terms: dict[tuple[str, ...], Fraction] | None = None):
+        self.space = space
+        self.terms = {} if terms is None else terms
 
     def add(self, names: tuple[str, ...], coeff) -> None:
         key = tuple(sorted(names))
@@ -299,19 +300,6 @@ def m2_relation_verdicts() -> dict[str, bool]:
 # back to a combination of genus-1 boundary symbols (after the one-twelfth
 # identity on the elliptic base), and the table of f-pushforwards lands the
 # product back in boundary products downstairs.
-GENUS1_FACTS = [
-    ("elliptic one-marked cover", "td0pp = td0r",
-     "both boundary classes pull back from the same projective line"),
-    ("elliptic Hodge class", "tlambda = (1/12) tdelta0",
-     "degree of the Hodge bundle on the one-marked elliptic base"),
-    ("square-root elliptic Hodge class", "tl = (1/4) td0r",
-     "one twelfth of td0pp + 2 td0r combined with td0pp = td0r"),
-    ("even spin elliptic cover", "talpha0p = tbeta0p",
-     "two boundary classes of a projective-line quotient"),
-    ("even spin Hodge pullback", "tlp = (1/4) talpha0p",
-     "one twelfth of talpha0p + 2 tbeta0p combined with the line relation"),
-]
-
 LAMBDA_CHAINS = [
     # (space, y, factor, [(coeff, product names)], morphism note)
     ("R2", "d11", Fraction(1, 2),

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
@@ -82,66 +81,90 @@ def tree_from_monomial(factors: Monomial, n: int, a_marks: frozenset[int]):
     return MarkedTree(mark_counts, tuple(enumerate(parent))), list(factors)
 
 
-@dataclass
 class NamedClass:
     """A named cycle class of a space, living in the invariant subring."""
-    space: str
-    name: str
-    value: RingElement
-    aut: int | None = None       # automorphism number (None for lambda)
-    cite: str = ""
+
+    def __init__(self, space: str, name: str, value: RingElement,
+                 aut: int | None = None, cite: str = ""):
+        self.space = space
+        self.name = name
+        self.value = value
+        self.aut = aut               # automorphism number (None for lambda)
+        self.cite = cite
 
 
-@dataclass
 class BoundaryEntry:
-    name: str
-    display: str
-    rep: BoundaryIndex
-    orbit: frozenset[BoundaryIndex]
-    degree: int
-    aut: int
-    fiber_count: int
-    stab_order: int              # generic automorphisms m of the tree
-    tree: MarkedTree
-    blown: bool
-    cite: str
+    """A preset boundary class: its orbit of divisors upstairs, with the
+    table values and the data computed from its dual tree."""
+
+    def __init__(self, name: str, display: str, rep: BoundaryIndex,
+                 orbit: frozenset[BoundaryIndex], degree: int, aut: int,
+                 fiber_count: int, stab_order: int, tree: MarkedTree,
+                 blown: bool, cite: str):
+        self.name = name
+        self.display = display
+        self.rep = rep
+        self.orbit = orbit
+        self.degree = degree
+        self.aut = aut
+        self.fiber_count = fiber_count
+        self.stab_order = stab_order   # generic automorphisms m of the tree
+        self.tree = tree
+        self.blown = blown
+        self.cite = cite
 
 
-@dataclass
 class StratumEntry:
-    name: str
-    display: str
-    rep: Monomial
-    orbit: frozenset[Monomial]
-    aut: int
-    stab_order: int
-    tree: MarkedTree
-    blown_edges: frozenset[int]
-    pushforward_target: str | None
-    pushforward_coeff: Fraction | None
-    cite: str
+    """A preset codimension-2 stratum: its orbit of monomials upstairs,
+    with the table values and the data computed from its dual tree."""
+
+    def __init__(self, name: str, display: str, rep: Monomial,
+                 orbit: frozenset[Monomial], aut: int, stab_order: int,
+                 tree: MarkedTree, blown_edges: frozenset[int],
+                 pushforward_target: str | None,
+                 pushforward_coeff: Fraction | None, cite: str):
+        self.name = name
+        self.display = display
+        self.rep = rep
+        self.orbit = orbit
+        self.aut = aut
+        self.stab_order = stab_order
+        self.tree = tree
+        self.blown_edges = blown_edges
+        self.pushforward_target = pushforward_target
+        self.pushforward_coeff = pushforward_coeff
+        self.cite = cite
 
 
-@dataclass
 class SpaceDescriptor:
-    tag: str
-    group: PermGroup
-    n: int
-    a_marks: frozenset[int]
-    unordered_classes: bool
-    aut_generic: int
-    fundamental_pushforward: Fraction
-    boundary: dict[str, BoundaryEntry]
-    strata: dict[str, StratumEntry]
-    lambda_name: str
-    lambda_coeffs: dict[str, Fraction]
-    gb: GradedBasis = field(repr=False)
-    pullback_delta0: dict[str, Fraction] | None = None
-    pullback_delta1: dict[str, Fraction] | None = None
-    # Named classes built so far.  A space is never changed after loading,
-    # and the space cache is keyed by its preset file.
-    _classes: dict[str, "NamedClass"] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    """A loaded space: its group, its preset classes and the graded basis
+    of the 6-marked ring it lives in."""
+
+    def __init__(self, tag: str, group: PermGroup, n: int,
+                 a_marks: frozenset[int], unordered_classes: bool,
+                 aut_generic: int, fundamental_pushforward: Fraction,
+                 boundary: dict[str, BoundaryEntry],
+                 strata: dict[str, StratumEntry], lambda_name: str,
+                 lambda_coeffs: dict[str, Fraction], gb: GradedBasis,
+                 pullback_delta0: dict[str, Fraction] | None = None,
+                 pullback_delta1: dict[str, Fraction] | None = None):
+        self.tag = tag
+        self.group = group
+        self.n = n
+        self.a_marks = a_marks
+        self.unordered_classes = unordered_classes
+        self.aut_generic = aut_generic
+        self.fundamental_pushforward = fundamental_pushforward
+        self.boundary = boundary
+        self.strata = strata
+        self.lambda_name = lambda_name
+        self.lambda_coeffs = lambda_coeffs
+        self.gb = gb
+        self.pullback_delta0 = pullback_delta0
+        self.pullback_delta1 = pullback_delta1
+        # Named classes built so far.  A space is never changed after
+        # loading, and the space cache is keyed by its preset file.
+        self._classes: dict[str, NamedClass] = {}
 
     # -- class dictionary ---------------------------------------------------
 

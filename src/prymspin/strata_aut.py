@@ -30,22 +30,23 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 
-@dataclass(frozen=True)
 class MarkedTree:
     """Tree of components with per-component counts of A- and B-marks.
 
     ``marks[c] = (a, b)``; ``edges[k] = (c, d)`` joins components c and d.
-    Marks are unlabeled within their class.
+    Marks are unlabeled within their class.  Trees are immutable values,
+    equal and hashed as the tuple (marks, edges).
     """
-    marks: tuple[tuple[int, int], ...]
-    edges: tuple[tuple[int, int], ...]
+    __slots__ = ("marks", "edges")
 
-    def __post_init__(self):
-        n = len(self.marks)
+    def __init__(self, marks: tuple[tuple[int, int], ...],
+                 edges: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "marks", marks)
+        object.__setattr__(self, "edges", edges)
+        n = len(marks)
         adj = {i: set() for i in range(n)}
         for c, d in self.edges:
             adj[c].add(d)
@@ -68,6 +69,20 @@ class MarkedTree:
         for c in range(n):
             if self.special_count(c) < 3:
                 raise ValueError(f"component {c} unstable")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not MarkedTree:
+            return NotImplemented
+        return self.marks == other.marks and self.edges == other.edges
+
+    def __hash__(self):
+        return hash((self.marks, self.edges))
+
+    def __repr__(self):
+        return f"MarkedTree(marks={self.marks!r}, edges={self.edges!r})"
 
     def degree(self, c: int) -> int:
         return sum(1 for e in self.edges if c in e)
@@ -205,21 +220,24 @@ def extremity_kernel(tree: MarkedTree, allow_set_swap: bool = False):
 
 # -- double covers -----------------------------------------------------------
 
-@dataclass
 class CoverVertex:
-    comp: int
-    sheet: int | None          # None for a connected (branched) cover
-    genus: int
-    exceptional: bool
+    def __init__(self, comp: int, sheet: int | None, genus: int,
+                 exceptional: bool):
+        self.comp = comp
+        self.sheet = sheet          # None for a connected (branched) cover
+        self.genus = genus
+        self.exceptional = exceptional
 
 
-@dataclass
 class CoverGraph:
     """Dual graph of the double cover of a marked tree, branched at the
     marks: vertices are cover components with their genus, edges are the
     nodes of the cover; components over extremities are exceptional."""
-    vertices: list[CoverVertex]
-    edges: list[tuple[int, int, int]]   # (vertex, vertex, tree edge id)
+
+    def __init__(self, vertices: list[CoverVertex],
+                 edges: list[tuple[int, int, int]]):
+        self.vertices = vertices
+        self.edges = edges          # (vertex, vertex, tree edge id)
 
     def total_genus(self) -> int:
         comps = len(set(_components(len(self.vertices),
@@ -295,14 +313,37 @@ def double_cover_graph(tree: MarkedTree) -> CoverGraph:
     return CoverGraph(vertices, edges)
 
 
-@dataclass(frozen=True)
 class StratumDescriptor:
     """A stratum: its marked tree, the tree edges whose node on the stable
     model is blown up in the square-root structure, and whether the two
-    mark classes are interchangeable on the ambient space."""
-    tree: MarkedTree
-    blown_edges: frozenset[int] = frozenset()
-    allow_set_swap: bool = False
+    mark classes are interchangeable on the ambient space.  Descriptors are
+    immutable values, equal and hashed as the tuple of their three fields."""
+    __slots__ = ("tree", "blown_edges", "allow_set_swap")
+
+    def __init__(self, tree: MarkedTree,
+                 blown_edges: frozenset[int] = frozenset(),
+                 allow_set_swap: bool = False):
+        object.__setattr__(self, "tree", tree)
+        object.__setattr__(self, "blown_edges", blown_edges)
+        object.__setattr__(self, "allow_set_swap", allow_set_swap)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not StratumDescriptor:
+            return NotImplemented
+        return (self.tree == other.tree
+                and self.blown_edges == other.blown_edges
+                and self.allow_set_swap == other.allow_set_swap)
+
+    def __hash__(self):
+        return hash((self.tree, self.blown_edges, self.allow_set_swap))
+
+    def __repr__(self):
+        return (f"StratumDescriptor(tree={self.tree!r}, "
+                f"blown_edges={self.blown_edges!r}, "
+                f"allow_set_swap={self.allow_set_swap!r})")
 
 
 def nonexceptional_component_count(desc: StratumDescriptor) -> int:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact_linear import QMatrix, kernel_basis, rref
@@ -59,15 +58,13 @@ def parse_cycles(text: str, n: int) -> Perm:
     return perm_from_cycles(cycles, n)
 
 
-@dataclass
 class PermGroup:
     """A permutation group on {1..n}, stored with its full element list."""
-    n: int
-    generators: list[Perm]
-    elements: list[Perm] = field(init=False)
 
-    def __post_init__(self):
-        self.elements = sorted(self.orbit(identity_perm(self.n), compose))
+    def __init__(self, n: int, generators: list[Perm]):
+        self.n = n
+        self.generators = generators
+        self.elements = sorted(self.orbit(identity_perm(n), compose))
 
     @property
     def order(self) -> int:

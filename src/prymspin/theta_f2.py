@@ -15,53 +15,12 @@ points, and a Gray-code walk reaches each from the last by one XOR.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
 
 
-def _mask(g: int, points) -> int:
-    """The bitmask of a set of branch points in 1..2g+2."""
-    n_pts = 2 * g + 2
-    bits = 0
-    for i in points:
-        if not 1 <= i <= n_pts:
-            raise ValueError(f"branch point {i} out of range")
-        bits |= 1 << (i - 1)
-    return bits
-
-
-@dataclass(frozen=True)
-class TorsionVector:
-    """An even-weight indicator vector on the 2g+2 branch points, modulo
-    the all-ones vector; stored canonically (smaller weight, and for
-    balanced weight the side not containing the first point)."""
-    g: int
-    bits: int       # subset of {0 .. 2g+1} as a bitmask
-
-    @classmethod
-    def from_subset(cls, g: int, subset) -> "TorsionVector":
-        bits = _mask(g, subset)
-        if bits.bit_count() % 2:
-            raise ValueError("torsion vectors have even weight")
-        return cls(g, _canonical_bits(bits, 2 * g + 2))
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    def pairing(self, other: "TorsionVector") -> int:
-        """The symplectic pairing |S meet T| mod 2 (well defined on the
-        quotient because all weights are even)."""
-        return (self.bits & other.bits).bit_count() % 2
-
-    def __add__(self, other: "TorsionVector") -> "TorsionVector":
-        n_pts = 2 * self.g + 2
-        return TorsionVector(self.g, _canonical_bits(self.bits ^ other.bits, n_pts))
-
-
 def _canonical_bits(bits: int, n_pts: int) -> int:
+    """The representative of a mask modulo the all-ones mask: the side of
+    smaller weight, and for balanced weight the side without point 1."""
     comp = bits ^ ((1 << n_pts) - 1)
     w, wc = bits.bit_count(), comp.bit_count()
     if w < wc:
@@ -69,27 +28,6 @@ def _canonical_bits(bits: int, n_pts: int) -> int:
     if wc < w:
         return comp
     return bits if not (bits & 1) else comp
-
-
-@dataclass(frozen=True)
-class PartitionClass:
-    """An unordered partition of the 2g+2 branch points into a part of size
-    n and its complement; stored as the bitmask of the smaller part (for
-    the balanced case the part containing the first point)."""
-    g: int
-    side: int
-
-    @classmethod
-    def make(cls, g: int, part) -> "PartitionClass":
-        n_pts = 2 * g + 2
-        side = _canonical_bits(_mask(g, part), n_pts)
-        if 2 * side.bit_count() == n_pts:   # balanced: keep point 1's part
-            side ^= (1 << n_pts) - 1
-        return cls(g, side)
-
-    @property
-    def n(self) -> int:
-        return self.side.bit_count()
 
 
 def _side_masks(g: int, n: int) -> list[int]:
@@ -106,27 +44,12 @@ def _side_masks(g: int, n: int) -> list[int]:
     return [sum(c) for c in itertools.combinations(points, k)]
 
 
-def partition_classes(g: int, n: int) -> list[PartitionClass]:
-    """All partitions of the branch points with a distinguished part of
-    size n (equivalently 2g+2-n)."""
-    return [PartitionClass(g, side) for side in _side_masks(g, n)]
-
-
 def count_partitions(g: int, n: int) -> int:
     """|P_n| in closed form: binomial, halved for the balanced case."""
     n_pts = 2 * g + 2
     if n == n_pts - n:
         return comb(n_pts, n) // 2
     return comb(n_pts, min(n, n_pts - n))
-
-
-def phi_R(p: PartitionClass) -> TorsionVector:
-    """The square root of the trivial bundle attached to an even balanced-
-    or-smaller partition: the indicator vector of the distinguished part.
-    Nontrivial for every admissible part size."""
-    if p.n % 2 != 0 or not 2 <= p.n <= p.g + 1:
-        raise ValueError("need an even part of size between 2 and g+1")
-    return TorsionVector(p.g, _canonical_bits(p.side, 2 * p.g + 2))
 
 
 def spin_parity(g: int, n: int) -> str:

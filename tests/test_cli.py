@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,22 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def test_import_loads_no_dataclass_machinery():
+    # every process imports the CLI before its first answer; dataclasses and
+    # the inspect module it pulls in would add to each start-up
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import sys; before = set(sys.modules); import prymspin.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    added = subprocess.run([sys.executable, "-c", code], env=env,
+                           capture_output=True, text=True, check=True,
+                           timeout=60).stdout.split()
+    assert "prymspin.cli" in added
+    assert "dataclasses" not in added and "inspect" not in added
 
 
 def test_keel_betti(capsys):
@@ -47,6 +67,20 @@ def test_push(capsys):
     code, out = run(capsys, "push", "--map", "f_R", "--class", "[1,2]")
     assert code == 0
     assert "d0pp" in out and "48" in out
+
+
+@pytest.mark.parametrize("cls, message", [
+    ("[1,2,2]", "repeated mark in class term [1,2,2]"),
+    ("[2,1,1,3]", "repeated mark in class term [2,1,1,3]"),
+    ("2*[1,3]-[4, 4,5]", "repeated mark in class term [4, 4,5]"),
+    ("[1,,2]", "empty mark in class term [1,,2]"),
+    ("[1,2,]", "empty mark in class term [1,2,]"),
+])
+def test_push_rejects_repeated_or_empty_marks(capsys, cls, message):
+    assert main(["push", "--map", "f_R", f"--class={cls}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_push_m05(capsys):

@@ -2,6 +2,8 @@
 
 Every imported name is used, and the arithmetic stays exact: no float
 literal, no ``float(...)`` call, and no import of ``random`` or ``numpy``.
+No module imports ``dataclasses``, which every process would pay for at
+start-up.
 The test oracles stay independent of the code they check: they import no
 ring kernel or compatibility rule, no automorphism enumerator or number
 built on it, no theta census, and nothing of the symmetry or pushforward
@@ -68,6 +70,14 @@ def test_arithmetic_is_exact(path):
     assert not floats, f"{path.name}: float at lines {floats}"
     modules = {module.split(".")[0] for _, module in _imports(tree)}
     assert not modules & FORBIDDEN_MODULES, f"{path.name} imports {modules & FORBIDDEN_MODULES}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_dataclasses(path):
+    # importing dataclasses pulls in inspect, ast and dis, and building each
+    # class runs its code generator: a cost every process pays at start-up
+    modules = {module for _, module in _imports(_tree(path))}
+    assert "dataclasses" not in modules, f"{path.name} imports dataclasses"
 
 
 def test_oracles_are_independent(path=ORACLES):

@@ -55,6 +55,50 @@ class TestCanonicalize:
             "[3,5] [4,5]")
 
 
+class TestBoundaryIndexValue:
+    """Divisors are dict and cache keys on the hot paths: they compare, hash
+    and sort as the tuple (key, n), across mark counts too."""
+
+    DIVISORS = [d for n in range(4, 8) for d in all_divisors(n)]
+
+    def test_equality_and_hash(self):
+        for d in self.DIVISORS:
+            twin = BoundaryIndex(d.key, d.n)
+            assert d == twin and not d != twin and d is not twin
+            assert hash(d) == hash(twin) == hash((d.key, d.n))
+        assert len(set(self.DIVISORS)) == len(self.DIVISORS)
+        assert BoundaryIndex((1, 2), 5) != BoundaryIndex((1, 2), 6)
+        assert D(1, 2) != (1, 2) and D(1, 2) != "[1,2]"
+
+    def test_order_is_the_tuple_order(self):
+        shuffled = list(self.DIVISORS)
+        random.Random(7).shuffle(shuffled)
+        assert ([(d.key, d.n) for d in sorted(shuffled)]
+                == sorted((d.key, d.n) for d in shuffled))
+        for a, b in itertools.product(self.DIVISORS[::7], repeat=2):
+            ta, tb = (a.key, a.n), (b.key, b.n)
+            assert ((a < b, a <= b, a > b, a >= b)
+                    == (ta < tb, ta <= tb, ta > tb, ta >= tb))
+        with pytest.raises(TypeError):
+            D(1, 2) < (1, 2)
+
+    def test_repr_text(self):
+        # the text of registry and kernel error messages
+        assert repr(D(1, 2)) == "BoundaryIndex(key=(1, 2), n=6)"
+        assert repr((D(5, 6, n=7),)) == "(BoundaryIndex(key=(5, 6), n=7),)"
+        for d in self.DIVISORS:
+            assert repr(d) == f"BoundaryIndex(key={d.key!r}, n={d.n})"
+            assert str(d) == "[" + ",".join(map(str, d.key)) + "]"
+
+    def test_immutable(self):
+        d = D(1, 2)
+        with pytest.raises(AttributeError):
+            d.key = (1, 3)
+        with pytest.raises(AttributeError):
+            d.extra = 1
+        assert d.key == (1, 2) and hash(d) == hash(((1, 2), 6))
+
+
 class TestIncompatible:
     def test_examples(self):
         assert incompatible(D(1, 2), D(1, 3))

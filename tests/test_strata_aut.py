@@ -98,6 +98,46 @@ class TestParse:
             parse_tree("(A -1)(A B B B B -1)")
 
 
+class TestValueSemantics:
+    """Trees and stratum descriptors are memo keys: built twice they are
+    equal, hash as their field tuples and hit the memo."""
+
+    def test_marked_tree(self):
+        a = parse_tree("(A A -1)(B B B B -1)")
+        b = MarkedTree(((2, 0), (0, 4)), ((0, 1),))
+        assert a == b and a is not b and not a != b
+        assert hash(a) == hash(b) == hash((a.marks, a.edges))
+        assert a != parse_tree("(B B B B -1)(A A -1)")
+        assert a != (a.marks, a.edges)
+        assert repr(a) == "MarkedTree(marks=((2, 0), (0, 4)), edges=((0, 1),))"
+        with pytest.raises(AttributeError):
+            a.marks = ()
+
+    @pytest.mark.parametrize("name, grammar, blown, swap, m, n", R2_TABLE)
+    def test_stratum_descriptor_hits_the_memo(self, name, grammar, blown,
+                                              swap, m, n):
+        first = StratumDescriptor(parse_tree(grammar), frozenset(blown), swap)
+        second = StratumDescriptor(parse_tree(grammar), frozenset(blown), swap)
+        assert first == second and first is not second
+        assert hash(first) == hash(second) == hash(
+            (first.tree, first.blown_edges, first.allow_set_swap))
+        assert first != StratumDescriptor(first.tree, frozenset(blown),
+                                          not swap)
+        prym_aut_number(first)
+        hits = prym_aut_number.cache_info().hits
+        assert prym_aut_number(second) == n
+        assert prym_aut_number.cache_info().hits == hits + 1
+        with pytest.raises(AttributeError):
+            second.allow_set_swap = not swap
+
+    def test_stratum_descriptor_defaults_and_repr(self):
+        tree = parse_tree("(A A B B B B)")
+        desc = StratumDescriptor(tree)
+        assert desc == StratumDescriptor(tree, frozenset(), False)
+        assert repr(desc) == (f"StratumDescriptor(tree={tree!r}, "
+                              "blown_edges=frozenset(), allow_set_swap=False)")
+
+
 class TestGenericAutomorphisms:
     @pytest.mark.parametrize("name,grammar,blown,swap,m,n", ALL_TABLES,
                              ids=[row[0] for row in ALL_TABLES])

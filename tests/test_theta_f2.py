@@ -2,53 +2,78 @@ import itertools
 
 import pytest
 
+import prymspin.theta_f2 as theta_f2
 from oracles import oracle_arf_census, oracle_partition_sides
-from prymspin.theta_f2 import (PartitionClass, TorsionVector, arf_census,
-                               count_partitions, partition_classes, phi_R,
-                               spin_parity, torsion_census, verify_bijections)
+from prymspin.theta_f2 import (_canonical_bits, _side_masks, arf_census,
+                               count_partitions, spin_parity, torsion_census,
+                               verify_bijections)
+
+
+def mask(points) -> int:
+    """Branch point i is bit i-1."""
+    return sum(1 << (i - 1) for i in set(points))
+
+
+def pairing(v: int, w: int) -> int:
+    """The symplectic pairing |S meet T| mod 2 of two torsion masks."""
+    return (v & w).bit_count() % 2
 
 
 class TestTorsionVector:
+    """2-torsion as even-weight masks modulo the all-ones mask, each kept as
+    its canonical representative."""
+
     def test_even_weight_required(self):
-        with pytest.raises(ValueError):
-            TorsionVector.from_subset(2, {1, 2, 3})
+        # the census maps only even parts, so every image has even weight;
+        # an odd set keeps its odd weight under canonicalization
+        assert _canonical_bits(mask({1, 2, 3}), 6).bit_count() % 2 == 1
+        for g in range(1, 7):
+            for n in torsion_census(g)["prym_by_size"]:
+                assert n % 2 == 0
+                assert all(_canonical_bits(side, 2 * g + 2).bit_count() % 2 == 0
+                           for side in _side_masks(g, n))
 
     def test_complement_identified(self):
-        v = TorsionVector.from_subset(2, {1, 2})
-        w = TorsionVector.from_subset(2, {3, 4, 5, 6})
+        v = _canonical_bits(mask({1, 2}), 6)
+        w = _canonical_bits(mask({3, 4, 5, 6}), 6)
         assert v == w
         # balanced weight: the side without the first point is kept
-        u = TorsionVector.from_subset(3, {1, 2, 3, 4})
-        assert u == TorsionVector.from_subset(3, {5, 6, 7, 8})
-        assert u.bits == 0b11110000
+        u = _canonical_bits(mask({1, 2, 3, 4}), 8)
+        assert u == _canonical_bits(mask({5, 6, 7, 8}), 8)
+        assert u == 0b11110000
 
     def test_pairing_well_defined_and_alternating(self):
         g = 2
         vectors = set()
         for n in (2, 4, 6):
             for c in itertools.combinations(range(1, 2 * g + 3), n):
-                vectors.add(TorsionVector.from_subset(g, c))
+                vectors.add(_canonical_bits(mask(c), 2 * g + 2))
         for v in vectors:
-            assert v.pairing(v) == 0        # alternating: even self-meet
+            assert pairing(v, v) == 0       # alternating: even self-meet
+        # well defined: a complement pairs like the canonical side
+        full = (1 << (2 * g + 2)) - 1
+        for v, w in itertools.product(vectors, repeat=2):
+            assert pairing(v ^ full, w) == pairing(v, w)
         # nondegenerate: every nonzero vector pairs nontrivially with some
-        nonzero = [v for v in vectors if not v.is_zero()]
+        nonzero = [v for v in vectors if v]
         for v in nonzero:
-            assert any(v.pairing(w) for w in nonzero)
+            assert any(pairing(v, w) for w in nonzero)
 
     def test_group_structure(self):
-        v = TorsionVector.from_subset(2, {1, 2})
-        w = TorsionVector.from_subset(2, {2, 3})
-        assert (v + w) == TorsionVector.from_subset(2, {1, 3})
-        assert (v + v).is_zero()
+        v = _canonical_bits(mask({1, 2}), 6)
+        w = _canonical_bits(mask({2, 3}), 6)
+        assert _canonical_bits(v ^ w, 6) == _canonical_bits(mask({1, 3}), 6)
+        assert _canonical_bits(v ^ v, 6) == 0
 
 
 class TestPhiR:
+    """phi_R sends an even part of size 2..g+1 to its torsion mask."""
+
     def test_g2_image_nonzero(self):
-        p = PartitionClass.make(2, {1, 2})
-        assert not phi_R(p).is_zero()
+        assert _canonical_bits(mask({1, 2}), 6) != 0
 
     def test_g2_bijective_on_pairs(self):
-        images = {phi_R(p) for p in partition_classes(2, 2)}
+        images = {_canonical_bits(side, 6) for side in _side_masks(2, 2)}
         assert len(images) == 15 == 2 ** 4 - 1
 
     def test_g3_counts(self):
@@ -57,8 +82,10 @@ class TestPhiR:
         assert 28 + 35 == 2 ** 6 - 1
 
     def test_odd_part_rejected(self):
-        with pytest.raises(ValueError):
-            phi_R(PartitionClass.make(2, {1, 2, 3}))
+        # only even parts of size 2..g+1 are mapped
+        assert list(torsion_census(2)["prym_by_size"]) == [2]
+        assert list(torsion_census(3)["prym_by_size"]) == [2, 4]
+        assert list(torsion_census(6)["prym_by_size"]) == [2, 4, 6]
 
 
 class TestPartitionClasses:
@@ -66,14 +93,17 @@ class TestPartitionClasses:
     def test_sides_match_oracle(self, g):
         n_pts = 2 * g + 2
         for n in range(n_pts + 1):
-            sides = [frozenset(i + 1 for i in range(n_pts) if p.side >> i & 1)
-                     for p in partition_classes(g, n)]
+            sides = [frozenset(i + 1 for i in range(n_pts) if side >> i & 1)
+                     for side in _side_masks(g, n)]
             assert sides == oracle_partition_sides(g, n)
             assert len(sides) == count_partitions(g, n)
 
     def test_make_keeps_canonical_side(self):
-        assert PartitionClass.make(2, {3, 4, 5, 6}).side == 0b11
-        assert PartitionClass.make(2, {4, 5, 6}).side == 0b111
+        # the smaller part, and for a balanced partition point 1's part
+        assert 0b11 in _side_masks(2, 4)
+        assert mask({3, 4, 5, 6}) not in _side_masks(2, 4)
+        assert 0b111 in _side_masks(2, 3)
+        assert mask({4, 5, 6}) not in _side_masks(2, 3)
 
 
 class TestSpinParity:
@@ -112,25 +142,13 @@ class TestCensuses:
         assert rep["phi_bijective"]
         assert rep["census_match"]
 
-    def test_census_works_on_masks(self, monkeypatch):
-        # the census forms no PartitionClass or TorsionVector through their
-        # constructors from point sets; the masks go straight into a set
-        calls = {"make": 0, "from_subset": 0}
-        real_make, real_from = PartitionClass.make, TorsionVector.from_subset
-
-        def counting_make(g, part):
-            calls["make"] += 1
-            return real_make(g, part)
-
-        def counting_from(g, subset):
-            calls["from_subset"] += 1
-            return real_from(g, subset)
-
-        monkeypatch.setattr(PartitionClass, "make", staticmethod(counting_make))
-        monkeypatch.setattr(TorsionVector, "from_subset",
-                            staticmethod(counting_from))
+    def test_census_works_on_masks(self):
+        # the census forms its images from side masks alone: the module
+        # keeps no object layer over point sets
         assert verify_bijections(6)["phi_bijective"]
-        assert calls == {"make": 0, "from_subset": 0}
+        for name in ("TorsionVector", "PartitionClass", "partition_classes",
+                     "phi_R", "_mask"):
+            assert not hasattr(theta_f2, name)
 
     def test_g2_values(self):
         census = torsion_census(2)
