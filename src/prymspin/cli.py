@@ -23,7 +23,7 @@ from .pushpull import (check_combo_vanishes, derive_linear_relation,
                        derive_m05_relations, intersection_table,
                        m2_relation_verdicts, mumford_base_numbers,
                        pushforward, pushforward_m05, verify_lambda_identities)
-from .space_registry import MARKS, load_space
+from .space_registry import MARKS, QUOTIENT_TAGS, SPACE_TAGS, load_space
 from .strata_aut import (StratumDescriptor, count_marked_automorphisms,
                          double_cover_graph, parse_tree, prym_aut_number)
 from .symmetry import invariant_dims
@@ -116,6 +116,9 @@ def cmd_verify(args) -> int:
     if preset in ("I", "J", "K"):
         p = Presentation.from_preset(preset)
         space_tag = reference.PRESENTATION_SPACES[preset]
+        if args.space not in (None, space_tag):
+            raise ValueError(f"presentation {preset} presents {space_tag}, "
+                             f"not {args.space}")
     else:
         if args.space is None:
             raise ValueError(f"a presentation file ({preset}) needs --space")
@@ -211,22 +214,19 @@ def _append_intersections(report: Report, tag: str):
         expected = [Fraction(x) for x in reference.A4_TABLES[tag][rname]]
         table.append((rname, "  ".join(str(x) for x in got), got == expected))
     summary = report.section(f"{tag}: rank and kernel")
-    mat = QMatrix([{j: x for j, x in enumerate(row) if x} for row in ordered],
-                  len(order))
-    r = rank(mat)
+    width = len(order)
+    kernel = kernel_basis(QMatrix(
+        [{j: x for j, x in enumerate(row) if x} for row in ordered], width))
+    r = width - len(kernel)
     summary.append(("rank", str(r), r == reference.A4_RANKS[tag]))
-    ker = [[v.get(j, 0) for j in range(len(order))] for v in kernel_basis(mat)]
-    expected_kernel = reference.A4_KERNELS[tag]
-    ok = len(ker) == len(expected_kernel)
-    if ok and ker:
-        v = ker[0]
-        w = [Fraction(x) for x in expected_kernel[0]]
-        scale = None
-        for a, b in zip(v, w):
-            if b != 0:
-                scale = a / b
-                break
-        ok = scale is not None and all(a == scale * b for a, b in zip(v, w))
+    # Same span: the reference rows are independent and lie in the span of
+    # the computed basis, which has as many rows.
+    expected = [{j: Fraction(x) for j, x in enumerate(v) if x}
+                for v in reference.A4_KERNELS[tag]]
+    ok = (len(expected) == len(kernel)
+          == rank(QMatrix(expected, width))
+          == rank(QMatrix(kernel + expected, width)))
+    ker = [[v.get(j, 0) for j in range(width)] for v in kernel]
     summary.append(("kernel", "; ".join("(" + ", ".join(map(str, v)) + ")"
                                         for v in ker) or "trivial", ok))
 
@@ -304,14 +304,14 @@ def cmd_report_all(args) -> int:
                      dims == reference.KEEL_DIMS[n]))
 
     rows = report.section("invariant subring dimensions")
-    for tag in ("R2", "S2plus", "S2minus", "M2"):
+    for tag in SPACE_TAGS:
         space = load_space(tag)
         dims = invariant_dims(space.group, space.gb)
         rows.append((tag, " ".join(map(str, dims)),
                      dims == reference.INVARIANT_DIMS[tag]))
 
     rows = report.section("linear relations between boundary classes")
-    for tag in ("R2", "S2plus", "S2minus"):
+    for tag in QUOTIENT_TAGS:
         combo = derive_linear_relation(tag)
         expected = {k: Fraction(v)
                     for k, v in reference.LINEAR_RELATIONS[tag].items()}
@@ -331,7 +331,7 @@ def cmd_report_all(args) -> int:
         rows.append((f"[{info['space']}] {label}", str(info["holds"]),
                      info["holds"]))
 
-    for tag in ("R2", "S2plus", "S2minus"):
+    for tag in QUOTIENT_TAGS:
         _append_intersections(report, tag)
 
     rows = report.section("base-space pairings")
@@ -404,11 +404,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariants", help="invariant subring dimensions")
     p.add_argument("--space", required=True,
-                   choices=("R2", "S2plus", "S2minus", "M2"))
+                   choices=SPACE_TAGS)
     p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("verify", help="verify a ring presentation")
-    p.add_argument("--space", choices=("R2", "S2plus", "S2minus"))
+    p.add_argument("--space", choices=QUOTIENT_TAGS)
     p.add_argument("--presentation", required=True,
                    help="preset name (I, J, K) or a JSON file path")
     p.set_defaults(func=cmd_verify)
@@ -420,17 +420,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_push)
 
     p = sub.add_parser("intersections", help="divisor/stratum pairing table")
-    p.add_argument("--space", required=True,
-                   choices=("R2", "S2plus", "S2minus"))
+    p.add_argument("--space", required=True, choices=QUOTIENT_TAGS)
     p.set_defaults(func=cmd_intersections)
 
     p = sub.add_parser("lambda-check", help="Hodge class identity chains")
-    p.add_argument("--space", choices=("R2", "S2plus", "S2minus"))
+    p.add_argument("--space", choices=QUOTIENT_TAGS)
     p.set_defaults(func=cmd_lambda_check)
 
     p = sub.add_parser("strata", help="stratum tables or one tree analysis")
     p.add_argument("--space", required=True,
-                   choices=("R2", "S2plus", "S2minus", "M2"))
+                   choices=SPACE_TAGS)
     p.add_argument("--tree", help="tree grammar, e.g. \"(A A -1)(B B B B -1)\"")
     p.set_defaults(func=cmd_strata)
 

@@ -2,11 +2,13 @@
 
 This module carries the whole intersection-theoretic toolbox: pushforward
 of boundary classes along the finite covers from the 6- and 5-marked
-rational curve spaces (declarative tables of image names and mapping
-degrees), derivation of the linear and quadratic boundary relations from
-the four-point relations, the Hodge-class identity chains, the full
-intersection-number tables of boundary divisors against codimension-2
-strata, and the base-space numbers they calibrate against.
+rational curve spaces (one tabled push: a divisor finds its image class
+and mapping degree through the loaded space's divisor map, or through the
+tables ``H_TABLES`` of the 5-marked covers), derivation of the linear and
+quadratic boundary relations from the four-point relations, the
+Hodge-class identity chains, the full intersection-number tables of
+boundary divisors against codimension-2 strata, and the base-space numbers
+they calibrate against.
 
 The pushforward of a G-invariant class x to the base is the transfer
 sum of g.x over the |S_6|/|G| left coset representatives g of G in S_6
@@ -22,7 +24,6 @@ table entry is a check, not an input.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -35,8 +36,6 @@ from .symmetry import act, coset_representatives
 # Frozen by the single documented calibration (see intersection_number).
 INTERSECTION_CALIBRATION = Fraction(4)
 
-QUOTIENT_TAGS = ("R2", "S2plus", "S2minus")
-
 
 # -- linear combinations of named classes -------------------------------------
 
@@ -44,15 +43,15 @@ class NamedCombo:
     """A rational combination of formal products of class names on a space.
 
     Keys are sorted tuples of names; the empty tuple is the unit.  This is
-    the exchange format for derived relations: symbolic enough to print
-    against the reference tables, and evaluable in the invariant ring by
+    the exchange format for pushforwards and derived relations: ``add``
+    accumulates terms, ``normalized`` gives the form compared against the
+    reference tables, and ``evaluate`` reaches the invariant ring through
     ``SpaceDescriptor.evaluate``, the one evaluator of named classes.
     """
 
-    def __init__(self, space: str,
-                 terms: dict[tuple[str, ...], Fraction] | None = None):
+    def __init__(self, space: str):
         self.space = space
-        self.terms = {} if terms is None else terms
+        self.terms: dict[tuple[str, ...], Fraction] = {}
 
     def add(self, names: tuple[str, ...], coeff) -> None:
         key = tuple(sorted(names))
@@ -61,21 +60,6 @@ class NamedCombo:
             self.terms[key] = c
         else:
             self.terms.pop(key, None)
-
-    def scaled(self, c) -> "NamedCombo":
-        out = NamedCombo(self.space)
-        for k, v in self.terms.items():
-            out.add(k, v * Fraction(c))
-        return out
-
-    def plus(self, other: "NamedCombo") -> "NamedCombo":
-        out = NamedCombo(self.space, dict(self.terms))
-        for k, v in other.terms.items():
-            out.add(k, v)
-        return out
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def normalized(self) -> "NamedCombo":
         """Primitive integer coefficients, first term positive, for stable
@@ -107,47 +91,43 @@ class NamedCombo:
 
 # -- pushforward along the 6-marked covers ------------------------------------
 
-def boundary_pushforward_table(space: SpaceDescriptor) -> dict[BoundaryIndex, tuple[str, int]]:
-    """Every canonical boundary divisor upstairs with its image name and
-    the mapping degree onto it."""
-    table = {}
-    for e in space.boundary.values():
-        for d in e.orbit:
-            table[d] = (e.name, e.degree)
-    return table
-
-
-def pushforward(space: SpaceDescriptor, element: RingElement) -> NamedCombo:
-    """Proper pushforward of an upstairs divisor combination, converted to
+def _tabled_push(space: SpaceDescriptor, image, element: RingElement) -> NamedCombo:
+    """Proper pushforward of a divisor combination, each divisor finding its
+    (image name, mapping degree) through ``image``, converted to
     stack-weighted coordinates: a divisor mapping with degree k onto W
     contributes k [W] = k * aut(W) * w."""
     if element.degree != 1:
         raise ValueError("tabled pushforward covers divisor classes")
-    table = boundary_pushforward_table(space)
     out = NamedCombo(space.tag)
-    for mono, c in element.coeffs.items():
-        (div,) = mono
-        if div not in table:
-            raise KeyError(f"divisor {div} not tabled for {space.tag}")
-        name, degree = table[div]
+    for (div,), c in element.coeffs.items():
+        name, degree = image(div)
         out.add((name,), c * degree * space.aut_number(name))
     return out
 
 
+def pushforward(space: SpaceDescriptor, element: RingElement) -> NamedCombo:
+    """Pushforward along the cover of a 6-marked space: a divisor maps onto
+    the boundary class whose orbit holds it, with that class's degree."""
+    def image(div):
+        name = space.boundary_of.get(div)
+        if name is None:
+            raise KeyError(f"divisor {div} not tabled for {space.tag}")
+        return name, space.boundary[name].degree
+    return _tabled_push(space, image, element)
+
+
 def derive_linear_relation(space_tag: str) -> NamedCombo:
-    """Push every four-point relation through the cover and echelonize: the
-    span of the images is the module of linear relations between the
-    boundary classes downstairs (zero for the odd spin space)."""
+    """Push the kernel's echelon basis of the four-point relations through
+    the cover and echelonize: pushforward is linear, so the images span the
+    module of linear relations between the boundary classes downstairs
+    (zero for the odd spin space)."""
     space = load_space(space_tag)
     names = list(space.boundary)
+    column = {name: j for j, name in enumerate(names)}
     rows = []
-    for quad in itertools.combinations(range(1, space.n + 1), 4):
-        for rel in four_point_relation(space.n, *quad):
-            combo = pushforward(space, rel)
-            row = {j: combo.terms[(nm,)] for j, nm in enumerate(names)
-                   if combo.terms.get((nm,))}
-            if row:
-                rows.append(row)
+    for rel in space.gb.linear_relations:
+        combo = pushforward(space, RingElement(space.n, 1, rel))
+        rows.append({column[nm]: c for (nm,), c in combo.terms.items()})
     red, pivots = rref(QMatrix(rows, len(names)))
     if not pivots:
         return NamedCombo(space_tag)
@@ -195,13 +175,8 @@ def _divisor_two_subset(d: BoundaryIndex) -> frozenset[int]:
 def pushforward_m05(table_name: str, element: RingElement) -> NamedCombo:
     """Pushforward along a 5-marked boundary cover, in stack coordinates."""
     space_tag, table = H_TABLES[table_name]
-    space = load_space(space_tag)
-    out = NamedCombo(space_tag)
-    for mono, c in element.coeffs.items():
-        (div,) = mono
-        name, degree = table[_divisor_two_subset(div)]
-        out.add((name,), c * degree * space.aut_number(name))
-    return out
+    return _tabled_push(load_space(space_tag),
+                        lambda div: table[_divisor_two_subset(div)], element)
 
 
 def derive_m05_relations() -> list[NamedCombo]:
@@ -357,12 +332,12 @@ def verify_lambda_identities() -> dict[str, dict]:
     for space_tag, y, factor, pushes, note in LAMBDA_CHAINS:
         space = load_space(space_tag)
         lam = space.lambda_name
-        lhs = NamedCombo(space_tag)
-        lhs.add((y, lam), 1)
         rhs = NamedCombo(space_tag)
+        diff = NamedCombo(space_tag)
+        diff.add((y, lam), 1)
         for coeff, names in pushes:
             rhs.add(names, factor * coeff)
-        diff = lhs.plus(rhs.scaled(-1))
+            diff.add(names, -factor * coeff)
         ok, residue = check_combo_vanishes(diff)
         report[f"{y}*{lam} = {rhs}"] = {
             "holds": ok, "space": space_tag, "note": note,

@@ -31,7 +31,8 @@ from .strata_aut import (MarkedTree, StratumDescriptor,
                          trees_isomorphic)
 from .symmetry import PermGroup, standard_group
 
-SPACE_TAGS = ("R2", "S2plus", "S2minus", "M2")
+QUOTIENT_TAGS = ("R2", "S2plus", "S2minus")
+SPACE_TAGS = QUOTIENT_TAGS + ("M2",)
 
 
 class RegistryError(ValueError):
@@ -144,6 +145,7 @@ class SpaceDescriptor:
                  a_marks: frozenset[int], unordered_classes: bool,
                  aut_generic: int, fundamental_pushforward: Fraction,
                  boundary: dict[str, BoundaryEntry],
+                 boundary_of: dict[BoundaryIndex, str],
                  strata: dict[str, StratumEntry], lambda_name: str,
                  lambda_coeffs: dict[str, Fraction], gb: GradedBasis,
                  pullback_delta0: dict[str, Fraction] | None = None,
@@ -156,6 +158,7 @@ class SpaceDescriptor:
         self.aut_generic = aut_generic
         self.fundamental_pushforward = fundamental_pushforward
         self.boundary = boundary
+        self.boundary_of = boundary_of  # each divisor upstairs -> its class
         self.strata = strata
         self.lambda_name = lambda_name
         self.lambda_coeffs = lambda_coeffs
@@ -328,7 +331,7 @@ def load_space(tag: str) -> SpaceDescriptor:
         tag=tag, group=group, n=n, a_marks=a_marks,
         unordered_classes=unordered, aut_generic=int(data["aut_generic"]),
         fundamental_pushforward=Fraction(data["fundamental_pushforward"]),
-        boundary=boundary, strata=strata,
+        boundary=boundary, boundary_of=divisor_to_name, strata=strata,
         lambda_name=data["lambda_class"]["name"],
         lambda_coeffs={k: Fraction(v)
                        for k, v in data["lambda_class"]["coeffs"].items()},

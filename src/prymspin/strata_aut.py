@@ -47,24 +47,10 @@ class MarkedTree:
         object.__setattr__(self, "marks", marks)
         object.__setattr__(self, "edges", edges)
         n = len(marks)
-        adj = {i: set() for i in range(n)}
-        for c, d in self.edges:
-            adj[c].add(d)
-            adj[d].add(c)
-        # connected and acyclic
-        if len(self.edges) != n - 1:
+        # connected with n - 1 edges, so acyclic
+        if len(edges) != n - 1:
             raise ValueError("not a tree")
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        if len(seen) != n:
+        if len(set(_components(n, edges))) != 1:
             raise ValueError("not connected")
         for c in range(n):
             if self.special_count(c) < 3:
@@ -105,22 +91,10 @@ class MarkedTree:
         """Mark counts on the far side of an edge, seen from one endpoint."""
         c, d = self.edges[edge_index]
         far = d if from_comp == c else c
-        reach = {far}
-        frontier = [far]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for k, (x, y) in enumerate(self.edges):
-                    if k == edge_index:
-                        continue
-                    for w in ((y,) if x == v else (x,) if y == v else ()):
-                        if w not in reach:
-                            reach.add(w)
-                            nxt.append(w)
-            frontier = nxt
-        a = sum(self.marks[v][0] for v in reach)
-        b = sum(self.marks[v][1] for v in reach)
-        return a, b
+        root = _components(len(self.marks), [e for k, e in enumerate(self.edges)
+                                             if k != edge_index])
+        side = [m for v, m in enumerate(self.marks) if root[v] == root[far]]
+        return sum(a for a, _ in side), sum(b for _, b in side)
 
 
 def parse_tree(text: str) -> MarkedTree:

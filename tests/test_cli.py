@@ -153,6 +153,13 @@ def test_input_errors_exit_2(capsys, tmp_path):
         assert err.count("\n") == 1 and message in err, (doc, err)
     assert main(["verify", "--presentation", str(path)]) == 2
     assert "needs --space" in capsys.readouterr().err
+    # a preset presents one space; another --space is refused, its own kept
+    assert main(["verify", "--presentation", "J", "--space", "R2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: presentation J presents S2plus, not R2\n"
+    assert main(["verify", "--presentation", "K", "--space", "S2minus"]) == 0
+    assert "against S2minus" in capsys.readouterr().out
 
 
 def test_report_all_deterministic(capsys):
@@ -209,6 +216,41 @@ def test_strata_tree_with_wrong_mark_count_exits_fast(capsys):
     assert code == 2
     assert time.perf_counter() - t0 < 1.0
     assert "22 marks" in capsys.readouterr().err
+
+
+def test_intersection_kernel_compares_by_span(capsys, monkeypatch):
+    import prymspin.cli as cli
+    from prymspin import reference
+    from prymspin.exact_linear import QMatrix, kernel_basis
+
+    def kernel_row(expected):
+        monkeypatch.setitem(reference.A4_KERNELS, "R2", expected)
+        out = run(capsys, "intersections", "--space", "R2")[1]
+        return next(line for line in out.splitlines() if "] kernel:" in line)
+
+    assert kernel_row([[-2, -12, 6, -24, 16]]).startswith("- [ok]")
+    assert kernel_row([[1, 6, -3, 12, -7]]).startswith("- [FAIL]")
+    assert kernel_row([]).startswith("- [FAIL]")
+    # on the first four rows the kernel has dimension 2: a reference whose
+    # first row matches but whose rows do not span the kernel fails, and
+    # another basis of the same span passes
+    real = cli.intersection_table
+
+    def fewer_rows(space_tag):
+        rows, cols, table = real(space_tag)
+        return rows[:4], cols, table[:4]
+
+    monkeypatch.setattr(cli, "intersection_table", fewer_rows)
+    rows, cols, table = fewer_rows("R2")
+    perm = [cols.index(c) for c in reference.BOUNDARY_ORDER["R2"]]
+    ker = [[v.get(j, 0) for j in range(len(cols))] for v in kernel_basis(
+        QMatrix([{j: row[p] for j, p in enumerate(perm) if row[p]}
+                 for row in table], len(cols)))]
+    assert len(ker) == 2
+    assert kernel_row([ker[0], [0, 0, 0, 0, 1]]).startswith("- [FAIL]")
+    assert kernel_row([ker[0], ker[0]]).startswith("- [FAIL]")
+    assert kernel_row([[a + b for a, b in zip(*ker)], ker[1]]).startswith(
+        "- [ok]")
 
 
 @pytest.mark.parametrize("tag", ["R2", "S2plus", "S2minus"])

@@ -7,9 +7,9 @@ import prymspin.pushpull as pushpull
 import prymspin.symmetry as symmetry
 from oracles import push_full_group
 from prymspin import reference
-from prymspin.exact_linear import QMatrix, kernel_basis, rank
+from prymspin.exact_linear import QMatrix, kernel_basis, rank, rref
 from prymspin.keel_ring import (GradedBasis, RingElement, build_graded_basis,
-                                canonicalize)
+                                canonicalize, four_point_relation)
 from prymspin.pushpull import (INTERSECTION_CALIBRATION, NamedCombo,
                                check_combo_vanishes, derive_linear_relation,
                                derive_m05_relations, intersection_number,
@@ -60,6 +60,51 @@ class TestPushforward:
             vec = [combo.terms.get((c,), Fraction(0)) for c in cols]
             assert all(sum(mat[i][j] * vec[j] for j in range(len(cols)))
                        == 0 for i in range(len(rows)))
+
+
+class TestTabledPush:
+    @pytest.mark.parametrize("tag", ["R2", "S2plus", "S2minus"])
+    def test_relation_basis_spans_all_four_point_relations(self, tag):
+        # the direct route: push all 30 four-point relations and take the
+        # reduced row-echelon form of their images
+        space = load_space(tag)
+        names = list(space.boundary)
+        rows = []
+        for quad in itertools.combinations(range(1, space.n + 1), 4):
+            for rel in four_point_relation(space.n, *quad):
+                combo = pushforward(space, rel)
+                rows.append({j: combo.terms[(nm,)]
+                             for j, nm in enumerate(names)
+                             if (nm,) in combo.terms})
+        assert len(rows) == 30
+        red, _ = rref(QMatrix(rows, len(names)))
+        assert len(red) <= 1
+        expected = NamedCombo(tag)
+        for row in red:
+            for j, c in row.items():
+                expected.add((names[j],), c)
+        assert derive_linear_relation(tag).terms == expected.normalized().terms
+
+    def test_divisor_of_another_space_is_refused(self):
+        with pytest.raises(KeyError, match="not tabled for S2plus"):
+            pushforward(load_space("S2plus"), gen(1, 2, n=5))
+
+    def test_degree_two_class_is_refused(self):
+        product = RingElement(6, 2, {(canonicalize({1, 2}, 6),
+                                      canonicalize({3, 4}, 6)): 1})
+        with pytest.raises(ValueError, match="divisor classes"):
+            pushforward(load_space("R2"), product)
+
+    @pytest.mark.parametrize("table_name", sorted(pushpull.H_TABLES))
+    def test_every_h_table_row(self, table_name):
+        space_tag, table = pushpull.H_TABLES[table_name]
+        space = load_space(space_tag)
+        assert len(table) == 10
+        for pair, (name, degree) in table.items():
+            combo = pushforward_m05(table_name, gen(*pair, n=5))
+            assert combo.space == space_tag
+            assert combo.terms == {
+                (name,): Fraction(degree * space.aut_number(name))}, pair
 
 
 class TestM05:

@@ -98,6 +98,47 @@ class TestParse:
             parse_tree("(A -1)(A B B B B -1)")
 
 
+def _reached_marks(tree, edge_index, start):
+    """Mark counts of the components a depth-first walk reaches from start
+    without crossing the edge."""
+    seen, stack = {start}, [start]
+    while stack:
+        v = stack.pop()
+        for k, (x, y) in enumerate(tree.edges):
+            if k != edge_index and v in (x, y):
+                w = y if x == v else x
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return (sum(tree.marks[v][0] for v in seen),
+            sum(tree.marks[v][1] for v in seen))
+
+
+class TestTreeTraversal:
+    def test_wrong_edge_count_is_not_a_tree(self):
+        for edges in ((), ((0, 1), (0, 1))):
+            with pytest.raises(ValueError, match="not a tree"):
+                MarkedTree(((2, 0), (0, 4)), edges)
+
+    def test_self_loop_is_not_connected(self):
+        with pytest.raises(ValueError, match="not connected"):
+            parse_tree("(A A -1 -1)(B B B B)")
+        with pytest.raises(ValueError, match="not connected"):
+            MarkedTree(((1, 1), (1, 1), (1, 1)), ((0, 0), (1, 2)))
+
+    def test_far_side_marks_on_every_stable_tree(self):
+        trees = stable_marked_trees(6)
+        assert len(trees) == 692
+        for tree in trees:
+            for k, (c, d) in enumerate(tree.edges):
+                near_c = tree.far_side_marks(k, c)
+                near_d = tree.far_side_marks(k, d)
+                assert near_c == _reached_marks(tree, k, d), (tree, k)
+                assert near_d == _reached_marks(tree, k, c), (tree, k)
+                assert (near_c[0] + near_d[0], near_c[1] + near_d[1]) \
+                    == tree.total_marks(), (tree, k)
+
+
 class TestValueSemantics:
     """Trees and stratum descriptors are memo keys: built twice they are
     equal, hash as their field tuples and hit the memo."""
