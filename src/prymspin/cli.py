@@ -250,8 +250,12 @@ def cmd_strata(args) -> int:
         if marks != MARKS:
             raise ValueError(f"the tree carries {marks} marks; every space "
                              f"is a quotient of the {MARKS}-marked space")
-        space = load_space(args.space) if args.space else None
-        swap = space.unordered_classes if space else False
+        space = load_space(args.space)
+        swap = space.unordered_classes
+        a, b = len(space.a_marks), MARKS - len(space.a_marks)
+        if tree.total_marks() not in ((a, b), (b, a) if swap else (a, b)):
+            raise ValueError(f"the tree carries {tree.total_marks()} (A, B) "
+                             f"marks; {args.space} needs ({a}, {b})")
         rows = report.section("tree analysis")
         m = count_marked_automorphisms(tree, swap)
         rows.append(("generic automorphisms", str(m), None))

@@ -253,6 +253,8 @@ class Presentation:
                     and all(isinstance(t, str) for t in value)):
                 raise ValueError(f"{field} must be a list of strings, "
                                  f"got {value!r}")
+        if len(set(variables)) != len(variables):
+            raise ValueError(f"variables must be distinct, got {variables!r}")
         max_degree = _checked_max_degree(max_degree)
         gens = [parse_polynomial(t, list(variables), max_degree)
                 for t in texts]

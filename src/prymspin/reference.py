@@ -102,6 +102,11 @@ EXTRA_RELATIONS = {
     "S2minus": ["24*a1m^2 + a0m*a1m + 2*b0m*a1m"],
 }
 
+# The Hodge class of the base in its boundary classes: 10 lambda = delta0 +
+# 2 delta1 (Mumford, "Towards an enumerative geometry of the moduli space of
+# curves", 1983).  Every space's lambda is this combination pulled back.
+MUMFORD_LAMBDA = {"delta0": Fraction(1, 10), "delta1": Fraction(1, 5)}
+
 THETA_G2 = {"prym_total": 15, "spin_even": 10, "spin_odd": 6}
 
 # The quadratic base relation holds; the two cross-check variants are
@@ -112,7 +117,8 @@ M2_RELATION = "12*delta1^2 + delta0*delta1"
 
 # M2_RELATION pulled back to each cover, written in its boundary classes:
 # each text is a nonzero multiple of M2_RELATION with delta0 and delta1
-# replaced by the preset's pullback_delta0 and pullback_delta1.
+# replaced by their pullbacks, which the loader derives by orbit containment
+# (space_registry.pullback_tables).
 PULLBACK_RELATIONS = {
     "R2": "12*(d1 + d11)^2 + (d0p + d0pp + 2*d0r)*(d1 + d11)",
     "S2plus": "12*(2*a1p + 2*b1p)^2 + (a0p + 2*b0p)*(2*a1p + 2*b1p)",

@@ -4,13 +4,13 @@ Each space (the base of genus-2 curves, the square-root covers of it with a
 nontrivial 2-torsion bundle, and the two theta-characteristic components)
 is a quotient of the 6-marked rational curve space by a mark-permutation
 group.  The preset file of a space lists its boundary divisors and closed
-strata by orbit representatives, together with the reference values every
-entry must reproduce: mapping degree, automorphism number of the generic
-object, fiber count over the base stratum, and pushforward coefficient.
-
-Loading a space recomputes all of these from the dual-tree combinatorics
-and fails loudly on any mismatch, so a transcription error in the presets
-cannot survive.
+strata by orbit representatives, with the published values each entry must
+reproduce: mapping degree, automorphism number, fiber count over the base
+stratum, and pushforward coefficient.  Loading a space recomputes these
+from the dual-tree combinatorics and fails loudly on any mismatch.  The
+forgetful degree |S_6|/|G|, the pullbacks of the base boundary classes
+(``pullback_tables``) and the Hodge class (Mumford's 10 lambda = delta0 +
+2 delta1, pulled back) are derived, never read.
 
 ``SpaceDescriptor.evaluate`` is the one evaluator of polynomials in named
 classes: relations, Hodge chains, presentation generators and pullbacks
@@ -22,9 +22,11 @@ import json
 import os
 from fractions import Fraction
 from importlib import resources
+from math import factorial
 
 from .keel_ring import (BoundaryIndex, GradedBasis, Monomial, RingElement,
                         build_graded_basis, canonicalize)
+from .reference import MUMFORD_LAMBDA
 from .strata_aut import (MarkedTree, StratumDescriptor,
                          count_marked_automorphisms, fiber_count,
                          prym_aut_number, stratum_pushforward_coeff,
@@ -86,12 +88,11 @@ class NamedClass:
     """A named cycle class of a space, living in the invariant subring."""
 
     def __init__(self, space: str, name: str, value: RingElement,
-                 aut: int | None = None, cite: str = ""):
+                 aut: int | None = None):
         self.space = space
         self.name = name
         self.value = value
         self.aut = aut               # automorphism number (None for lambda)
-        self.cite = cite
 
 
 class BoundaryEntry:
@@ -101,7 +102,7 @@ class BoundaryEntry:
     def __init__(self, name: str, display: str, rep: BoundaryIndex,
                  orbit: frozenset[BoundaryIndex], degree: int, aut: int,
                  fiber_count: int, stab_order: int, tree: MarkedTree,
-                 blown: bool, cite: str):
+                 blown: bool):
         self.name = name
         self.display = display
         self.rep = rep
@@ -112,7 +113,6 @@ class BoundaryEntry:
         self.stab_order = stab_order   # generic automorphisms m of the tree
         self.tree = tree
         self.blown = blown
-        self.cite = cite
 
 
 class StratumEntry:
@@ -123,7 +123,7 @@ class StratumEntry:
                  orbit: frozenset[Monomial], aut: int, stab_order: int,
                  tree: MarkedTree, blown_edges: frozenset[int],
                  pushforward_target: str | None,
-                 pushforward_coeff: Fraction | None, cite: str):
+                 pushforward_coeff: Fraction | None):
         self.name = name
         self.display = display
         self.rep = rep
@@ -134,7 +134,6 @@ class StratumEntry:
         self.blown_edges = blown_edges
         self.pushforward_target = pushforward_target
         self.pushforward_coeff = pushforward_coeff
-        self.cite = cite
 
 
 class SpaceDescriptor:
@@ -143,30 +142,25 @@ class SpaceDescriptor:
 
     def __init__(self, tag: str, group: PermGroup, n: int,
                  a_marks: frozenset[int], unordered_classes: bool,
-                 aut_generic: int, fundamental_pushforward: Fraction,
                  boundary: dict[str, BoundaryEntry],
                  boundary_of: dict[BoundaryIndex, str],
                  strata: dict[str, StratumEntry], lambda_name: str,
-                 lambda_coeffs: dict[str, Fraction], gb: GradedBasis,
-                 pullback_delta0: dict[str, Fraction] | None = None,
-                 pullback_delta1: dict[str, Fraction] | None = None):
+                 lambda_coeffs: dict[str, Fraction], gb: GradedBasis):
         self.tag = tag
         self.group = group
         self.n = n
         self.a_marks = a_marks
         self.unordered_classes = unordered_classes
-        self.aut_generic = aut_generic
-        self.fundamental_pushforward = fundamental_pushforward
+        # degree of the forgetful map to the base: |S_n| / |G|
+        self.fundamental_pushforward = Fraction(factorial(n), group.order)
         self.boundary = boundary
         self.boundary_of = boundary_of  # each divisor upstairs -> its class
         self.strata = strata
         self.lambda_name = lambda_name
         self.lambda_coeffs = lambda_coeffs
         self.gb = gb
-        self.pullback_delta0 = pullback_delta0
-        self.pullback_delta1 = pullback_delta1
         # Named classes built so far.  A space is never changed after
-        # loading, and the space cache is keyed by its preset file.
+        # loading, and the space cache is keyed by its preset files.
         self._classes: dict[str, NamedClass] = {}
 
     # -- class dictionary ---------------------------------------------------
@@ -179,8 +173,6 @@ class SpaceDescriptor:
             return self.boundary[name].aut
         if name in self.strata:
             return self.strata[name].aut
-        if name == "point":
-            return self.aut_generic
         raise KeyError(f"no automorphism number for {name!r}")
 
     def named_class(self, name: str) -> NamedClass:
@@ -217,7 +209,7 @@ class SpaceDescriptor:
         k = len(next(iter(orbit)))
         mult = Fraction(e.stab_order, e.aut * 2 ** (k - 1))
         value = self.gb.reduce(RingElement(self.n, k, {m: mult for m in orbit}))
-        return NamedClass(self.tag, name, value, e.aut, e.cite)
+        return NamedClass(self.tag, name, value, e.aut)
 
     def evaluate(self, terms: dict[tuple[str, ...], Fraction]) -> RingElement:
         """The reduced sum of c times the product of the named classes, over
@@ -239,13 +231,17 @@ class SpaceDescriptor:
         return self.gb.combine(degrees.pop() if degrees else 0, products)
 
 
-def pullback_delta(space: "SpaceDescriptor") -> tuple[RingElement, RingElement]:
-    """The pullbacks of the two base boundary classes, as invariant ring
-    elements (the base space itself is refused)."""
-    if space.pullback_delta0 is None:
-        raise ValueError("the base space has no forgetful pullback")
-    return tuple(space.evaluate({(name,): c for name, c in table.items()})
-                 for table in (space.pullback_delta0, space.pullback_delta1))
+def pullback_tables(boundary: dict[str, BoundaryEntry],
+                    base: dict[str, BoundaryEntry]) -> dict[str, dict[str, Fraction]]:
+    """The pullback of each base boundary class b as {W: c_W}, over the
+    boundary classes W whose divisor orbit lies inside b's.
+
+    Both sides are scaled orbit sums upstairs (see ``named_class``), and the
+    orbits inside b's partition it, so c_W = (m_b n_W) / (n_b m_W)."""
+    return {b.name: {w.name: Fraction(b.stab_order * w.aut,
+                                      b.aut * w.stab_order)
+                     for w in boundary.values() if w.orbit <= b.orbit}
+            for b in base.values()}
 
 
 # -- loading and audits -------------------------------------------------------
@@ -253,17 +249,19 @@ def pullback_delta(space: "SpaceDescriptor") -> tuple[RingElement, RingElement]:
 # Every space is a quotient of the 6-marked rational curve space.
 MARKS = 6
 
-# Keyed by the resolved preset file, so that a space loaded from one preset
-# directory is never returned for another, whatever the working directory,
-# and a directory without the file shares the packaged space.
-_SPACE_CACHE: dict[str, SpaceDescriptor] = {}
+# Keyed by the resolved preset files of the space and of the base, whose
+# boundary classes give the Hodge class, so that a space loaded from one
+# preset directory is never returned for another, whatever the working
+# directory, and a directory without the files shares the packaged space.
+_SPACE_CACHE: dict[tuple[str, str], SpaceDescriptor] = {}
 
 
 def load_space(tag: str) -> SpaceDescriptor:
     if tag not in SPACE_TAGS:
         raise ValueError(f"unknown space tag {tag!r}")
     path = _preset_path(f"space_{tag}.json")
-    cached = _SPACE_CACHE.get(path)
+    key = (path, _preset_path("space_M2.json"))
+    cached = _SPACE_CACHE.get(key)
     if cached is not None:
         return cached
     n = MARKS
@@ -295,7 +293,7 @@ def load_space(tag: str) -> SpaceDescriptor:
             name=item["name"], display=item["display"], rep=rep,
             orbit=orbit, degree=int(item["degree"]), aut=int(item["aut"]),
             fiber_count=int(item["fiber_count"]), stab_order=m, tree=tree,
-            blown=item["name"] in blown_names, cite=item.get("cite", ""))
+            blown=item["name"] in blown_names)
         boundary[entry.name] = entry
         for d in orbit:
             if d in divisor_to_name:
@@ -323,27 +321,21 @@ def load_space(tag: str) -> SpaceDescriptor:
             aut=int(item["aut"]), stab_order=m, tree=tree,
             blown_edges=blown_edges,
             pushforward_target=push[0] if push else None,
-            pushforward_coeff=Fraction(push[1]) if push else None,
-            cite=item.get("cite", ""))
+            pushforward_coeff=Fraction(push[1]) if push else None)
         strata[entry.name] = entry
 
+    base = None if tag == "M2" else load_space("M2")
+    pulled = pullback_tables(boundary, base.boundary if base else boundary)
     space = SpaceDescriptor(
         tag=tag, group=group, n=n, a_marks=a_marks,
-        unordered_classes=unordered, aut_generic=int(data["aut_generic"]),
-        fundamental_pushforward=Fraction(data["fundamental_pushforward"]),
+        unordered_classes=unordered,
         boundary=boundary, boundary_of=divisor_to_name, strata=strata,
         lambda_name=data["lambda_class"]["name"],
-        lambda_coeffs={k: Fraction(v)
-                       for k, v in data["lambda_class"]["coeffs"].items()},
-        gb=gb,
-        pullback_delta0=({k: Fraction(v) for k, v in data["pullback_delta0"].items()}
-                         if data.get("pullback_delta0") else None),
-        pullback_delta1=({k: Fraction(v) for k, v in data["pullback_delta1"].items()}
-                         if data.get("pullback_delta1") else None))
-    _audit_strata(space)
-    if Fraction(720, group.order) != space.fundamental_pushforward:
-        raise RegistryError(f"{tag}: forgetful degree mismatch")
-    _SPACE_CACHE[path] = space
+        lambda_coeffs={w: share * c for b, share in MUMFORD_LAMBDA.items()
+                       for w, c in pulled[b].items()},
+        gb=gb)
+    _audit_strata(space, base or space)
+    _SPACE_CACHE[key] = space
     return space
 
 
@@ -361,9 +353,8 @@ def _audit_boundary(tag, group, boundary, divisor_to_name, divisors):
                 f"x aut_upstairs({e.stab_order}) != group order {group.order}")
 
 
-def _audit_strata(space: SpaceDescriptor):
+def _audit_strata(space: SpaceDescriptor, base: SpaceDescriptor):
     tag = space.tag
-    base = space if tag == "M2" else load_space("M2")
     seen: dict[Monomial, str] = {}
     for e in space.strata.values():
         for m in e.orbit:

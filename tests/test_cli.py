@@ -145,7 +145,9 @@ def test_input_errors_exit_2(capsys, tmp_path):
                          ({**good, "variables": "d0p"}, "variables must be"),
                          ({"variables": ["d0p"]}, "generators must be"),
                          ({**good, "max_degree": 2.9}, "max_degree must be"),
-                         ({**good, "max_degree": "3"}, "max_degree must be")):
+                         ({**good, "max_degree": "3"}, "max_degree must be"),
+                         ({**good, "variables": ["d0p", "d0p"]},
+                          "variables must be distinct")):
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["verify", "--space", "R2",
                      "--presentation", str(path)]) == 2, doc
@@ -216,6 +218,34 @@ def test_strata_tree_with_wrong_mark_count_exits_fast(capsys):
     assert code == 2
     assert time.perf_counter() - t0 < 1.0
     assert "22 marks" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("space,tree", [
+    ("R2", "(A A A -1)(B B B -1)"),
+    ("R2", "(A A -1)(A A B B -1)"),
+    ("M2", "(A A -1)(A A B B -1)"),
+    ("S2minus", "(A A -1)(B B B B -1)"),
+    ("S2plus", "(A A -1)(A A B B -1)"),
+])
+def test_strata_tree_must_carry_the_space_partition(capsys, space, tree):
+    # six marks, but not split into the space's A- and B-marks: the tree is
+    # no stratum of that space
+    assert main(["strata", "--space", space, "--tree", tree]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert f"{space} needs" in captured.err
+
+
+@pytest.mark.parametrize("space,tree", [
+    ("M2", "(A A -1)(A A A A -1)"),
+    ("S2plus", "(A A -1)(A B B B -1)"),
+    ("S2plus", "(B B -1)(A A A B -1)"),
+    ("S2minus", "(B B -1)(A B B B -1)"),
+])
+def test_strata_tree_with_the_space_partition_passes(capsys, space, tree):
+    code, out = run(capsys, "strata", "--space", space, "--tree", tree)
+    assert code == 0 and "verdict: PASS" in out
 
 
 def test_intersection_kernel_compares_by_span(capsys, monkeypatch):

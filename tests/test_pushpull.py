@@ -140,13 +140,14 @@ class TestIntersectionTables:
                       len(cols))
         assert rank(mat) == reference.A4_RANKS[tag]
         ker = kernel_basis(mat)
-        expected = reference.A4_KERNELS[tag]
-        assert len(ker) == len(expected)
-        if ker:
-            order = reference.BOUNDARY_ORDER[tag]
-            v = [ker[0].get(cols.index(c), 0) for c in order]
-            scale = next(x / y for x, y in zip(v, expected[0]) if y)
-            assert v == [scale * y for y in expected[0]]
+        # compared by span: the reference vectors, in reference column
+        # order, lie in the span of the computed kernel of the same size
+        order = [cols.index(c) for c in reference.BOUNDARY_ORDER[tag]]
+        expected = [{order[i]: Fraction(y) for i, y in enumerate(v) if y}
+                    for v in reference.A4_KERNELS[tag]]
+        assert (len(ker) == len(expected)
+                == rank(QMatrix(expected, len(cols)))
+                == rank(QMatrix(ker + expected, len(cols))))
 
     def test_calibration_anchor(self):
         # the single documented calibration: d0''.[E',']_Q = 1/4 pins the
@@ -236,12 +237,16 @@ class TestPushToBase:
                 assert pushed == space.gb.reduce(target), (tag, name)
 
     def test_fundamental_class_degree(self):
-        m2 = load_space("M2")
-        for tag in ("R2", "S2plus", "S2minus"):
+        # the forgetful degree is the published count of square roots or
+        # theta characteristics of a genus-2 curve
+        census = {"R2": "prym_total", "S2plus": "spin_even",
+                  "S2minus": "spin_odd"}
+        for tag, count in census.items():
             space = load_space(tag)
             pushed = push_to_base(space, RingElement.unit(6))
-            assert pushed == RingElement.unit(6).scale(
-                space.fundamental_pushforward)
+            degree = reference.THETA_G2[count]
+            assert space.fundamental_pushforward == degree
+            assert pushed == RingElement.unit(6).scale(degree)
 
     @pytest.mark.parametrize("tag", ["R2", "S2plus", "S2minus"])
     def test_stratum_pushforward_columns(self, tag):

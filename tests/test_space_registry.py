@@ -1,6 +1,8 @@
 import itertools
 import json
 import re
+import shutil
+import types
 from fractions import Fraction
 
 import pytest
@@ -10,10 +12,12 @@ from prymspin import reference
 from prymspin.keel_ring import (RingElement, all_divisors, build_graded_basis,
                                 canonicalize, monomial)
 from prymspin.presentations import parse_polynomial
-from prymspin.space_registry import (RegistryError, SpaceDescriptor,
-                                     load_preset_json, load_space,
-                                     pullback_delta, tree_from_monomial)
-from prymspin.strata_aut import trees_isomorphic
+from prymspin.space_registry import (_PACKAGED_PRESETS, RegistryError,
+                                     SpaceDescriptor, load_preset_json,
+                                     load_space, pullback_tables,
+                                     tree_from_monomial)
+from prymspin.strata_aut import (MarkedTree, StratumDescriptor,
+                                 prym_aut_number, trees_isomorphic)
 
 
 @pytest.mark.parametrize("tag", ["R2", "S2plus", "S2minus", "M2"])
@@ -65,10 +69,19 @@ def test_boundary_entries_r2():
 def test_aut_number():
     r2 = load_space("R2")
     assert r2.aut_number("d1") == 4
-    assert r2.aut_number("point") == 2
     assert r2.aut_number("Ep_p") == 4
     m2 = load_space("M2")
     assert m2.aut_number("Delta00") == 4
+    with pytest.raises(KeyError):
+        r2.aut_number("point")
+    # the generic object of every space (one component, no node) has the
+    # published automorphism number 2, the hyperelliptic involution
+    for tag in ("R2", "S2plus", "S2minus", "M2"):
+        space = load_space(tag)
+        a = len(space.a_marks)
+        generic = StratumDescriptor(MarkedTree(((a, 6 - a),), ()),
+                                    frozenset(), space.unordered_classes)
+        assert prym_aut_number(generic) == 2, tag
 
 
 def test_named_class_lambda():
@@ -94,15 +107,46 @@ def test_named_classes_are_invariant():
                 assert act(g, value, gb) == value
 
 
+# The pullbacks of delta0 and delta1 in the boundary classes of each cover,
+# as the presets used to list them.
+PULLBACKS = {
+    "R2": {"delta0": {"d0p": 1, "d0pp": 1, "d0r": 2},
+           "delta1": {"d1": 1, "d11": 1}},
+    "S2plus": {"delta0": {"a0p": 1, "b0p": 2}, "delta1": {"a1p": 2, "b1p": 2}},
+    "S2minus": {"delta0": {"a0m": 1, "b0m": 2}, "delta1": {"a1m": 2}},
+    "M2": {"delta0": {"delta0": 1}, "delta1": {"delta1": 1}},
+}
+
+
 def test_pullback_delta_matches_base_classes():
     m2 = load_space("M2")
-    d0 = m2.named_class("delta0").value
-    d1 = m2.named_class("delta1").value
-    for tag in ("R2", "S2plus", "S2minus"):
-        p0, p1 = pullback_delta(load_space(tag))
-        assert p0 == d0 and p1 == d1
-    with pytest.raises(ValueError):
-        pullback_delta(m2)
+    for tag, expected in PULLBACKS.items():
+        space = load_space(tag)
+        tables = pullback_tables(space.boundary, m2.boundary)
+        assert tables == expected, tag
+        for b, table in tables.items():
+            pulled = space.evaluate({(w,): c for w, c in table.items()})
+            assert pulled == m2.named_class(b).value, (tag, b)
+
+
+# Ten times the Hodge class of each space, as each preset's lambda_class
+# cite prints it.
+TEN_LAMBDA = {
+    "M2": {"delta0": 1, "delta1": 2},
+    "R2": {"d0p": 1, "d0pp": 1, "d0r": 2, "d1": 2, "d11": 2},
+    "S2plus": {"a0p": 1, "b0p": 2, "a1p": 4, "b1p": 4},
+    "S2minus": {"a0m": 1, "b0m": 2, "a1m": 4},
+}
+
+
+@pytest.mark.parametrize("tag", ["R2", "S2plus", "S2minus", "M2"])
+def test_derived_lambda_matches_cited_formula(tag):
+    space = load_space(tag)
+    assert {w: 10 * c for w, c in space.lambda_coeffs.items()} \
+        == TEN_LAMBDA[tag]
+    m2 = load_space("M2")
+    assert space.named_class(space.lambda_name).value \
+        == m2.named_class("lambda").value
 
 
 def test_evaluate_degrees():
@@ -119,9 +163,9 @@ def test_evaluate_degrees():
 @pytest.mark.parametrize("tag", ["R2", "S2plus", "S2minus"])
 def test_pullback_relation_texts_follow_from_presets(tag):
     """Each printed pullback relation is a nonzero multiple of the base
-    relation with the preset's pullbacks substituted for delta0, delta1."""
+    relation with the derived pullbacks substituted for delta0, delta1."""
     space = load_space(tag)
-    tables = {"delta0": space.pullback_delta0, "delta1": space.pullback_delta1}
+    tables = pullback_tables(space.boundary, load_space("M2").boundary)
 
     def substitute(match):
         table = tables[match.group(0)]
@@ -283,16 +327,114 @@ def test_named_class_is_built_once_per_space(tmp_path, monkeypatch):
     lam = original.named_class("l")
     assert original.named_class("l") is lam
     data = load_preset_json("space_R2.json")
-    data["lambda_class"]["coeffs"] = {
-        k: str(2 * Fraction(v)) for k, v in data["lambda_class"]["coeffs"].items()}
+    data["lambda_class"]["name"] = "l2"
+    data["boundary"][0]["display"] = "changed"
     other = tmp_path / "presets"
     other.mkdir()
     with open(other / "space_R2.json", "w", encoding="utf-8") as fh:
         json.dump(data, fh)
     monkeypatch.setenv("MODULI_PRESETS", str(other))
-    assert sr.load_space("R2").named_class("l").value == lam.value.scale(2)
+    copied = sr.load_space("R2")
+    assert copied.boundary["d0p"].display == "changed"
+    assert copied.named_class("l2").value == lam.value
+    with pytest.raises(KeyError):
+        copied.named_class("l")
     monkeypatch.delenv("MODULI_PRESETS")
     assert sr.load_space("R2").named_class("l") is lam
+
+
+def test_space_cache_is_keyed_by_the_base_preset(tmp_path, monkeypatch):
+    # a cover's Hodge class comes from the base's boundary classes, so a
+    # directory holding only another space_M2.json loads its own cover
+    import prymspin.space_registry as sr
+    monkeypatch.delenv("MODULI_PRESETS", raising=False)
+    original = sr.load_space("R2")
+    data = load_preset_json("space_M2.json")
+    data["boundary"][0]["display"] = "changed"
+    changed = tmp_path / "changed"
+    changed.mkdir()
+    with open(changed / "space_M2.json", "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+    data["boundary"][0]["aut"] = 3
+    tampered = tmp_path / "tampered"
+    tampered.mkdir()
+    with open(tampered / "space_M2.json", "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+    monkeypatch.setenv("MODULI_PRESETS", str(changed))
+    copied = sr.load_space("R2")
+    assert copied is not original
+    assert copied.lambda_coeffs == original.lambda_coeffs
+    assert sr.load_space("M2").boundary["delta0"].display == "changed"
+    monkeypatch.setenv("MODULI_PRESETS", str(tampered))
+    with pytest.raises(RegistryError):
+        sr.load_space("R2")
+    monkeypatch.delenv("MODULI_PRESETS")
+    assert sr.load_space("R2") is original
+
+
+# Preset keys kept as documentation only; the loader reads every other key.
+DOCUMENTATION_KEYS = {"space", "description", "cite"}
+
+
+def _unread_preset_keys(monkeypatch, preset_dir, tag):
+    """The keys of the preset files behind load_space(tag) (the space's and
+    the base's) that the loader never reads, documentation keys aside."""
+    import prymspin.space_registry as sr
+
+    class ReadKeys(dict):
+        def __getitem__(self, key):
+            self.read.add(key)
+            return super().__getitem__(key)
+
+        def get(self, key, default=None):
+            self.read.add(key)
+            return super().get(key, default)
+
+    made = []
+
+    def hook(pairs):
+        made.append(ReadKeys(pairs))
+        made[-1].read = set()
+        return made[-1]
+
+    load = json.load
+    monkeypatch.setattr(sr, "json", types.SimpleNamespace(
+        load=lambda fh: load(fh, object_pairs_hook=hook)))
+    monkeypatch.setattr(sr, "_SPACE_CACHE", {})
+    monkeypatch.setenv("MODULI_PRESETS", str(preset_dir))
+    sr.load_space(tag)
+    return {k for d in made for k in d if k not in d.read} - DOCUMENTATION_KEYS
+
+
+@pytest.mark.parametrize("tag", ["R2", "S2plus", "S2minus", "M2"])
+def test_preset_keys_are_all_read(tag, monkeypatch):
+    # a preset carries no value the loader ignores: every model input that
+    # can be derived stays out of the files
+    assert _unread_preset_keys(monkeypatch, _PACKAGED_PRESETS, tag) == set()
+
+
+@pytest.mark.parametrize("where,key,value", [
+    ((), "aut_generic", 2),
+    ((), "fundamental_pushforward", "15"),
+    ((), "pullback_delta0", {"d0p": "1", "d0pp": "1", "d0r": "2"}),
+    (("lambda_class",), "coeffs", {"d0p": "1/10"}),
+    (("boundary", 0), "aut_generic", 2),
+    (("strata", 0), "fiber", 1),
+], ids=["aut_generic", "fundamental_pushforward", "pullback_delta0",
+        "lambda_coeffs", "boundary_aut_generic", "strata_fiber"])
+def test_preset_schema_refuses_unread_keys(tmp_path, monkeypatch, where,
+                                           key, value):
+    presets = tmp_path / "presets"
+    shutil.copytree(_PACKAGED_PRESETS, presets)
+    data = load_preset_json("space_R2.json")
+    entry = data
+    for step in where:
+        entry = entry[step]
+    entry[key] = value
+    with open(presets / "space_R2.json", "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+    # the keys inside an unread value are unread too
+    assert key in _unread_preset_keys(monkeypatch, presets, "R2")
 
 
 def test_each_tree_is_enumerated_once(monkeypatch):
