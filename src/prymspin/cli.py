@@ -158,6 +158,9 @@ def _parse_divisor_expr(text: str, n: int) -> RingElement:
                                  f"{text[pos:]!r}")
             break
         sign, mult, body = m.groups()
+        if pos and not sign:
+            raise ValueError(f"missing + or - before "
+                             f"{text[pos:m.end()].strip()!r}")
         c = Fraction(int(mult) if mult else 1)
         if sign == "-":
             c = -c

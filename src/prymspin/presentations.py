@@ -11,6 +11,10 @@ identifiers) reads the preset ideal generators and ad-hoc relation queries.
 It rejects any exponent or product of degree above the presentation's
 ``max_degree`` and parentheses nested deeper than ``MAX_NESTING``, so the
 work it does is bounded by the length of its input.
+
+Polynomials are keyed by sorted tuples of names, the format that
+``SpaceDescriptor.evaluate`` takes: generators and monomials reach the
+invariant ring through that one evaluator.
 """
 
 from __future__ import annotations
@@ -24,8 +28,9 @@ from .keel_ring import RingElement
 from .space_registry import SpaceDescriptor, load_space, load_preset_json
 from .symmetry import invariant_basis
 
-# A polynomial is a dict exponent-tuple -> coefficient.
-Poly = dict[tuple[int, ...], Fraction]
+# A polynomial is a dict from the sorted tuple of the names a monomial
+# multiplies to its coefficient; () keys the constant term.
+Poly = dict[tuple[str, ...], Fraction]
 
 
 # -- expression parser ---------------------------------------------------------
@@ -61,7 +66,6 @@ class _Parser:
         self.tokens = self._tokenize(text)
         self.pos = 0
         self.variables = variables
-        self.index = {v: i for i, v in enumerate(variables)}
         self.max_degree = max_degree
         self.depth = 0
 
@@ -139,7 +143,7 @@ class _Parser:
             if exp > self.max_degree:
                 raise ExprError(f"exponent {exp} exceeds max_degree "
                                 f"{self.max_degree}")
-            out = _const(Fraction(1), len(self.variables))
+            out = {(): Fraction(1)}
             for _ in range(exp):
                 out = self._bounded(_mul(out, base))
             return out
@@ -147,7 +151,7 @@ class _Parser:
 
     def _bounded(self, poly: Poly) -> Poly:
         """The product just formed, rejected above max_degree."""
-        if poly and max(map(sum, poly)) > self.max_degree:
+        if poly and max(map(len, poly)) > self.max_degree:
             raise ExprError(f"term of degree above max_degree "
                             f"{self.max_degree}")
         return poly
@@ -156,14 +160,12 @@ class _Parser:
         kind, value = self._peek()
         if kind == "num":
             self._take()
-            return _const(Fraction(value), len(self.variables))
+            return _scale({(): 1}, value)
         if kind == "name":
             self._take()
-            if value not in self.index:
+            if value not in self.variables:
                 raise ExprError(f"unknown variable {value!r}")
-            expo = [0] * len(self.variables)
-            expo[self.index[value]] = 1
-            return {tuple(expo): Fraction(1)}
+            return {(value,): Fraction(1)}
         if kind == "op" and value == "(":
             self._take()
             self.depth += 1
@@ -174,10 +176,6 @@ class _Parser:
             self.depth -= 1
             return inner
         raise ExprError(f"unexpected token {(kind, value)}")
-
-
-def _const(c: Fraction, nvars: int) -> Poly:
-    return {tuple([0] * nvars): c} if c else {}
 
 
 def _add(a: Poly, b: Poly) -> Poly:
@@ -200,7 +198,7 @@ def _mul(a: Poly, b: Poly) -> Poly:
     out: Poly = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
+            e = tuple(sorted(ea + eb))
             nc = out.get(e, Fraction(0)) + ca * cb
             if nc:
                 out[e] = nc
@@ -217,7 +215,7 @@ def parse_polynomial(text: str, variables: list[str],
 def poly_degree(p: Poly) -> int:
     if not p:
         return 0
-    degs = {sum(e) for e in p}
+    degs = {len(e) for e in p}
     if len(degs) > 1:
         raise ExprError(f"inhomogeneous polynomial (degrees {sorted(degs)})")
     return degs.pop()
@@ -261,20 +259,15 @@ class Presentation:
         return cls(list(variables), gens, list(texts), max_degree)
 
 
-def _monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
-    out = []
-    for combo in itertools.combinations_with_replacement(range(nvars), degree):
-        e = [0] * nvars
-        for i in combo:
-            e[i] += 1
-        out.append(tuple(e))
-    return sorted(out, reverse=True)
+def _monomials(variables: list[str], degree: int):
+    """The monomials of the degree, as sorted tuples of names."""
+    return itertools.combinations_with_replacement(sorted(variables), degree)
 
 
 def _degree_relation_rows(p: Presentation, d: int):
     """The degree-d monomials, the rows of the degree-d multiples of the
     generators over them, and the generator each row is a multiple of."""
-    monos = _monomials(len(p.variables), d)
+    monos = list(_monomials(p.variables, d))
     index = {m: i for i, m in enumerate(monos)}
     rows = []
     owners = []
@@ -284,9 +277,9 @@ def _degree_relation_rows(p: Presentation, d: int):
         e = poly_degree(g)
         if e > d:
             continue
-        for m in _monomials(len(p.variables), d - e):
-            prod = _mul(g, {m: Fraction(1)})
-            rows.append({index[expo]: c for expo, c in prod.items()})
+        for m in _monomials(p.variables, d - e):
+            rows.append({index[tuple(sorted(key + m))]: c
+                         for key, c in g.items()})
             owners.append(gi)
     return monos, rows, owners
 
@@ -335,14 +328,10 @@ def independence_check(p: Presentation) -> bool:
     return not dependent_generators(p)
 
 
-def evaluate_in_ring(space: SpaceDescriptor, p: Poly,
-                     variables: list[str]) -> RingElement:
+def evaluate_in_ring(space: SpaceDescriptor, p: Poly) -> RingElement:
     """Substitute the named boundary (and Hodge) classes for the variables
-    and reduce in the invariant ring: each exponent tuple becomes the tuple
-    of names it multiplies."""
-    return space.evaluate({
-        tuple(v for v, e in zip(variables, expo) for _ in range(e)): c
-        for expo, c in p.items()})
+    and reduce in the invariant ring."""
+    return space.evaluate(p)
 
 
 def check_relation(space_tag: str, text: str) -> tuple[bool, RingElement]:
@@ -351,7 +340,7 @@ def check_relation(space_tag: str, text: str) -> tuple[bool, RingElement]:
     space = load_space(space_tag)
     variables = list(space.boundary) + [space.lambda_name]
     poly = parse_polynomial(text, variables)
-    residue = evaluate_in_ring(space, poly, variables)
+    residue = evaluate_in_ring(space, poly)
     return residue.is_zero(), residue
 
 
@@ -389,21 +378,14 @@ def verify_presentation(space_tag: str, p: Presentation) -> PresentationReport:
     if set(p.variables) != set(space.boundary):
         raise ValueError(f"variables {p.variables} do not match the "
                          f"boundary classes of {space_tag}")
-    vanish = [evaluate_in_ring(space, g, p.variables).is_zero()
-              for g in p.generators]
+    vanish = [evaluate_in_ring(space, g).is_zero() for g in p.generators]
     inv_dims = invariant_basis(space.group, gb).dims()
-    # Images of the monomials of each degree, as sorted variable-index
-    # tuples: each is the image of its prefix times one more class.
-    classes = [space.named_class(v).value for v in p.variables]
-    images = {(): RingElement.unit(space.n)}
     surjective = []
     for d in range(gb.top + 1):
-        if d:
-            images = {key + (k,): gb.multiply(x, classes[k])
-                      for key, x in images.items()
-                      for k in range(key[-1] if key else 0, len(classes))}
+        images = [evaluate_in_ring(space, {m: Fraction(1)})
+                  for m in _monomials(p.variables, d)]
         rows = [{i: v for i, v in enumerate(gb.coordinates(x).nums) if v}
-                for x in images.values()]
+                for x in images]
         surjective.append(rank(QMatrix(rows, len(gb.basis[d])))
                           == inv_dims[d])
     return PresentationReport(

@@ -13,8 +13,11 @@ forgetful degree |S_6|/|G|, the pullbacks of the base boundary classes
 2 delta1, pulled back) are derived, never read.
 
 ``SpaceDescriptor.evaluate`` is the one evaluator of polynomials in named
-classes: relations, Hodge chains, presentation generators and pullbacks
-all reach the invariant ring through it."""
+classes, and the one place where named classes are multiplied: relations,
+Hodge chains, pullbacks, presentation generators and the images of the
+presentation monomials all reach the invariant ring through it.  It keeps
+each product of sorted names it forms, so a monomial costs one product
+beyond the longest prefix already kept."""
 
 from __future__ import annotations
 
@@ -159,9 +162,11 @@ class SpaceDescriptor:
         self.lambda_name = lambda_name
         self.lambda_coeffs = lambda_coeffs
         self.gb = gb
-        # Named classes built so far.  A space is never changed after
-        # loading, and the space cache is keyed by its preset files.
+        # Named classes and products of sorted names built so far.  A space
+        # is never changed after loading, and the space cache is keyed by
+        # its preset files.
         self._classes: dict[str, NamedClass] = {}
+        self._products: dict[tuple[str, ...], RingElement] = {}
 
     # -- class dictionary ---------------------------------------------------
 
@@ -217,18 +222,25 @@ class SpaceDescriptor:
 
         Empty terms give the zero element of degree 0.  Terms of different
         degrees raise ValueError; an unknown name raises KeyError."""
-        products = []
-        for names, c in terms.items():
-            prod, *rest = ([self.named_class(nm).value for nm in names]
-                           or [RingElement.unit(self.n)])
-            for value in rest:
-                prod = self.gb.multiply(prod, value)
-            products.append((prod, c))
+        products = [(self._product(tuple(sorted(names))), c)
+                    for names, c in terms.items()]
         degrees = {prod.degree for prod, _ in products}
         if len(degrees) > 1:
             raise ValueError(f"inhomogeneous combination: degrees "
                              f"{sorted(degrees)}")
         return self.gb.combine(degrees.pop() if degrees else 0, products)
+
+    def _product(self, names: tuple[str, ...]) -> RingElement:
+        """The product of the classes of the sorted names, kept as the kept
+        product of all but the last name times the class of the last."""
+        if len(names) < 2:
+            return (self.named_class(names[0]).value if names
+                    else RingElement.unit(self.n))
+        prod = self._products.get(names)
+        if prod is None:
+            prod = self._products[names] = self.gb.multiply(
+                self._product(names[:-1]), self.named_class(names[-1]).value)
+        return prod
 
 
 def pullback_tables(boundary: dict[str, BoundaryEntry],

@@ -83,6 +83,18 @@ def test_push_rejects_repeated_or_empty_marks(capsys, cls, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("cls, term", [
+    ("[1,2] [1,3]", "[1,3]"),
+    ("[1,2][1,3]", "[1,3]"),
+    ("[1,2]2*[1,3]", "2*[1,3]"),
+])
+def test_push_rejects_terms_without_a_sign(capsys, cls, term):
+    assert main(["push", "--map", "f_R", f"--class={cls}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: missing + or - before {term!r}\n"
+
+
 def test_push_m05(capsys):
     code, out = run(capsys, "push", "--map", "h0alpha", "--class", "[5,1]")
     assert code == 0

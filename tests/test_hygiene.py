@@ -9,7 +9,8 @@ ring kernel or compatibility rule, no automorphism enumerator or number
 built on it, no theta census, and nothing of the symmetry or pushforward
 modules.  Only the engine's own module and the Keel build name
 ``SparseEchelon``: every other module eliminates through the adapters
-``rref``, ``rank``, ``kernel_basis`` and ``solve``."""
+``rref``, ``rank``, ``kernel_basis`` and ``solve``.  Only the evaluator of
+polynomials in named classes, in ``space_registry``, calls ``multiply``."""
 
 import ast
 from pathlib import Path
@@ -31,6 +32,7 @@ ORACLE_FORBIDDEN_NAMES = {"GradedBasis", "build_graded_basis",
                           "verify_bijections"}
 ORACLE_FORBIDDEN_MODULES = {"prymspin.symmetry", "prymspin.pushpull"}
 ENGINE_MODULES = {"exact_linear.py", "keel_ring.py"}
+EVALUATOR_MODULE = "space_registry.py"
 
 
 def _tree(path: Path) -> ast.Module:
@@ -112,6 +114,15 @@ def test_engine_is_fed_through_adapters(paths=SOURCES):
     assert not bad, f"{bad} name SparseEchelon"
 
 
+def test_classes_are_multiplied_by_the_evaluator(paths=SOURCES):
+    bad = [path.name for path in paths if path.name != EVALUATOR_MODULE
+           and any(isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Attribute)
+                   and node.func.attr == "multiply"
+                   for node in ast.walk(_tree(path)))]
+    assert not bad, f"{bad} call multiply"
+
+
 def test_checks_catch_violations(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("import random\nx = float(2)\ny = 0.5\n")
@@ -145,3 +156,6 @@ def test_checks_catch_violations(tmp_path):
         bad.write_text(text)
         with pytest.raises(AssertionError, match="SparseEchelon"):
             test_engine_is_fed_through_adapters([bad])
+    bad.write_text("def f(space, a, b):\n    return space.gb.multiply(a, b)\n")
+    with pytest.raises(AssertionError, match="call multiply"):
+        test_classes_are_multiplied_by_the_evaluator([bad])

@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 
 from oracles import dependent_generators_by_rank, hilbert_mod_p
-from prymspin import presentations, reference
+from prymspin import presentations, reference, space_registry
 from prymspin.exact_linear import QMatrix, kernel_basis
 from prymspin.presentations import (ExprError, Presentation, check_relation,
                                     dependent_generators, hilbert_function,
                                     independence_check, parse_polynomial,
                                     poly_degree, verify_presentation)
-from prymspin.space_registry import load_space
+from prymspin.space_registry import SpaceDescriptor, load_space
 from prymspin.symmetry import invariant_basis
 
 
@@ -26,30 +26,37 @@ def degree1_kernel(tag, p):
     return [[v.get(j, 0) for j in range(len(coords))] for v in ker]
 
 
+def exponents(p):
+    """The generators of the presentation as exponent vectors over its
+    variables, the format the oracles read."""
+    return [{tuple(m.count(v) for v in p.variables): c for m, c in g.items()}
+            for g in p.generators]
+
+
 class TestParser:
     def test_basic(self):
         p = parse_polynomial("2*x*y - 3*z^2", ["x", "y", "z"])
-        assert p == {(1, 1, 0): Fraction(2), (0, 0, 2): Fraction(-3)}
+        assert p == {("x", "y"): Fraction(2), ("z", "z"): Fraction(-3)}
 
     def test_rational_coefficient(self):
         p = parse_polynomial("1/2*x + x/4", ["x"])
-        assert p == {(1,): Fraction(3, 4)}
+        assert p == {("x",): Fraction(3, 4)}
 
     def test_parentheses(self):
         p = parse_polynomial("x*(y - z)", ["x", "y", "z"])
-        assert p == {(1, 1, 0): Fraction(1), (1, 0, 1): Fraction(-1)}
+        assert p == {("x", "y"): Fraction(1), ("x", "z"): Fraction(-1)}
 
     def test_unknown_variable(self):
         with pytest.raises(ExprError):
             parse_polynomial("x + q", ["x"])
 
     def test_exponent_and_degree_bounded_by_max_degree(self):
-        assert parse_polynomial("x^6", ["x"]) == {(6,): Fraction(1)}
+        assert parse_polynomial("x^6", ["x"]) == {("x",) * 6: Fraction(1)}
         for text in ("x^7", "x^3000000", "(x^6)^2", "x^4*x^3", "(x^3)^3"):
             with pytest.raises(ExprError):
                 parse_polynomial(text, ["x"])
         assert parse_polynomial("x^7", ["x"], max_degree=7) == {
-            (7,): Fraction(1)}
+            ("x",) * 7: Fraction(1)}
         with pytest.raises(ExprError):
             Presentation.from_texts(["x"], ["x^5"], max_degree=4)
 
@@ -62,7 +69,7 @@ class TestParser:
         with pytest.raises(ExprError):
             parse_polynomial("x/0", ["x"])
         assert parse_polynomial("(" * 50 + "x" + ")" * 50, ["x"]) == {
-            (1,): Fraction(1)}
+            ("x",): Fraction(1)}
         with pytest.raises(ExprError):
             parse_polynomial("(" * 51 + "x" + ")" * 51, ["x"])
 
@@ -89,7 +96,7 @@ class TestHilbert:
         p = Presentation.from_preset(preset)
         for prime in (2_147_483_647, 1_000_000_007):
             assert hilbert_function(p) == hilbert_mod_p(
-                len(p.variables), p.generators, p.max_degree, prime)
+                len(p.variables), exponents(p), p.max_degree, prime)
 
     def test_zero_beyond_socle(self):
         for preset in ("I", "J", "K"):
@@ -112,7 +119,7 @@ class TestHilbert:
         monkeypatch.setattr(presentations, "rref", counting_rref)
         h = hilbert_function(p)
         assert h == [1, 3, 0, 0, 0, 0, 0, 0, 0]
-        assert h == hilbert_mod_p(3, p.generators, 8, 2_147_483_647)
+        assert h == hilbert_mod_p(3, exponents(p), 8, 2_147_483_647)
         assert len(calls) == 1
 
 
@@ -125,6 +132,21 @@ class TestVerify:
         assert all(rep.surjective_by_degree)
         assert rep.hilbert[:4] == rep.invariant_dims
         assert rep.isomorphic
+
+    def test_surjectivity_can_fail(self, monkeypatch):
+        # an evaluator that loses the class a1m: degree 1 of the odd spin
+        # ring, spanned by exactly the three boundary classes, is missed
+        real = SpaceDescriptor.evaluate
+
+        def dropping_a1m(self, terms):
+            return real(self, {names: c for names, c in terms.items()
+                               if "a1m" not in names})
+
+        monkeypatch.setattr(SpaceDescriptor, "evaluate", dropping_a1m)
+        monkeypatch.setattr(space_registry, "_SPACE_CACHE", {})
+        rep = verify_presentation("S2minus", Presentation.from_preset("K"))
+        assert rep.surjective_by_degree == [True, False, True, True]
+        assert rep.isomorphic is False
 
     def test_variable_mismatch(self):
         p = Presentation.from_preset("I")
@@ -179,7 +201,7 @@ class TestIndependence:
                     for _ in range(rng.randint(1, 3))))
             p = Presentation.from_texts(names[:nvars], texts)
             assert dependent_generators(p) == \
-                dependent_generators_by_rank(nvars, p.generators), texts
+                dependent_generators_by_rank(nvars, exponents(p)), texts
 
     def test_preset_I_has_a_genuine_dependency(self):
         # the reference labels these ten generators independent; the degree-2

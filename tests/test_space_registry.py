@@ -8,9 +8,9 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from prymspin import reference
-from prymspin.keel_ring import (RingElement, all_divisors, build_graded_basis,
-                                canonicalize, monomial)
+from prymspin import reference, space_registry
+from prymspin.keel_ring import (GradedBasis, RingElement, all_divisors,
+                                build_graded_basis, canonicalize, monomial)
 from prymspin.presentations import parse_polynomial
 from prymspin.space_registry import (_PACKAGED_PRESETS, RegistryError,
                                      SpaceDescriptor, load_preset_json,
@@ -158,6 +158,26 @@ def test_evaluate_degrees():
         r2.evaluate({("d0p",): 1, ("d0p", "d1"): 1})
     with pytest.raises(KeyError):
         r2.evaluate({("nonexistent",): 1})
+
+
+def test_evaluate_keeps_products_per_space(monkeypatch):
+    # a fresh space: products of sorted names are kept on the descriptor
+    monkeypatch.setattr(space_registry, "_SPACE_CACHE", {})
+    r2 = load_space("R2")
+    calls = []
+    real = GradedBasis.multiply
+
+    def counting_multiply(self, a, b):
+        calls.append(1)
+        return real(self, a, b)
+
+    monkeypatch.setattr(GradedBasis, "multiply", counting_multiply)
+    pair = r2.evaluate({("d0p", "d1"): 1})
+    assert len(calls) == 1
+    r2.evaluate({("d0p", "d1", "d11"): 1})
+    assert len(calls) == 2
+    assert r2.evaluate({("d1", "d0p"): 1}) == pair
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("tag", ["R2", "S2plus", "S2minus"])
