@@ -174,6 +174,8 @@ def _parse_divisor_expr(text: str, n: int) -> RingElement:
         div = canonicalize(marks, n)
         coeffs[(div,)] = coeffs.get((div,), Fraction(0)) + c
         pos = m.end()
+    if not pos:
+        raise ValueError(f"no class term in {text!r}")
     return RingElement(n, 1, coeffs)
 
 
@@ -247,7 +249,7 @@ def cmd_lambda_check(args) -> int:
 
 def cmd_strata(args) -> int:
     report = Report(f"strata of {args.space}")
-    if args.tree:
+    if args.tree is not None:
         tree = parse_tree(args.tree)
         marks = sum(tree.total_marks())
         if marks != MARKS:

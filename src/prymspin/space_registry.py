@@ -3,12 +3,16 @@
 Each space (the base of genus-2 curves, the square-root covers of it with a
 nontrivial 2-torsion bundle, and the two theta-characteristic components)
 is a quotient of the 6-marked rational curve space by a mark-permutation
-group.  The preset file of a space lists its boundary divisors and closed
-strata by orbit representatives, with the published values each entry must
-reproduce: mapping degree, automorphism number, fiber count over the base
-stratum, and pushforward coefficient.  Loading a space recomputes these
-from the dual-tree combinatorics and fails loudly on any mismatch.  The
-forgetful degree |S_6|/|G|, the pullbacks of the base boundary classes
+group.  Every preset class of a space is an orbit of boundary strata
+upstairs, and every one is held in one record, ``StratumEntry``: a sorted
+representative monomial of k compatible splits (k = 1 for a boundary
+divisor), its orbit, its dual tree with the edges at which the stable model
+is blown up, and the published values the entry must reproduce.  A divisor
+carries its mapping degree and fiber count over the base stratum, a
+stratum of higher codimension its pushforward coefficient; every entry
+carries its automorphism number.  Loading a space recomputes these from the
+dual-tree combinatorics and fails loudly on any mismatch.  The forgetful
+degree |S_6|/|G|, the pullbacks of the base boundary classes
 (``pullback_tables``) and the Hodge class (Mumford's 10 lambda = delta0 +
 2 delta1, pulled back) are derived, never read.
 
@@ -63,16 +67,15 @@ def load_preset_json(name: str) -> dict:
         return json.load(fh)
 
 
-def tree_from_monomial(factors: Monomial, n: int, a_marks: frozenset[int]):
+def tree_from_monomial(factors: Monomial, n: int,
+                       a_marks: frozenset[int]) -> MarkedTree:
     """Dual tree of the stratum cut out by distinct pairwise compatible
-    splits.
+    splits; edge k of the tree separates the marks exactly as factor k does.
 
-    Returns (MarkedTree, edge divisor list): edge k of the tree separates
-    the marks exactly as the k-th returned divisor does.  The canonical
-    sides (without mark n) of compatible splits are nested or disjoint, so
-    component k is side k minus the sides inside it, the last component
-    holds the remaining marks, and edge k joins side k to the least side
-    that contains it (the last component when none does)."""
+    The canonical sides (without mark n) of compatible splits are nested or
+    disjoint, so component k is side k minus the sides inside it, the last
+    component holds the remaining marks, and edge k joins side k to the
+    least side that contains it (the last component when none does)."""
     sides = [div.members for div in factors]
     for i, s in enumerate(sides):
         for t in sides[:i]:
@@ -84,47 +87,27 @@ def tree_from_monomial(factors: Monomial, n: int, a_marks: frozenset[int]):
                   key=lambda j: len(sides[j]), default=len(sides))
               for s in sides]
     mark_counts = tuple((len(c & a_marks), len(c - a_marks)) for c in comps)
-    return MarkedTree(mark_counts, tuple(enumerate(parent))), list(factors)
+    return MarkedTree(mark_counts, tuple(enumerate(parent)))
 
 
 class NamedClass:
     """A named cycle class of a space, living in the invariant subring."""
 
-    def __init__(self, space: str, name: str, value: RingElement,
-                 aut: int | None = None):
-        self.space = space
-        self.name = name
+    def __init__(self, value: RingElement):
         self.value = value
-        self.aut = aut               # automorphism number (None for lambda)
-
-
-class BoundaryEntry:
-    """A preset boundary class: its orbit of divisors upstairs, with the
-    table values and the data computed from its dual tree."""
-
-    def __init__(self, name: str, display: str, rep: BoundaryIndex,
-                 orbit: frozenset[BoundaryIndex], degree: int, aut: int,
-                 fiber_count: int, stab_order: int, tree: MarkedTree,
-                 blown: bool):
-        self.name = name
-        self.display = display
-        self.rep = rep
-        self.orbit = orbit
-        self.degree = degree
-        self.aut = aut
-        self.fiber_count = fiber_count
-        self.stab_order = stab_order   # generic automorphisms m of the tree
-        self.tree = tree
-        self.blown = blown
 
 
 class StratumEntry:
-    """A preset codimension-2 stratum: its orbit of monomials upstairs,
-    with the table values and the data computed from its dual tree."""
+    """A preset class of codimension k = len(rep): its orbit of monomials
+    upstairs, with the table values of its kind and the data computed from
+    its dual tree.  A boundary divisor (k = 1) has a mapping degree and a
+    fiber count; a stratum has a pushforward target and coefficient unless
+    it is a base stratum.  Values a kind does not have are None."""
 
     def __init__(self, name: str, display: str, rep: Monomial,
                  orbit: frozenset[Monomial], aut: int, stab_order: int,
                  tree: MarkedTree, blown_edges: frozenset[int],
+                 degree: int | None, fiber_count: int | None,
                  pushforward_target: str | None,
                  pushforward_coeff: Fraction | None):
         self.name = name
@@ -132,9 +115,11 @@ class StratumEntry:
         self.rep = rep
         self.orbit = orbit
         self.aut = aut
-        self.stab_order = stab_order
+        self.stab_order = stab_order   # generic automorphisms m of the tree
         self.tree = tree
         self.blown_edges = blown_edges
+        self.degree = degree
+        self.fiber_count = fiber_count
         self.pushforward_target = pushforward_target
         self.pushforward_coeff = pushforward_coeff
 
@@ -145,7 +130,7 @@ class SpaceDescriptor:
 
     def __init__(self, tag: str, group: PermGroup, n: int,
                  a_marks: frozenset[int], unordered_classes: bool,
-                 boundary: dict[str, BoundaryEntry],
+                 boundary: dict[str, StratumEntry],
                  boundary_of: dict[BoundaryIndex, str],
                  strata: dict[str, StratumEntry], lambda_name: str,
                  lambda_coeffs: dict[str, Fraction], gb: GradedBasis):
@@ -173,12 +158,14 @@ class SpaceDescriptor:
     def names(self) -> list[str]:
         return list(self.boundary) + list(self.strata) + [self.lambda_name]
 
+    def _entry(self, name: str) -> StratumEntry | None:
+        return self.boundary.get(name) or self.strata.get(name)
+
     def aut_number(self, name: str) -> int:
-        if name in self.boundary:
-            return self.boundary[name].aut
-        if name in self.strata:
-            return self.strata[name].aut
-        raise KeyError(f"no automorphism number for {name!r}")
+        e = self._entry(name)
+        if e is None:
+            raise KeyError(f"no automorphism number for {name!r}")
+        return e.aut
 
     def named_class(self, name: str) -> NamedClass:
         """The invariant ring element representing a named class.
@@ -199,22 +186,15 @@ class SpaceDescriptor:
 
     def _build_class(self, name: str) -> NamedClass:
         if name == self.lambda_name:
-            value = self.evaluate({(b,): c
-                                   for b, c in self.lambda_coeffs.items()})
-            return NamedClass(self.tag, name, value)
-        if name in self.boundary:
-            e = self.boundary[name]
-            orbit = [(d,) for d in e.orbit]
-        elif name in self.strata:
-            e = self.strata[name]
-            orbit = e.orbit
-        else:
+            return NamedClass(self.evaluate(
+                {(b,): c for b, c in self.lambda_coeffs.items()}))
+        e = self._entry(name)
+        if e is None:
             raise KeyError(f"unknown class name {name!r} on {self.tag}")
-        # a divisor is the case k = 1
-        k = len(next(iter(orbit)))
+        k = len(e.rep)
         mult = Fraction(e.stab_order, e.aut * 2 ** (k - 1))
-        value = self.gb.reduce(RingElement(self.n, k, {m: mult for m in orbit}))
-        return NamedClass(self.tag, name, value, e.aut)
+        return NamedClass(self.gb.reduce(
+            RingElement(self.n, k, dict.fromkeys(e.orbit, mult))))
 
     def evaluate(self, terms: dict[tuple[str, ...], Fraction]) -> RingElement:
         """The reduced sum of c times the product of the named classes, over
@@ -243,8 +223,8 @@ class SpaceDescriptor:
         return prod
 
 
-def pullback_tables(boundary: dict[str, BoundaryEntry],
-                    base: dict[str, BoundaryEntry]) -> dict[str, dict[str, Fraction]]:
+def pullback_tables(boundary: dict[str, StratumEntry],
+                    base: dict[str, StratumEntry]) -> dict[str, dict[str, Fraction]]:
     """The pullback of each base boundary class b as {W: c_W}, over the
     boundary classes W whose divisor orbit lies inside b's.
 
@@ -293,104 +273,86 @@ def load_space(tag: str) -> SpaceDescriptor:
         table = gb.divisor_permutation(g)
         return tuple(sorted(table[r] for r in m))
 
-    boundary: dict[str, BoundaryEntry] = {}
-    divisor_to_name: dict[BoundaryIndex, str] = {}
-    for item in data["boundary"]:
-        r = rank[canonicalize(set(item["rep"][0]), n)]
-        rep = divisors[r]
-        orbit = frozenset(divisors[i] for (i,) in group.orbit((r,), relabel))
-        tree, _ = tree_from_monomial((rep,), n, a_marks)
-        m = count_marked_automorphisms(tree, unordered)
-        entry = BoundaryEntry(
-            name=item["name"], display=item["display"], rep=rep,
-            orbit=orbit, degree=int(item["degree"]), aut=int(item["aut"]),
-            fiber_count=int(item["fiber_count"]), stab_order=m, tree=tree,
-            blown=item["name"] in blown_names)
-        boundary[entry.name] = entry
-        for d in orbit:
-            if d in divisor_to_name:
-                raise RegistryError(
-                    f"{tag}: divisor orbits of {divisor_to_name[d]} and "
-                    f"{entry.name} overlap")
-            divisor_to_name[d] = entry.name
-    _audit_boundary(tag, group, boundary, divisor_to_name, divisors)
-
+    # The divisors come first, so each divisor upstairs has its class in
+    # boundary_of before any stratum reads which of its edges are blown up.
+    boundary: dict[str, StratumEntry] = {}
     strata: dict[str, StratumEntry] = {}
-    for item in data["strata"]:
+    boundary_of: dict[BoundaryIndex, str] = {}
+    n_divisors = len(data["boundary"])
+    for i, item in enumerate(data["boundary"] + data["strata"]):
+        divisor = i < n_divisors
+        name = item["name"]
         ranks = tuple(sorted(rank[canonicalize(set(s), n)]
                              for s in item["rep"]))
         rep = tuple(divisors[r] for r in ranks)
         orbit = frozenset(tuple(divisors[r] for r in m)
                           for m in group.orbit(ranks, relabel))
-        tree, edge_divs = tree_from_monomial(rep, n, a_marks)
-        blown_edges = frozenset(
-            k for k, d in enumerate(edge_divs)
-            if divisor_to_name[d] in blown_names)
-        m = count_marked_automorphisms(tree, unordered)
+        if divisor:
+            for (d,) in orbit:
+                if d in boundary_of:
+                    raise RegistryError(
+                        f"{tag}: divisor orbits of {boundary_of[d]} and "
+                        f"{name} overlap")
+                boundary_of[d] = name
+        tree = tree_from_monomial(rep, n, a_marks)
         push = item.get("pushforward")
         entry = StratumEntry(
-            name=item["name"], display=item["display"], rep=rep, orbit=orbit,
-            aut=int(item["aut"]), stab_order=m, tree=tree,
-            blown_edges=blown_edges,
+            name=name, display=item["display"], rep=rep, orbit=orbit,
+            aut=int(item["aut"]),
+            stab_order=count_marked_automorphisms(tree, unordered), tree=tree,
+            # a divisor missing from every orbit fails the coverage audit
+            blown_edges=frozenset(k for k, d in enumerate(rep)
+                                  if boundary_of.get(d) in blown_names),
+            degree=int(item["degree"]) if divisor else None,
+            fiber_count=int(item["fiber_count"]) if divisor else None,
             pushforward_target=push[0] if push else None,
             pushforward_coeff=Fraction(push[1]) if push else None)
-        strata[entry.name] = entry
+        (boundary if divisor else strata)[name] = entry
 
     base = None if tag == "M2" else load_space("M2")
     pulled = pullback_tables(boundary, base.boundary if base else boundary)
     space = SpaceDescriptor(
         tag=tag, group=group, n=n, a_marks=a_marks,
         unordered_classes=unordered,
-        boundary=boundary, boundary_of=divisor_to_name, strata=strata,
+        boundary=boundary, boundary_of=boundary_of, strata=strata,
         lambda_name=data["lambda_class"]["name"],
         lambda_coeffs={w: share * c for b, share in MUMFORD_LAMBDA.items()
                        for w, c in pulled[b].items()},
         gb=gb)
-    _audit_strata(space, base or space)
+    _audit(space, base or space)
     _SPACE_CACHE[key] = space
     return space
 
 
-def _audit_boundary(tag, group, boundary, divisor_to_name, divisors):
-    covered = set(divisor_to_name)
-    expected = set(divisors)
-    if covered != expected:
-        missing = sorted(str(d) for d in expected - covered)
+def _audit(space: SpaceDescriptor, base: SpaceDescriptor):
+    tag, order = space.tag, space.group.order
+    missing = set(space.gb.divisors) - set(space.boundary_of)
+    if missing:
         raise RegistryError(f"{tag}: boundary orbits do not cover all "
-                            f"divisors; missing {missing}")
-    for e in boundary.values():
-        if len(e.orbit) * e.degree * e.stab_order != group.order:
-            raise RegistryError(
-                f"{tag}/{e.name}: orbit({len(e.orbit)}) x degree({e.degree}) "
-                f"x aut_upstairs({e.stab_order}) != group order {group.order}")
-
-
-def _audit_strata(space: SpaceDescriptor, base: SpaceDescriptor):
-    tag = space.tag
+                            f"divisors; missing {sorted(map(str, missing))}")
     seen: dict[Monomial, str] = {}
-    for e in space.strata.values():
+    for e in list(space.boundary.values()) + list(space.strata.values()):
         for m in e.orbit:
             if m in seen:
                 raise RegistryError(f"{tag}: strata {seen[m]} and {e.name} "
                                     f"share the monomial {m}")
             seen[m] = e.name
-    unordered = space.unordered_classes
-    boundary = [(e, StratumDescriptor(
-        e.tree, frozenset([0]) if e.blown else frozenset(), unordered))
-        for e in space.boundary.values()]
-    strata = [(e, StratumDescriptor(e.tree, e.blown_edges, unordered))
-              for e in space.strata.values()]
-    for e, desc in boundary + strata:
+        if e.degree is not None and (
+                len(e.orbit) * e.degree * e.stab_order != order):
+            raise RegistryError(
+                f"{tag}/{e.name}: orbit({len(e.orbit)}) x degree({e.degree}) "
+                f"x aut_upstairs({e.stab_order}) != group order {order}")
+        desc = StratumDescriptor(e.tree, e.blown_edges,
+                                 space.unordered_classes)
         n_computed = prym_aut_number(desc)
         if n_computed != e.aut:
             raise RegistryError(f"{tag}/{e.name}: computed automorphism "
                                 f"number {n_computed}, table says {e.aut}")
-    for e, _ in boundary:
-        m_count = fiber_count(e.tree, unordered)
-        if m_count != e.fiber_count:
-            raise RegistryError(f"{tag}/{e.name}: computed fiber count "
-                                f"{m_count}, table says {e.fiber_count}")
-    for e, desc in strata:
+        if e.fiber_count is not None:
+            m_count = fiber_count(e.tree, space.unordered_classes)
+            if m_count != e.fiber_count:
+                raise RegistryError(f"{tag}/{e.name}: computed fiber count "
+                                    f"{m_count}, table says {e.fiber_count}")
         if e.pushforward_target is not None:
             target = base.strata[e.pushforward_target]
             plain_src = MarkedTree(

@@ -52,8 +52,13 @@ class MarkedTree:
             raise ValueError("not a tree")
         if len(set(_components(n, edges))) != 1:
             raise ValueError("not connected")
-        for c in range(n):
-            if self.special_count(c) < 3:
+        # degrees counted in one pass: a long chain stays linear
+        degree = [0] * n
+        for c, d in edges:
+            degree[c] += 1
+            degree[d] += 1
+        for c, (a, b) in enumerate(marks):
+            if a + b + degree[c] < 3:
                 raise ValueError(f"component {c} unstable")
 
     def __setattr__(self, name, value):

@@ -95,6 +95,23 @@ def test_push_rejects_terms_without_a_sign(capsys, cls, term):
     assert captured.err == f"error: missing + or - before {term!r}\n"
 
 
+@pytest.mark.parametrize("map_name, cls", [
+    ("f_R", ""),
+    ("h0p", "   "),
+])
+def test_push_rejects_an_expression_without_terms(capsys, map_name, cls):
+    assert main(["push", "--map", map_name, f"--class={cls}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: no class term in {cls!r}\n"
+
+
+def test_push_of_cancelling_terms_is_zero(capsys):
+    code, out = run(capsys, "push", "--map", "f_R", "--class", "[1,2]-[1,2]")
+    assert code == 0
+    assert "image: 0" in out
+
+
 def test_push_m05(capsys):
     code, out = run(capsys, "push", "--map", "h0alpha", "--class", "[5,1]")
     assert code == 0
@@ -230,6 +247,23 @@ def test_strata_tree_with_wrong_mark_count_exits_fast(capsys):
     assert code == 2
     assert time.perf_counter() - t0 < 1.0
     assert "22 marks" in capsys.readouterr().err
+    # a stable chain of 8500 components (125 KB): its stability is checked
+    # in time linear in its size
+    chain = "(A B -1)" + "".join(f"(A -{k} -{k + 1})" for k in range(1, 8499)) \
+        + "(A B -8499)"
+    t0 = time.perf_counter()
+    code = main(["strata", "--space", "R2", "--tree", chain])
+    assert code == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "carries 8502 marks" in capsys.readouterr().err
+
+
+def test_strata_empty_tree_exits_2(capsys):
+    # an empty tree is parsed and refused, not read as "no tree given"
+    assert main(["strata", "--space", "R2", "--tree", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no components in tree grammar: ''\n"
 
 
 @pytest.mark.parametrize("space,tree", [

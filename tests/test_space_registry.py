@@ -34,7 +34,7 @@ def test_boundary_orbits_cover_all_divisors():
         for e in space.boundary.values():
             assert not (covered & e.orbit)
             covered |= e.orbit
-        assert covered == set(all_divisors(6))
+        assert covered == {(d,) for d in all_divisors(6)}
 
 
 @pytest.mark.parametrize("tag", ["R2", "S2plus", "S2minus", "M2"])
@@ -43,11 +43,28 @@ def test_orbits_match_oracle(tag):
     # whole group, relabelled by the oracle
     space = load_space(tag)
     elements = space.group.elements
-    for e in space.boundary.values():
-        assert ({(d,) for d in e.orbit}
-                == {oracles.relabel(g, (e.rep,)) for g in elements})
-    for e in space.strata.values():
+    for e in list(space.boundary.values()) + list(space.strata.values()):
         assert e.orbit == {oracles.relabel(g, e.rep) for g in elements}
+
+
+@pytest.mark.parametrize("tag", ["R2", "S2plus", "S2minus", "M2"])
+def test_blown_edges_match_the_preset_files(tag):
+    # the blown-up divisors and their representatives are read straight from
+    # the preset file and their orbits relabelled by the oracle, so the
+    # check shares nothing with the loader's rule
+    data = load_preset_json(f"space_{tag}.json")
+    listed = set(data["blown_boundary"])
+    space = load_space(tag)
+    blown = set()
+    for item in data["boundary"]:
+        if item["name"] in listed:
+            rep = (canonicalize(set(item["rep"][0]), 6),)
+            blown |= {oracles.relabel(g, rep)[0] for g in space.group.elements}
+    for name, e in space.boundary.items():
+        assert e.blown_edges == ({0} if name in listed else set()), name
+    for name, e in space.strata.items():
+        assert e.blown_edges == {k for k, d in enumerate(e.rep)
+                                 if d in blown}, name
 
 
 def test_orbit_degree_aut_identity():
@@ -60,10 +77,10 @@ def test_orbit_degree_aut_identity():
 def test_boundary_entries_r2():
     space = load_space("R2")
     e = space.boundary["d0pp"]
-    assert e.rep.key == (1, 2)
+    assert e.rep[0].key == (1, 2)
     assert (e.degree, e.aut, e.fiber_count) == (24, 2, 1)
     b1p = load_space("S2plus").boundary["b1p"]
-    assert (b1p.rep.key, b1p.degree, b1p.aut) == ((1, 2, 3), 72, 8)
+    assert (b1p.rep[0].key, b1p.degree, b1p.aut) == ((1, 2, 3), 72, 8)
 
 
 def test_aut_number():
@@ -202,12 +219,12 @@ def test_pullback_relation_texts_follow_from_presets(tag):
 
 def test_tree_from_monomial_shapes():
     d = lambda *m: canonicalize(set(m), 6)
-    tree, divs = tree_from_monomial(monomial(d(3, 4), d(5, 6)), 6,
-                                    frozenset({1, 2}))
+    tree = tree_from_monomial(monomial(d(3, 4), d(5, 6)), 6,
+                              frozenset({1, 2}))
     assert sorted(tree.marks) == [(0, 2), (0, 2), (2, 0)]
     assert len(tree.edges) == 2
-    tree, _ = tree_from_monomial(monomial(d(1, 2), d(1, 2, 3), d(5, 6)), 6,
-                                 frozenset({1, 2}))
+    tree = tree_from_monomial(monomial(d(1, 2), d(1, 2, 3), d(5, 6)), 6,
+                              frozenset({1, 2}))
     assert sorted(tree.marks) == [(0, 1), (0, 1), (0, 2), (2, 0)]
     assert len(tree.edges) == 3
 
@@ -234,11 +251,10 @@ def test_tree_builder_matches_oracle():
             for splits in itertools.combinations(all_divisors(n), k):
                 if not oracles._pairwise_compatible(splits):
                     continue
-                tree, divs = tree_from_monomial(splits, n, a_marks)
+                tree = tree_from_monomial(splits, n, a_marks)
                 expected, _ = oracles.tree_from_splits(splits, n, a_marks)
                 assert trees_isomorphic(tree, expected), splits
-                assert divs == list(splits)
-                for e, div in enumerate(divs):
+                for e, div in enumerate(splits):
                     s = div.members
                     cut = (len(s & a_marks), len(s - a_marks))
                     rest = (len(a_marks) - cut[0], n - len(a_marks) - cut[1])
@@ -280,6 +296,23 @@ def test_tampered_preset_fails_loudly(tmp_path, monkeypatch):
     import prymspin.space_registry as sr
     monkeypatch.setattr(sr, "_SPACE_CACHE", {})
     with pytest.raises(RegistryError):
+        sr.load_space("R2")
+
+
+@pytest.mark.parametrize("key", ["degree", "fiber_count"])
+def test_boundary_item_without_its_table_value_raises(tmp_path, monkeypatch,
+                                                      key):
+    # a divisor's published values are required; a stratum has none of them
+    data = load_preset_json("space_R2.json")
+    del data["boundary"][1][key]
+    bad_dir = tmp_path / "presets"
+    bad_dir.mkdir()
+    with open(bad_dir / "space_R2.json", "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+    monkeypatch.setenv("MODULI_PRESETS", str(bad_dir))
+    import prymspin.space_registry as sr
+    monkeypatch.setattr(sr, "_SPACE_CACHE", {})
+    with pytest.raises(KeyError, match=key):
         sr.load_space("R2")
 
 
