@@ -17,17 +17,22 @@ form one integer bitset, so a relation row is found by index arithmetic
 and the tables are named by ``BoundaryIndex`` factors once at the end of
 each degree.  Reduction, products and linear combinations all accumulate
 such images in integer ``Coordinates`` and build one ``Fraction`` per output
-coordinate.  The images of products of two basis monomials (the structure
-constants) are built on first use and kept.
+coordinate.  An element built by the kernel keeps those ``Coordinates``
+together with the kernel that built it, so that kernel reads them back
+instead of accumulating the element again.  The images of products of two
+basis monomials (the structure constants) are built on first use and kept.
 
 Relabelling works on ranks too.  ``divisor_permutation(g)`` is the table
 of divisor ranks renamed by a permutation g of the marks, read off the side
 bitmasks (a side holding mark n is complemented); it checks g once and is
-kept per g.  ``relabel_images`` maps each basis monomial's ranks through
-that table and keeps the image per g and degree.  ``relabel(perms, x)`` is
-the one relabel-sum: it takes the coordinates of x once, adds the images of
-every permutation into one ``Coordinates`` and builds one element; the
-mark-permutation action and the pushforward to the base both call it.
+kept per g.  ``relabel_ranks`` renames one monomial of ranks through that
+table; ``relabel_images`` maps each basis monomial through it and keeps the
+image per g and degree.  ``linear_image(x, tables)`` applies linear maps
+given by the images of the basis monomials: it takes the coordinates of x
+once, adds the images of every table into one ``Coordinates`` and builds
+one element.  ``relabel(perms, x)``, the mark-permutation action, is that
+sum over the relabelling tables of the permutations; the pushforward to
+the base applies the orbit-average table of ``symmetry.average_images``.
 ``RingElement``, a dict from monomials to ``Fraction`` coefficients, stays
 the format in which elements pass between modules.
 """
@@ -142,14 +147,17 @@ class RingElement:
 
     Elements produced by GradedBasis.reduce are supported on the chosen
     basis monomials of their degree; raw elements (relations, products
-    before reduction) may carry arbitrary monomials.
+    before reduction) may carry arbitrary monomials.  An element built by a
+    ``GradedBasis`` records (kernel, ``Coordinates``); its coefficients are
+    never changed after construction, so the record stays valid.
     """
 
-    __slots__ = ("n", "degree", "coeffs")
+    __slots__ = ("n", "degree", "coeffs", "record")
 
     def __init__(self, n: int, degree: int, coeffs: dict[Monomial, Fraction] | None = None):
         self.n = n
         self.degree = degree
+        self.record: tuple[GradedBasis, Coordinates] | None = None
         self.coeffs: dict[Monomial, Fraction] = {}
         if coeffs:
             for m, c in coeffs.items():
@@ -287,8 +295,8 @@ class GradedBasis:
     its factors' bitsets, by the set bits of that AND from its last factor
     on, in ascending rank; this keeps the sorted monomial order and so the
     choice of basis.  Of the rank data, the bitsets, the side masks and
-    the basis monomials as rank tuples outlive the build; the last two
-    serve relabelling.
+    the basis monomials as rank tuples (``basis_ranks``) outlive the
+    build; the last two serve relabelling.
     """
 
     def __init__(self, n: int):
@@ -309,15 +317,19 @@ class GradedBasis:
         self._side_rank = {side: r for r, side in enumerate(sides)}
         self.basis: dict[int, list[Monomial]] = {0: [()]}
         # The basis monomials of each degree as sorted tuples of ranks.
-        self._basis_ranks: dict[int, list[tuple[int, ...]]] = {0: [()]}
+        self.basis_ranks: dict[int, list[tuple[int, ...]]] = {0: [()]}
         # reduction[d][monomial] = Image of the monomial in the degree-d basis
         self.reduction: dict[int, dict[Monomial, Image]] = {
             0: {(): (1, ((0, 1),))}}
         self._products: dict[tuple[int, int, int], list[Image]] = {}
         self._divisor_perms: dict[tuple[int, ...], list[int]] = {}
         self._relabels: dict[tuple[tuple[int, ...], int], list[Image]] = {}
-        # Invariant bases of symmetry.invariant_basis, by group generators.
+        # Invariant bases of symmetry.invariant_basis, by group generators,
+        # and orbit-average tables of symmetry.average_images, by group
+        # generators and degree.
         self.invariant_bases: dict[tuple[tuple[int, ...], ...], object] = {}
+        self.average_tables: dict[tuple[tuple[tuple[int, ...], ...], int],
+                                  list[Image]] = {}
         self._build()
         self._point_norm = self._calibrate_point()
 
@@ -392,7 +404,7 @@ class GradedBasis:
             else:
                 red[name] = (1, ((column[i], 1),))
         self.basis[d] = basis
-        self._basis_ranks[d] = basis_ranks
+        self.basis_ranks[d] = basis_ranks
         self.reduction[d] = red
         return monos
 
@@ -432,17 +444,26 @@ class GradedBasis:
         return acc
 
     def _element(self, degree: int, acc: Coordinates, den: int = 1) -> RingElement:
-        """The element acc / den, one Fraction per nonzero coordinate."""
-        den *= acc.den
+        """The element acc / den, one Fraction per nonzero coordinate.  acc,
+        divided by den in place, becomes the element's record of its
+        coordinates, so the caller leaves it unchanged afterwards."""
+        acc.den *= den
+        den = acc.den
         basis = self.basis[degree]
         out = RingElement(self.n, degree)
         # nonzero Fractions already, so RingElement's own filter is skipped
         out.coeffs = {basis[i]: Fraction(v, den)
                       for i, v in enumerate(acc.nums) if v}
+        out.record = (self, acc)
         return out
 
     def coordinates(self, x: RingElement) -> Coordinates:
-        """Coordinates of reduce(x) in the basis of its degree."""
+        """Coordinates of reduce(x) in the basis of its degree: the record
+        of x when this kernel built it, else accumulated.  The result is
+        read, never changed."""
+        record = x.record
+        if record is not None and record[0] is self:
+            return record[1]
         return self._accumulate(x.degree, ((x, 1),))
 
     def span_coordinates(self, x: RingElement,
@@ -506,35 +527,48 @@ class GradedBasis:
                 row.append(red.get(monomial(*left, *right), _ZERO_IMAGE))
         return row
 
-    def relabel(self, perms, x: RingElement) -> RingElement:
-        """The reduced sum of x with mark i renamed g[i-1], over the
-        permutations g in perms: one accumulation in integer coordinates
-        and one element at the end."""
+    def linear_image(self, x: RingElement, tables,
+                     scale: Rational = 1) -> RingElement:
+        """The sum over the tables T of scale * sum(v[i] * T[i]), where v
+        are the coordinates of x and T[i] is the Image of basis monomial i
+        under a linear map of x's degree: one accumulation in integer
+        coordinates and one element at the end."""
         if x.degree > self.top:
             return RingElement.zero(self.n, x.degree)
         v = self.coordinates(x)
         terms = [(i, c) for i, c in enumerate(v.nums) if c]
+        num, den = scale.numerator, scale.denominator
         acc = Coordinates(len(v.nums))
-        for g in perms:
-            images = self.relabel_images(g, x.degree)
+        for images in tables:
             for i, c in terms:
-                acc.add(c, 1, images[i])
+                acc.add(c * num, den, images[i])
         return self._element(x.degree, acc, v.den)
+
+    def relabel(self, perms, x: RingElement) -> RingElement:
+        """The reduced sum of x with mark i renamed g[i-1], over the
+        permutations g in perms."""
+        return self.linear_image(
+            x, (self.relabel_images(g, x.degree) for g in perms))
 
     def relabel_images(self, g: tuple[int, ...], degree: int) -> list[Image]:
         """The Image of each basis monomial of the degree with its marks
         renamed by g, built on first use and kept."""
         images = self._relabels.get((g, degree))
         if images is None:
-            table = self.divisor_permutation(g)
             red = self.reduction[degree]
             divisors = self.divisors
-            # Ranks follow the divisor order, so sorted ranks name the
-            # sorted monomial.
             images = self._relabels[(g, degree)] = [
-                red[tuple(divisors[r] for r in sorted(table[r] for r in m))]
-                for m in self._basis_ranks[degree]]
+                red[tuple(divisors[r] for r in self.relabel_ranks(g, m))]
+                for m in self.basis_ranks[degree]]
         return images
+
+    def relabel_ranks(self, g: tuple[int, ...],
+                      m: tuple[int, ...]) -> tuple[int, ...]:
+        """The monomial m, a sorted tuple of divisor ranks, with mark i
+        renamed g[i-1].  Ranks follow the divisor order, so the sorted
+        ranks name the sorted monomial."""
+        table = self.divisor_permutation(g)
+        return tuple(sorted(table[r] for r in m))
 
     def divisor_permutation(self, g: tuple[int, ...]) -> list[int]:
         """Entry r is the rank of divisor r with mark i renamed g[i-1],

@@ -10,10 +10,11 @@ Hodge-class identity chains, the full intersection-number tables of
 boundary divisors against codimension-2 strata, and the base-space numbers
 they calibrate against.
 
-The pushforward of a G-invariant class x to the base is the transfer
-sum of g.x over the |S_6|/|G| left coset representatives g of G in S_6
-(15, 10 and 6 of them for R2, S2plus and S2minus); ``push_to_base``
-refuses a class that is not G-invariant, for which that sum is wrong.
+The pushforward of a G-invariant class x to the base is |S_6|/|G| times
+its average over S_6 (15, 10 and 6 times for R2, S2plus and S2minus),
+read off one orbit-average table per degree that all four spaces share;
+``push_to_base`` refuses a class that is not G-invariant, for which that
+average is not the pushforward.
 
 Intersection numbers follow the convention d . s = n [x] with [x] the
 plain class of a general point; in the invariant-ring model this becomes
@@ -31,7 +32,7 @@ from .exact_linear import QMatrix, Rational, rref
 from .keel_ring import BoundaryIndex, RingElement, four_point_relation
 from .presentations import check_relation
 from .space_registry import SpaceDescriptor, load_space
-from .symmetry import act, coset_representatives
+from .symmetry import act, average_images
 
 # Frozen by the single documented calibration (see intersection_number).
 INTERSECTION_CALIBRATION = Fraction(4)
@@ -360,20 +361,22 @@ def push_to_base(space: SpaceDescriptor, element: RingElement) -> RingElement:
     """Pushforward of a G-invariant class, G = space.group, to the full
     symmetric-group invariants (the base space).
 
-    The pushforward is the relative transfer: the sum of g.x over the
-    |S_n|/|G| left coset representatives g of G in S_n, which equals the
-    S_n-symmetrization divided by |G| only when x is G-invariant.  That
-    precondition is checked on the generators of G first, one ``act`` each;
-    a class that is not invariant raises ValueError.  The transfer is then
-    one ``GradedBasis.relabel``: the kernel's relabel-sum adds the images of
-    all the representatives in integer coordinates and builds one element."""
+    The pushforward is the relative transfer, the sum of g.x over the left
+    cosets gG of G in S_n.  For a G-invariant x that is the S_n-sum divided
+    by |G|, so |S_n|/|G| times the S_n-average of x.  The precondition is
+    checked on the generators of G first, one ``act`` each; a class that is
+    not invariant raises ValueError.  The average is then one
+    ``GradedBasis.linear_image`` through the S_n table of
+    ``average_images``: one accumulation in integer coordinates and one
+    element."""
     gb = space.gb
     reduced = gb.reduce(element)
     for h in space.group.generators:
         if act(h, element, gb) != reduced:
             raise ValueError(f"push_to_base needs a {space.tag}-invariant "
                              f"class; the generator {h} moves this one")
-    return gb.relabel(coset_representatives(space.group), element)
+    table = average_images(load_space("M2").group, gb, element.degree)
+    return gb.linear_image(reduced, (table,), space.fundamental_pushforward)
 
 
 def base_class_coordinates(element: RingElement):
@@ -393,9 +396,12 @@ def base_class_coordinates(element: RingElement):
 
 
 def stratum_pushforward_check(space_tag: str) -> dict[str, bool]:
-    """Ring-level audit of every stratum's pushforward column entry: the
-    coset-sum pushforward of its class must equal the stated multiple of
-    the named base stratum class."""
+    """Ring-level audit of every pushforward column entry.
+
+    The pushforward of a stratum's class must equal the stated multiple of
+    the named base stratum class.  A boundary divisor W maps onto the base
+    divisor B whose orbit holds W's, so its class must have the coordinates
+    fiber_count(W) * aut(B) / aut(W) on B and 0 on the other base divisor."""
     space = load_space(space_tag)
     m2 = load_space("M2")
     out = {}
@@ -408,6 +414,9 @@ def stratum_pushforward_check(space_tag: str) -> dict[str, bool]:
             target.scale(e.pushforward_coeff))
     for name, e in space.boundary.items():
         pushed = push_to_base(space, space.named_class(name).value)
-        coords = base_class_coordinates(pushed)
-        out[name] = coords is not None
+        expected = dict.fromkeys(m2.boundary, Fraction(0))
+        for b in m2.boundary.values():
+            if e.orbit <= b.orbit:
+                expected[b.name] = Fraction(e.fiber_count * b.aut, e.aut)
+        out[name] = base_class_coordinates(pushed) == expected
     return out

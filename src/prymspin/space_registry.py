@@ -264,15 +264,10 @@ def load_space(tag: str) -> SpaceDescriptor:
     a_marks = frozenset(data["a_marks"])
     unordered = bool(data["unordered_classes"])
     blown_names = set(data["blown_boundary"])
-    # Orbits are taken on divisor ranks: each generator permutes the ranks
-    # through the kernel's table, and a monomial is a sorted tuple of ranks.
+    # Orbits are taken on divisor ranks: a monomial is a sorted tuple of
+    # ranks, which each generator renames through the kernel's table.
     divisors = gb.divisors
     rank = {div: i for i, div in enumerate(divisors)}
-
-    def relabel(g, m):
-        table = gb.divisor_permutation(g)
-        return tuple(sorted(table[r] for r in m))
-
     # The divisors come first, so each divisor upstairs has its class in
     # boundary_of before any stratum reads which of its edges are blown up.
     boundary: dict[str, StratumEntry] = {}
@@ -286,7 +281,7 @@ def load_space(tag: str) -> SpaceDescriptor:
                              for s in item["rep"]))
         rep = tuple(divisors[r] for r in ranks)
         orbit = frozenset(tuple(divisors[r] for r in m)
-                          for m in group.orbit(ranks, relabel))
+                          for m in group.orbit(ranks, gb.relabel_ranks))
         if divisor:
             for (d,) in orbit:
                 if d in boundary_of:

@@ -3,26 +3,28 @@
 A finite group of mark permutations acts on the boundary ring by relabeling
 the defining subsets of the generators.  The ring kernel renames divisors by
 rank (``GradedBasis.divisor_permutation``, one table per permutation read
-off the side bitmasks) and keeps the image of each relabelled basis
-monomial per permutation and degree.  ``GradedBasis.relabel`` is the one
-relabel-sum: it takes the coordinates of an element once, adds the images
-of every given permutation into one integer vector and builds one element.
-``act`` is that sum over one permutation; ``pushpull.push_to_base``
-calls ``relabel`` itself over the coset representatives of a group.
-The fixed subring in each degree is the common kernel of g - 1 over the
-generators g of the group, echelonized once per generator list and kept on
-the graded basis.
+off the side bitmasks, and ``GradedBasis.relabel_ranks`` for a monomial of
+ranks) and keeps the image of each relabelled basis monomial per
+permutation and degree.  ``act`` is ``GradedBasis.relabel`` over one
+permutation.
+
+``average_images`` is the one symmetrization operator: entry i is the group
+average of basis monomial i, the mean of the reduced monomials in its orbit,
+as an integer ``Image``.  The table is built once per group and degree and
+kept on the graded basis.  The fixed subring in each degree is the span of
+the distinct averages (the image of the averaging projector), kept as its
+reduced row-echelon basis; ``pushpull.push_to_base`` applies the table of
+the full symmetric group.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import re
 from fractions import Fraction
+from math import gcd
 
-from .exact_linear import QMatrix, kernel_basis, rref
-from .keel_ring import GradedBasis, RingElement
+from .exact_linear import QMatrix, rref
+from .keel_ring import Coordinates, GradedBasis, Image, RingElement
 
 # A permutation of {1..n} is a tuple p with p[i-1] = image of i.
 Perm = tuple[int, ...]
@@ -108,33 +110,40 @@ def act(g: Perm, x: RingElement, gb: GradedBasis) -> RingElement:
     return gb.relabel((g,), x)
 
 
-def coset_representatives(group: PermGroup) -> list[Perm]:
-    """The lexicographically least element of each left coset gG of the
-    group in S_n, in increasing order: |S_n|/|G| permutations.
-
-    For a G-invariant x, act(g h, x) = act(g, x) for h in G, so a sum over
-    S_n is |G| times the sum over these representatives."""
-    return list(_coset_representatives(group.n, tuple(group.elements)))
-
-
-@functools.lru_cache(maxsize=None)
-def _coset_representatives(n: int, elements: tuple[Perm, ...]) -> tuple[Perm, ...]:
-    covered: set[Perm] = set()
-    reps = []
-    for g in itertools.permutations(range(1, n + 1)):
-        if g not in covered:
-            reps.append(g)
-            covered.update(compose(g, h) for h in elements)
-    return tuple(reps)
+def average_images(group: PermGroup, gb: GradedBasis, d: int) -> list[Image]:
+    """Entry i is the Image of the group average of the i-th degree-d basis
+    monomial b: (1/|G.b|) times the sum of the reduced monomials in its
+    orbit G.b.  Built once per generator list and degree and kept on the
+    graded basis; a degree beyond the top gives the empty table."""
+    key = (tuple(group.generators), d)
+    table = gb.average_tables.get(key)
+    if table is None:
+        ranks = gb.basis_ranks.get(d, [])
+        divisors = gb.divisors
+        averages: dict[tuple[int, ...], Image] = {}
+        for m in ranks:
+            if m in averages:
+                continue
+            orbit = group.orbit(m, gb.relabel_ranks)
+            acc = Coordinates(len(ranks))
+            for o in orbit:
+                acc.add(1, 1, gb.reduction[d][tuple(divisors[r] for r in o)])
+            den = acc.den * len(orbit)
+            k = gcd(den, *acc.nums)
+            image = (den // k, tuple((i, v // k)
+                                     for i, v in enumerate(acc.nums) if v))
+            averages.update(dict.fromkeys(orbit, image))
+        table = gb.average_tables[key] = [averages[m] for m in ranks]
+    return table
 
 
 class InvariantBasis:
     """Echelonized bases of the fixed subspace, one per degree.
 
-    The fixed subspace of a degree is the common kernel of g - 1 over the
-    generators g of the group, with g acting on basis coordinates by its
-    relabelling images; the rows kept are the reduced row-echelon basis of
-    that kernel, which depends on the subspace only.
+    The fixed subspace of a degree is spanned by the group averages of its
+    basis monomials (``average_images``); the rows kept are the reduced
+    row-echelon basis of the distinct averages, which depends on the
+    subspace only.
     """
 
     def __init__(self, group: PermGroup, gb: GradedBasis):
@@ -147,17 +156,10 @@ class InvariantBasis:
     def _basis_for_degree(self, d: int) -> list[RingElement]:
         gb = self.gb
         ambient = gb.basis[d]
-        rows = []
-        for g in self.group.generators:
-            # Row k of g - 1: coordinate k of each relabelled basis monomial.
-            block = [{} for _ in ambient]
-            for i, (den, terms) in enumerate(gb.relabel_images(g, d)):
-                block[i][i] = -1
-                for k, v in terms:
-                    block[k][i] = block[k].get(i, 0) + Fraction(v, den)
-            rows.extend(block)
-        fixed = kernel_basis(QMatrix(rows, len(ambient)))
-        red, _ = rref(QMatrix(fixed, len(ambient)))
+        # An Image's numerators span the same line as the average itself.
+        rows = [dict(terms) for _, terms
+                in dict.fromkeys(average_images(self.group, gb, d))]
+        red, _ = rref(QMatrix(rows, len(ambient)))
         return [RingElement(gb.n, d, {ambient[j]: x for j, x in row.items()})
                 for row in red]
 

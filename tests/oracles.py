@@ -12,7 +12,8 @@ ring on dicts of monomials with ``Fraction`` coefficients: the reduction
 echelonizes the raw relation rows itself, and products and relabellings
 act monomial by monomial before one reduction, with no table of basis
 coordinates.  The pushforward to the base is recomputed by brute force over
-all of S_n with the same relabelling and a single reduction.  Exact
+all of S_n with the same relabelling and a single reduction, and as the
+transfer over the left coset representatives of the group in S_n.  Exact
 elimination over Q is done by ``FractionEchelon``, a plain ``Fraction``
 Gauss-Jordan kept here as the reference for the integer-first production
 engine.  The order of the extremity kernel of a marked tree is the hand
@@ -432,6 +433,23 @@ def push_full_group(space, x):
             acc[im] = acc.get(im, Fraction(0)) + c * k
     total = reduce(RingElement(space.n, x.degree, acc))
     return total.scale(Fraction(1, space.group.order))
+
+
+def coset_representatives(group) -> list[tuple[int, ...]]:
+    """The lexicographically least element of each left coset gG of a group
+    of mark permutations in S_n, in increasing order: |S_n|/|G| of them.
+
+    For a G-invariant x, act(g h, x) = act(g, x) for h in G, so the
+    transfer, the sum of g.x over these g, is the S_n-sum over |G|."""
+    n = group.n
+    covered: set = set()
+    reps = []
+    for g in itertools.permutations(range(1, n + 1)):
+        if g not in covered:
+            reps.append(g)
+            covered.update(tuple(g[h[i] - 1] for i in range(n))
+                           for h in group.elements)
+    return reps
 
 
 @functools.lru_cache(maxsize=None)

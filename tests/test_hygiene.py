@@ -10,7 +10,10 @@ built on it, no theta census, and nothing of the symmetry or pushforward
 modules.  Only the engine's own module and the Keel build name
 ``SparseEchelon``: every other module eliminates through the adapters
 ``rref``, ``rank``, ``kernel_basis`` and ``solve``.  Only the evaluator of
-polynomials in named classes, in ``space_registry``, calls ``multiply``."""
+polynomials in named classes, in ``space_registry``, calls ``multiply``.
+Only ``RingElement.__init__`` and ``GradedBasis._element`` assign to the
+coefficients of an element, so the coordinates a kernel records on the
+elements it builds stay valid."""
 
 import ast
 from pathlib import Path
@@ -33,6 +36,7 @@ ORACLE_FORBIDDEN_NAMES = {"GradedBasis", "build_graded_basis",
 ORACLE_FORBIDDEN_MODULES = {"prymspin.symmetry", "prymspin.pushpull"}
 ENGINE_MODULES = {"exact_linear.py", "keel_ring.py"}
 EVALUATOR_MODULE = "space_registry.py"
+COEFFS_WRITERS = {("RingElement", "__init__"), ("GradedBasis", "_element")}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -121,6 +125,58 @@ def test_classes_are_multiplied_by_the_evaluator(paths=SOURCES):
                    and node.func.attr == "multiply"
                    for node in ast.walk(_tree(path)))]
     assert not bad, f"{bad} call multiply"
+
+
+def _coeffs_writes(tree: ast.AST, owner=()):
+    """(enclosing class and function, line) of every assignment or deletion
+    whose target is an attribute ``coeffs`` or an item of one."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            yield from _coeffs_writes(node, owner + (node.name,))
+            continue
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = list(node.targets)
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            targets = []
+        while targets:
+            target = targets.pop()
+            if isinstance(target, (ast.Tuple, ast.List)):
+                targets.extend(target.elts)
+                continue
+            while isinstance(target, (ast.Subscript, ast.Starred)):
+                target = target.value
+            if isinstance(target, ast.Attribute) and target.attr == "coeffs":
+                yield owner[-2:], node.lineno
+        yield from _coeffs_writes(node, owner)
+
+
+def test_coeffs_are_written_by_the_kernel_only(paths=SOURCES):
+    bad = [f"{path.name}:{line}" for path in paths
+           for owner, line in _coeffs_writes(_tree(path))
+           if owner not in COEFFS_WRITERS]
+    assert not bad, f"coeffs assigned at {sorted(set(bad))}"
+
+
+def test_coeffs_check_catches_violations(tmp_path):
+    bad = tmp_path / "bad.py"
+    for text in ("def f(x):\n    x.coeffs = {}\n",
+                 "def f(x, m):\n    x.coeffs[m] = 1\n",
+                 "def f(x, m):\n    x.coeffs[m] += 1\n",
+                 "def f(x, m):\n    del x.coeffs[m]\n",
+                 "def f(x, y):\n    a, x.coeffs = 1, y\n",
+                 "class RingElement:\n    def scale(self):\n"
+                 "        self.coeffs = {}\n"):
+        bad.write_text(text)
+        with pytest.raises(AssertionError, match="coeffs assigned"):
+            test_coeffs_are_written_by_the_kernel_only([bad])
+    for text in ("class GradedBasis:\n    def _element(self, out):\n"
+                 "        out.coeffs = {}\n",
+                 "def f(t, x):\n    t[len(x.coeffs)] = x.coeffs\n"):
+        bad.write_text(text)
+        test_coeffs_are_written_by_the_kernel_only([bad])
 
 
 def test_checks_catch_violations(tmp_path):

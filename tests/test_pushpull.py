@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 import prymspin.pushpull as pushpull
 import prymspin.symmetry as symmetry
 from oracles import push_full_group
@@ -17,8 +18,8 @@ from prymspin.pushpull import (INTERSECTION_CALIBRATION, NamedCombo,
                                mumford_base_numbers, push_to_base, pushforward,
                                pushforward_m05, stratum_pushforward_check,
                                verify_lambda_identities)
-from prymspin.space_registry import load_space
-from prymspin.symmetry import act, coset_representatives
+from prymspin.space_registry import SPACE_TAGS, load_space
+from prymspin.symmetry import act
 
 
 def gen(*marks, n=6):
@@ -253,6 +254,15 @@ class TestPushToBase:
         results = stratum_pushforward_check(tag)
         assert results and all(results.values())
 
+    def test_divisor_row_checks_the_multiple(self, monkeypatch):
+        # a divisor row compares the pushed class with fiber_count times the
+        # automorphism ratio, so a wrong fiber count fails that row alone
+        space = load_space("R2")
+        monkeypatch.setattr(space.boundary["d0r"], "fiber_count", 2)
+        results = stratum_pushforward_check("R2")
+        assert results["d0r"] is False
+        assert all(v for name, v in results.items() if name != "d0r")
+
     def test_projection_formula(self):
         # f_*(a . f^* b) = f_* a . b on sampled classes
         m2 = load_space("M2")
@@ -295,10 +305,21 @@ class TestCosetTransfer:
             push_to_base(load_space("R2"), gen(1, 3))
 
     @pytest.mark.parametrize("tag", ["R2", "S2plus", "S2minus", "M2"])
+    def test_matches_coset_oracle(self, tag):
+        space, inputs = _transfer_inputs(tag)
+        reps = oracles.coset_representatives(space.group)
+        for label, x in inputs:
+            total = RingElement.zero(space.n, x.degree)
+            for g in reps:
+                total = total + oracles.act(g, x)
+            assert push_to_base(space, x) == total, label
+
+    @pytest.mark.parametrize("tag", ["R2", "S2plus", "S2minus", "M2"])
     def test_acts_per_push(self, tag, monkeypatch):
-        # the invariance guard acts once per generator; the transfer applies
-        # one permutation per coset in one relabel-sum, never all of S6
-        acts, applied = [], []
+        # the invariance guard acts once per generator, and only its acts
+        # relabel; the transfer reads the S6 orbit-average table, built once
+        # per degree on the kernel and shared by all four spaces
+        acts, applied, built = [], [], []
         relabel_images = GradedBasis.relabel_images
 
         def counting_act(g, x, gb):
@@ -309,16 +330,68 @@ class TestCosetTransfer:
             applied.append(g)
             return relabel_images(gb, g, degree)
 
+        class CountingTables(dict):
+            def __setitem__(self, key, table):
+                built.append(key)
+                super().__setitem__(key, table)
+
         # the invariance guard calls pushpull's alias; the transfer calls none
         monkeypatch.setattr(pushpull, "act", counting_act)
         monkeypatch.setattr(symmetry, "act", counting_act)
         monkeypatch.setattr(GradedBasis, "relabel_images", counting_images)
         space = load_space(tag)
+        monkeypatch.setattr(space.gb, "average_tables", CountingTables())
         gens = space.group.generators
-        for name in list(space.boundary)[:2]:
+        codim2 = [nm for nm, e in space.strata.items() if len(e.rep) == 2]
+        for name in list(space.boundary)[:2] + codim2[:1]:
             acts.clear()
             applied.clear()
             push_to_base(space, space.named_class(name).value)
             assert acts == gens, name
-            assert len(applied) == len(gens) + 720 // space.group.order, name
-            assert applied[len(gens):] == coset_representatives(space.group)
+            assert applied == gens, name
+        for other in SPACE_TAGS:
+            sp = load_space(other)
+            push_to_base(sp, sp.named_class(next(iter(sp.boundary))).value)
+        s6 = tuple(load_space("M2").group.generators)
+        assert built == [(s6, 1), (s6, 2)]
+
+
+class TestCoordinateRecord:
+    @pytest.mark.parametrize("tag", ["R2", "S2plus", "S2minus", "M2"])
+    def test_record_matches_accumulated_coordinates(self, tag):
+        space, inputs = _transfer_inputs(tag)
+        gb = space.gb
+
+        def vector(c):
+            return [Fraction(v, c.den) for v in c.nums]
+
+        for label, x in inputs:
+            if x.degree > gb.top:
+                continue
+            copy = RingElement(x.n, x.degree, x.coeffs)
+            assert copy.record is None
+            assert vector(gb.coordinates(x)) == vector(gb.coordinates(copy)), \
+                label
+
+    def test_other_kernel_never_reads_the_record(self, monkeypatch):
+        first = build_graded_basis(6)
+        second = GradedBasis(6)
+        accumulated = []
+
+        def spy(gb):
+            accumulate = gb._accumulate
+
+            def counting(degree, terms):
+                accumulated.append(gb)
+                return accumulate(degree, terms)
+            monkeypatch.setattr(gb, "_accumulate", counting)
+
+        x = first.reduce(gen(1, 2) + gen(3, 4))
+        y = second.reduce(gen(1, 2) + gen(3, 4))
+        spy(first)
+        spy(second)
+        assert second.coordinates(x).nums == first.coordinates(x).nums
+        assert accumulated == [second]
+        accumulated.clear()
+        assert first.coordinates(y).nums == second.coordinates(y).nums
+        assert accumulated == [first]

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from prymspin.keel_ring import Coordinates, RingElement, build_graded_basis
 from prymspin.space_registry import SPACE_TAGS, load_space
-from prymspin.symmetry import (act, coset_representatives, invariant_basis,
-                               perm_from_cycles)
+from prymspin.symmetry import act, invariant_basis, perm_from_cycles
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -55,7 +54,7 @@ CYCLE_TYPE_PERMS = [perm_from_cycles(c, 6) for c in [
 def test_relabelling_matches_oracle(tag):
     space = load_space(tag)
     gb = space.gb
-    perms = (set(coset_representatives(space.group))
+    perms = (set(oracles.coset_representatives(space.group))
              | set(space.group.generators) | set(CYCLE_TYPE_PERMS))
     for g in sorted(perms):
         for d in range(gb.top + 1):

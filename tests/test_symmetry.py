@@ -4,11 +4,16 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
+from oracles import coset_representatives
+from prymspin.exact_linear import QMatrix, kernel_basis, rref
 from prymspin.keel_ring import (RingElement, all_divisors, build_graded_basis,
                                 canonicalize, four_point_relation)
-from prymspin.symmetry import (PermGroup, act, coset_representatives,
-                               identity_perm, invariant_basis, invariant_dims,
-                               parse_cycles, standard_group)
+from prymspin.symmetry import (PermGroup, act, average_images, identity_perm,
+                               invariant_basis, invariant_dims, parse_cycles,
+                               standard_group)
+
+SPACE_TAGS = ("R2", "S2plus", "S2minus", "M2")
 
 
 def gen(*marks):
@@ -156,3 +161,49 @@ def test_coset_representatives_partition_s6(tag, count):
         assert not covered & coset
         covered |= coset
     assert covered == set(itertools.permutations(range(1, 7)))
+
+
+def _basis_elements(gb, d):
+    return [RingElement(gb.n, d, {m: Fraction(1)}) for m in gb.basis[d]]
+
+
+@pytest.mark.parametrize("tag", SPACE_TAGS)
+def test_average_images_match_oracle(tag):
+    # the orbit-average table against the plain group average of the
+    # oracle's action, summed over every element of the group
+    gb = build_graded_basis(6)
+    group = standard_group(tag)
+    for d in range(gb.top + 1):
+        table = average_images(group, gb, d)
+        assert len(table) == len(gb.basis[d])
+        for (den, terms), b in zip(table, _basis_elements(gb, d)):
+            image = RingElement(6, d, {gb.basis[d][i]: Fraction(v, den)
+                                       for i, v in terms})
+            total = RingElement.zero(6, d)
+            for g in group.elements:
+                total = total + oracles.act(g, b)
+            assert image == total.scale(Fraction(1, group.order)), (d, b)
+
+
+@pytest.mark.parametrize("tag", SPACE_TAGS)
+def test_invariant_basis_is_the_fixed_subspace(tag):
+    # the fixed subspace as the common kernel of g - 1 over the generators,
+    # with g acting through the oracle, in reduced row-echelon form
+    gb = build_graded_basis(6)
+    group = standard_group(tag)
+    basis = invariant_basis(group, gb)
+    for d in range(gb.top + 1):
+        ambient = gb.basis[d]
+        column = {m: j for j, m in enumerate(ambient)}
+        rows = []
+        for g in group.generators:
+            block = [{} for _ in ambient]
+            for i, b in enumerate(_basis_elements(gb, d)):
+                for m, c in (oracles.act(g, b) - b).coeffs.items():
+                    block[column[m]][i] = c
+            rows.extend(block)
+        fixed = kernel_basis(QMatrix(rows, len(ambient)))
+        red, _ = rref(QMatrix(fixed, len(ambient)))
+        expected = [RingElement(6, d, {ambient[j]: x for j, x in row.items()})
+                    for row in red]
+        assert basis.per_degree[d] == expected, d
