@@ -24,8 +24,8 @@ from .pushpull import (check_combo_vanishes, derive_linear_relation,
                        m2_relation_verdicts, mumford_base_numbers,
                        pushforward, pushforward_m05, verify_lambda_identities)
 from .space_registry import MARKS, QUOTIENT_TAGS, SPACE_TAGS, load_space
-from .strata_aut import (StratumDescriptor, count_marked_automorphisms,
-                         double_cover_graph, parse_tree, prym_aut_number)
+from .strata_aut import (count_marked_automorphisms, double_cover_graph,
+                         parse_tree, prym_aut_number)
 from .symmetry import invariant_dims
 from .theta_f2 import verify_bijections
 
@@ -267,9 +267,8 @@ def cmd_strata(args) -> int:
         cover = double_cover_graph(tree)
         rows.append(("cover genus", str(cover.total_genus()),
                      cover.total_genus() == 2))
-        desc = StratumDescriptor(tree, frozenset(), swap)
         rows.append(("structure automorphisms (no blowups)",
-                     str(prym_aut_number(desc)), None))
+                     str(prym_aut_number(tree, frozenset(), swap)), None))
         return _emit(report, args.json)
     _append_strata(report, args.space)
     return _emit(report, args.json)

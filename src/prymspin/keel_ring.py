@@ -27,12 +27,12 @@ of divisor ranks renamed by a permutation g of the marks, read off the side
 bitmasks (a side holding mark n is complemented); it checks g once and is
 kept per g.  ``relabel_ranks`` renames one monomial of ranks through that
 table; ``relabel_images`` maps each basis monomial through it and keeps the
-image per g and degree.  ``linear_image(x, tables)`` applies linear maps
+image per g and degree.  ``linear_image(x, table)`` applies the linear map
 given by the images of the basis monomials: it takes the coordinates of x
-once, adds the images of every table into one ``Coordinates`` and builds
-one element.  ``relabel(perms, x)``, the mark-permutation action, is that
-sum over the relabelling tables of the permutations; the pushforward to
-the base applies the orbit-average table of ``symmetry.average_images``.
+once, adds the images into one ``Coordinates`` and builds one element.
+``relabel(g, x)``, the mark-permutation action, applies the relabelling
+table of g; the pushforward to the base applies the orbit-average table of
+``symmetry.average_images``.
 ``RingElement``, a dict from monomials to ``Fraction`` coefficients, stays
 the format in which elements pass between modules.
 """
@@ -486,7 +486,12 @@ class GradedBasis:
     # -- reduction, products, relabelling, integration ----------------------
 
     def reduce(self, x: RingElement) -> RingElement:
-        """Rewrite onto the degree's basis monomials."""
+        """Rewrite onto the degree's basis monomials.  An element this
+        kernel built is reduced already and never changes, so it is
+        returned itself."""
+        record = x.record
+        if record is not None and record[0] is self:
+            return x
         return self.combine(x.degree, ((x, 1),))
 
     def combine(self, degree: int, terms) -> RingElement:
@@ -527,28 +532,28 @@ class GradedBasis:
                 row.append(red.get(monomial(*left, *right), _ZERO_IMAGE))
         return row
 
-    def linear_image(self, x: RingElement, tables,
+    def linear_image(self, x: RingElement, table: list[Image],
                      scale: Rational = 1) -> RingElement:
-        """The sum over the tables T of scale * sum(v[i] * T[i]), where v
-        are the coordinates of x and T[i] is the Image of basis monomial i
-        under a linear map of x's degree: one accumulation in integer
-        coordinates and one element at the end."""
+        """scale * sum(v[i] * table[i]), where v are the coordinates of x
+        and table[i] is the Image of basis monomial i under a linear map of
+        x's degree: one accumulation in integer coordinates and one element
+        at the end."""
         if x.degree > self.top:
             return RingElement.zero(self.n, x.degree)
         v = self.coordinates(x)
-        terms = [(i, c) for i, c in enumerate(v.nums) if c]
         num, den = scale.numerator, scale.denominator
         acc = Coordinates(len(v.nums))
-        for images in tables:
-            for i, c in terms:
-                acc.add(c * num, den, images[i])
+        for i, c in enumerate(v.nums):
+            if c:
+                acc.add(c * num, den, table[i])
         return self._element(x.degree, acc, v.den)
 
-    def relabel(self, perms, x: RingElement) -> RingElement:
-        """The reduced sum of x with mark i renamed g[i-1], over the
-        permutations g in perms."""
-        return self.linear_image(
-            x, (self.relabel_images(g, x.degree) for g in perms))
+    def relabel(self, g: tuple[int, ...], x: RingElement) -> RingElement:
+        """x with mark i renamed g[i-1], reduced; a degree beyond the top
+        has no relabelling table and gives the zero element."""
+        if x.degree > self.top:
+            return RingElement.zero(self.n, x.degree)
+        return self.linear_image(x, self.relabel_images(g, x.degree))
 
     def relabel_images(self, g: tuple[int, ...], degree: int) -> list[Image]:
         """The Image of each basis monomial of the degree with its marks

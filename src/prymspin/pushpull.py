@@ -376,7 +376,7 @@ def push_to_base(space: SpaceDescriptor, element: RingElement) -> RingElement:
             raise ValueError(f"push_to_base needs a {space.tag}-invariant "
                              f"class; the generator {h} moves this one")
     table = average_images(load_space("M2").group, gb, element.degree)
-    return gb.linear_image(reduced, (table,), space.fundamental_pushforward)
+    return gb.linear_image(reduced, table, space.fundamental_pushforward)
 
 
 def base_class_coordinates(element: RingElement):

@@ -34,10 +34,9 @@ from math import factorial
 from .keel_ring import (BoundaryIndex, GradedBasis, Monomial, RingElement,
                         build_graded_basis, canonicalize)
 from .reference import MUMFORD_LAMBDA
-from .strata_aut import (MarkedTree, StratumDescriptor,
-                         count_marked_automorphisms, fiber_count,
-                         prym_aut_number, stratum_pushforward_coeff,
-                         trees_isomorphic)
+from .strata_aut import (MarkedTree, count_marked_automorphisms,
+                         fiber_count, prym_aut_number,
+                         stratum_pushforward_coeff, trees_isomorphic)
 from .symmetry import PermGroup, standard_group
 
 QUOTIENT_TAGS = ("R2", "S2plus", "S2minus")
@@ -337,9 +336,8 @@ def _audit(space: SpaceDescriptor, base: SpaceDescriptor):
             raise RegistryError(
                 f"{tag}/{e.name}: orbit({len(e.orbit)}) x degree({e.degree}) "
                 f"x aut_upstairs({e.stab_order}) != group order {order}")
-        desc = StratumDescriptor(e.tree, e.blown_edges,
-                                 space.unordered_classes)
-        n_computed = prym_aut_number(desc)
+        stratum = (e.tree, e.blown_edges, space.unordered_classes)
+        n_computed = prym_aut_number(*stratum)
         if n_computed != e.aut:
             raise RegistryError(f"{tag}/{e.name}: computed automorphism "
                                 f"number {n_computed}, table says {e.aut}")
@@ -355,7 +353,7 @@ def _audit(space: SpaceDescriptor, base: SpaceDescriptor):
             if not trees_isomorphic(plain_src, target.tree):
                 raise RegistryError(f"{tag}/{e.name}: underlying tree does "
                                     f"not match {e.pushforward_target}")
-            coeff = stratum_pushforward_coeff(desc, target.aut)
+            coeff = stratum_pushforward_coeff(*stratum, target.aut)
             if coeff != e.pushforward_coeff:
                 raise RegistryError(
                     f"{tag}/{e.name}: computed pushforward coefficient "

@@ -2,11 +2,13 @@
 counting, the dual graph of the associated double cover, and the
 automorphism numbers of the corresponding square-root structures.
 
-A stratum of one of the quotient spaces is recorded as a marked tree (mark
-counts per component, split into two classes) together with the set of
-edges at which the stable model is blown up.  Everything a registry table
-needs — generic automorphism count m, structure automorphism number n,
-fiber counts over the base space — is computed from this data.
+A stratum of one of the quotient spaces is given by three plain values: a
+marked tree (mark counts per component, split into two classes), the
+frozenset of edges at which the stable model is blown up, and whether the
+two mark classes may be exchanged.  Every number a registry table needs —
+generic automorphism count m, structure automorphism number n, fiber counts
+and pushforward coefficients over the base space — is a function of these
+values, passed as positional arguments; n is kept per stratum.
 
 One enumerator answers every question about a tree: ``_tree_maps`` yields
 the component bijections (with or without exchanging the two classes) that
@@ -104,11 +106,17 @@ class MarkedTree:
 
 def parse_tree(text: str) -> MarkedTree:
     """Parse the tree grammar: components are parenthesized groups of mark
-    tokens A, B and edge references, e.g. "(A A -1)(B B B B -1)".  Each edge
-    id must occur in exactly two components."""
-    comps = re.findall(r"\(([^()]*)\)", text)
+    tokens A, B and edge references, e.g. "(A A -1)(B B B B -1)", with only
+    whitespace between the groups.  Each edge id must occur in exactly two
+    components."""
+    parts = re.split(r"\(([^()]*)\)", text)
+    comps = parts[1::2]         # the group bodies; the rest lies around them
     if not comps:
         raise ValueError(f"no components in tree grammar: {text!r}")
+    stray = " ".join(" ".join(parts[::2]).split())
+    if stray:
+        raise ValueError(f"stray text {stray!r} outside the groups of "
+                         "tree grammar")
     marks = []
     edge_ends: dict[int, list[int]] = {}
     for ci, body in enumerate(comps):
@@ -200,10 +208,7 @@ def extremity_kernel(tree: MarkedTree, allow_set_swap: bool = False):
 # -- double covers -----------------------------------------------------------
 
 class CoverVertex:
-    def __init__(self, comp: int, sheet: int | None, genus: int,
-                 exceptional: bool):
-        self.comp = comp
-        self.sheet = sheet          # None for a connected (branched) cover
+    def __init__(self, genus: int, exceptional: bool):
         self.genus = genus
         self.exceptional = exceptional
 
@@ -249,110 +254,61 @@ def double_cover_graph(tree: MarkedTree) -> CoverGraph:
     total_a, total_b = tree.total_marks()
     if (total_a + total_b) % 2 != 0:
         raise ValueError("double cover needs an even number of marks")
-    ncomp = len(tree.marks)
-    edge_branched = []
-    for k, (c, _) in enumerate(tree.edges):
-        fa, fb = tree.far_side_marks(k, c)
-        edge_branched.append((fa + fb) % 2 == 1)
-    branch = []
-    for c in range(ncomp):
-        a, b = tree.marks[c]
-        cnt = a + b + sum(1 for k in tree.incident_edges(c) if edge_branched[k])
-        branch.append(cnt)
-
+    # With an even total every branch count is even: a component's marks
+    # and the marks on the far sides of its edges add up to the total.  A
+    # branched node is a branch point on both of its components, so both
+    # of them are connected covers.
+    edge_branched = [sum(tree.far_side_marks(k, c)) % 2 == 1
+                     for k, (c, _) in enumerate(tree.edges)]
     vertices: list[CoverVertex] = []
-    vmap: dict[tuple[int, int | None], int] = {}
-    for c in range(ncomp):
-        if branch[c] == 0:
-            for sheet in (0, 1):
-                vmap[(c, sheet)] = len(vertices)
-                vertices.append(CoverVertex(c, sheet, 0, tree.is_extremity(c)))
-        else:
-            if branch[c] % 2 != 0:
-                raise ValueError(f"odd branch count on component {c}")
-            vmap[(c, None)] = len(vertices)
-            vertices.append(CoverVertex(c, None, branch[c] // 2 - 1,
-                                        tree.is_extremity(c)))
-
-    def verts_of(c):
-        if (c, None) in vmap:
-            return [vmap[(c, None)]]
-        return [vmap[(c, 0)], vmap[(c, 1)]]
+    verts_of: list[range] = []
+    for c, (a, b) in enumerate(tree.marks):
+        branch = a + b + sum(1 for k in tree.incident_edges(c)
+                             if edge_branched[k])
+        sheets, genus = (1, branch // 2 - 1) if branch else (2, 0)
+        verts_of.append(range(len(vertices), len(vertices) + sheets))
+        vertices += [CoverVertex(genus, tree.is_extremity(c))
+                     for _ in range(sheets)]
 
     edges: list[tuple[int, int, int]] = []
     for k, (c, d) in enumerate(tree.edges):
-        vc, vd = verts_of(c), verts_of(d)
-        if edge_branched[k]:
-            if len(vc) != 1 or len(vd) != 1:
-                raise ValueError("branched node on a split cover component")
-            edges.append((vc[0], vd[0], k))
-        else:
-            for i in (0, 1):
-                edges.append((vc[i % len(vc)], vd[i % len(vd)], k))
+        vc, vd = verts_of[c], verts_of[d]
+        for i in range(1 if edge_branched[k] else 2):
+            edges.append((vc[i % len(vc)], vd[i % len(vd)], k))
     return CoverGraph(vertices, edges)
 
 
-class StratumDescriptor:
-    """A stratum: its marked tree, the tree edges whose node on the stable
-    model is blown up in the square-root structure, and whether the two
-    mark classes are interchangeable on the ambient space.  Descriptors are
-    immutable values, equal and hashed as the tuple of their three fields."""
-    __slots__ = ("tree", "blown_edges", "allow_set_swap")
-
-    def __init__(self, tree: MarkedTree,
-                 blown_edges: frozenset[int] = frozenset(),
-                 allow_set_swap: bool = False):
-        object.__setattr__(self, "tree", tree)
-        object.__setattr__(self, "blown_edges", blown_edges)
-        object.__setattr__(self, "allow_set_swap", allow_set_swap)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not StratumDescriptor:
-            return NotImplemented
-        return (self.tree == other.tree
-                and self.blown_edges == other.blown_edges
-                and self.allow_set_swap == other.allow_set_swap)
-
-    def __hash__(self):
-        return hash((self.tree, self.blown_edges, self.allow_set_swap))
-
-    def __repr__(self):
-        return (f"StratumDescriptor(tree={self.tree!r}, "
-                f"blown_edges={self.blown_edges!r}, "
-                f"allow_set_swap={self.allow_set_swap!r})")
-
-
-def nonexceptional_component_count(desc: StratumDescriptor) -> int:
+def nonexceptional_component_count(tree: MarkedTree,
+                                   blown_edges: frozenset[int]) -> int:
     """Connected components of the square-root support after removing its
     exceptional components and the blown-up nodes.  An exceptional cover
     vertex meets the two lifts of one tree edge, which make one node of the
     stable model, so the count is that of the cover without the blown lifts,
     taken at its non-exceptional vertices."""
-    cover = double_cover_graph(desc.tree)
+    cover = double_cover_graph(tree)
     root = _components(len(cover.vertices), [(a, b) for a, b, k in cover.edges
-                                             if k not in desc.blown_edges])
+                                             if k not in blown_edges])
     return len({root[i] for i, v in enumerate(cover.vertices)
                 if not v.exceptional})
 
 
 @functools.lru_cache(maxsize=None)
-def prym_aut_number(desc: StratumDescriptor) -> int:
+def prym_aut_number(tree: MarkedTree, blown_edges: frozenset[int],
+                    allow_set_swap: bool) -> int:
     """Automorphism number of the square-root structure carried by a
-    generic curve of the stratum: n = 2^(s-r) * i * h, with s components,
-    r extremities, i = 2^(u-1) counting inessential automorphisms via the
-    u components of the non-exceptional subcurve, and h = m / |K| the
-    automorphism count of the contracted mark data, K the extremity kernel:
-    a subgroup of the m generic automorphisms, so |K| divides m.
-    Descriptors are immutable, and each one is computed once."""
-    tree = desc.tree
-    m = count_marked_automorphisms(tree, desc.allow_set_swap)
-    h = m // len(extremity_kernel(tree, desc.allow_set_swap))
+    generic curve of the stratum given by the tree, the edges whose node is
+    blown up, and whether the two mark classes may be exchanged:
+    n = 2^(s-r) * i * h, with s components, r extremities, i = 2^(u-1)
+    counting inessential automorphisms via the u components of the
+    non-exceptional subcurve, and h = m / |K| the automorphism count of the
+    contracted mark data, K the extremity kernel: a subgroup of the m
+    generic automorphisms, so |K| divides m.  The arguments are immutable,
+    and each stratum is computed once."""
+    m = count_marked_automorphisms(tree, allow_set_swap)
+    h = m // len(extremity_kernel(tree, allow_set_swap))
     s = len(tree.marks)
     r = sum(1 for c in range(s) if tree.is_extremity(c))
-    u = nonexceptional_component_count(desc)
+    u = nonexceptional_component_count(tree, blown_edges)
     return 2 ** (s - r) * 2 ** (u - 1) * h
 
 
@@ -443,9 +399,11 @@ def fiber_count(tree: MarkedTree, unordered_classes: bool = False) -> int:
     return orbits
 
 
-def stratum_pushforward_coeff(desc: StratumDescriptor, image_aut: int) -> Fraction:
+def stratum_pushforward_coeff(tree: MarkedTree, blown_edges: frozenset[int],
+                              allow_set_swap: bool, image_aut: int) -> Fraction:
     """Coefficient of the image stratum class under the forgetful map:
     (number of structures over a general image point) x (automorphisms of
     the image object) / (automorphisms of the source object)."""
-    m_count = fiber_count(desc.tree, desc.allow_set_swap)
-    return Fraction(m_count * image_aut, prym_aut_number(desc))
+    m_count = fiber_count(tree, allow_set_swap)
+    return Fraction(m_count * image_aut,
+                    prym_aut_number(tree, blown_edges, allow_set_swap))

@@ -107,7 +107,7 @@ def standard_group(tag: str, n: int = 6) -> PermGroup:
 
 def act(g: Perm, x: RingElement, gb: GradedBasis) -> RingElement:
     """Relabel marks by g in every generator, then reduce to the basis."""
-    return gb.relabel((g,), x)
+    return gb.relabel(g, x)
 
 
 def average_images(group: PermGroup, gb: GradedBasis, d: int) -> list[Image]:

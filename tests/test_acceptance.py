@@ -16,7 +16,7 @@ from prymspin.pushpull import (check_combo_vanishes, derive_linear_relation,
                                m2_relation_verdicts, mumford_base_numbers,
                                verify_lambda_identities)
 from prymspin.space_registry import load_space
-from prymspin.strata_aut import StratumDescriptor, fiber_count, prym_aut_number
+from prymspin.strata_aut import fiber_count, prym_aut_number
 from prymspin.symmetry import invariant_dims, standard_group
 from prymspin.theta_f2 import torsion_census, verify_bijections
 
@@ -146,9 +146,8 @@ def test_criterion_10_strata_tables():
         space = load_space(tag)
         base = load_space("M2")
         for e in list(space.boundary.values()) + list(space.strata.values()):
-            desc = StratumDescriptor(e.tree, e.blown_edges,
-                                     space.unordered_classes)
-            ok &= prym_aut_number(desc) == e.aut
+            ok &= prym_aut_number(e.tree, e.blown_edges,
+                                  space.unordered_classes) == e.aut
             if e.pushforward_target is not None:
                 coeff = Fraction(
                     fiber_count(e.tree, space.unordered_classes)

@@ -266,6 +266,20 @@ def test_strata_empty_tree_exits_2(capsys):
     assert captured.err == "error: no components in tree grammar: ''\n"
 
 
+@pytest.mark.parametrize("tree,stray", [
+    ("(A A -1) oops (B B B B -1) ((", "oops (("),
+    ("(A A -1)(B B B B -1))", ")"),
+    ("(A A -1)((B B B B -1)", "("),
+])
+def test_strata_tree_with_stray_text_exits_2(capsys, tree, stray):
+    # text outside the parenthesised groups is refused, not skipped
+    assert main(["strata", "--space", "R2", "--tree", tree]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: stray text {stray!r} outside the "
+                            "groups of tree grammar\n")
+
+
 @pytest.mark.parametrize("space,tree", [
     ("R2", "(A A A -1)(B B B -1)"),
     ("R2", "(A A -1)(A A B B -1)"),

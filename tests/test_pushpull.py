@@ -395,3 +395,34 @@ class TestCoordinateRecord:
         accumulated.clear()
         assert first.coordinates(y).nums == second.coordinates(y).nums
         assert accumulated == [first]
+
+    def test_reduce_returns_an_element_its_kernel_built(self, monkeypatch):
+        first = build_graded_basis(6)
+        second = GradedBasis(6)
+        x = first.reduce(gen(1, 2) + gen(3, 4))
+        assert first.reduce(x) is x
+        accumulated = []
+        accumulate = second._accumulate
+
+        def counting(degree, terms):
+            accumulated.append(degree)
+            return accumulate(degree, terms)
+        monkeypatch.setattr(second, "_accumulate", counting)
+        y = second.reduce(x)
+        assert accumulated == [1]
+        assert y == x and y is not x and y.record[0] is second
+        assert second.reduce(y) is y and accumulated == [1]
+
+    def test_warm_push_accumulates_nothing(self, monkeypatch):
+        space = load_space("R2")
+        x = space.named_class(space.names()[0]).value
+        pushed = push_to_base(space, x)
+        accumulated = []
+        accumulate = space.gb._accumulate
+
+        def counting(degree, terms):
+            accumulated.append(degree)
+            return accumulate(degree, terms)
+        monkeypatch.setattr(space.gb, "_accumulate", counting)
+        assert push_to_base(space, x) == pushed
+        assert accumulated == []

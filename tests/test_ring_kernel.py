@@ -88,8 +88,8 @@ def test_relabel_sums_over_permutations():
     total = RingElement.zero(6, 2)
     for g in CYCLE_TYPE_PERMS:
         total = total + oracles.act(g, x)
-    assert gb.relabel(CYCLE_TYPE_PERMS, x) == total
-    assert gb.relabel((), x) == RingElement.zero(6, 2)
+    assert gb.combine(2, [(gb.relabel(g, x), 1)
+                          for g in CYCLE_TYPE_PERMS]) == total
 
 
 def test_coordinates_mix_denominators():

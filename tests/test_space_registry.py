@@ -16,8 +16,7 @@ from prymspin.space_registry import (_PACKAGED_PRESETS, RegistryError,
                                      SpaceDescriptor, load_preset_json,
                                      load_space, pullback_tables,
                                      tree_from_monomial)
-from prymspin.strata_aut import (MarkedTree, StratumDescriptor,
-                                 prym_aut_number, trees_isomorphic)
+from prymspin.strata_aut import MarkedTree, prym_aut_number, trees_isomorphic
 
 
 @pytest.mark.parametrize("tag", ["R2", "S2plus", "S2minus", "M2"])
@@ -96,9 +95,9 @@ def test_aut_number():
     for tag in ("R2", "S2plus", "S2minus", "M2"):
         space = load_space(tag)
         a = len(space.a_marks)
-        generic = StratumDescriptor(MarkedTree(((a, 6 - a),), ()),
-                                    frozenset(), space.unordered_classes)
-        assert prym_aut_number(generic) == 2, tag
+        generic = MarkedTree(((a, 6 - a),), ())
+        assert prym_aut_number(generic, frozenset(),
+                               space.unordered_classes) == 2, tag
 
 
 def test_named_class_lambda():

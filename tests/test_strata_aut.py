@@ -5,7 +5,7 @@ import pytest
 
 from oracles import (aut_count_identity_holds, extremity_kernel_formula,
                      stable_marked_trees)
-from prymspin.strata_aut import (MarkedTree, StratumDescriptor, _realizable,
+from prymspin.strata_aut import (MarkedTree, _realizable,
                                  count_marked_automorphisms,
                                  double_cover_graph, extremity_kernel,
                                  fiber_count, mark_slots,
@@ -140,8 +140,9 @@ class TestTreeTraversal:
 
 
 class TestValueSemantics:
-    """Trees and stratum descriptors are memo keys: built twice they are
-    equal, hash as their field tuples and hit the memo."""
+    """Trees are memo keys: built twice they are equal and hash as their
+    field tuples, so a stratum's (tree, blown edges, swap flag) built twice
+    hits the memo."""
 
     def test_marked_tree(self):
         a = parse_tree("(A A -1)(B B B B -1)")
@@ -157,26 +158,14 @@ class TestValueSemantics:
     @pytest.mark.parametrize("name, grammar, blown, swap, m, n", R2_TABLE)
     def test_stratum_descriptor_hits_the_memo(self, name, grammar, blown,
                                               swap, m, n):
-        first = StratumDescriptor(parse_tree(grammar), frozenset(blown), swap)
-        second = StratumDescriptor(parse_tree(grammar), frozenset(blown), swap)
-        assert first == second and first is not second
-        assert hash(first) == hash(second) == hash(
-            (first.tree, first.blown_edges, first.allow_set_swap))
-        assert first != StratumDescriptor(first.tree, frozenset(blown),
-                                          not swap)
-        prym_aut_number(first)
-        hits = prym_aut_number.cache_info().hits
-        assert prym_aut_number(second) == n
-        assert prym_aut_number.cache_info().hits == hits + 1
-        with pytest.raises(AttributeError):
-            second.allow_set_swap = not swap
-
-    def test_stratum_descriptor_defaults_and_repr(self):
-        tree = parse_tree("(A A B B B B)")
-        desc = StratumDescriptor(tree)
-        assert desc == StratumDescriptor(tree, frozenset(), False)
-        assert repr(desc) == (f"StratumDescriptor(tree={tree!r}, "
-                              "blown_edges=frozenset(), allow_set_swap=False)")
+        first = (parse_tree(grammar), frozenset(blown), swap)
+        second = (parse_tree(grammar), frozenset(blown), swap)
+        assert first[0] is not second[0]
+        prym_aut_number(*first)
+        info = prym_aut_number.cache_info()
+        assert prym_aut_number(*second) == n
+        after = prym_aut_number.cache_info()
+        assert (after.hits, after.misses) == (info.hits + 1, info.misses)
 
 
 class TestGenericAutomorphisms:
@@ -256,6 +245,19 @@ class TestCoverGraph:
     def test_total_genus_always_two(self, name, grammar, blown, swap, m, n):
         assert double_cover_graph(parse_tree(grammar)).total_genus() == 2
 
+    def test_every_stable_tree(self):
+        # genus 2 over every tree; a node lifts once when it is a branch
+        # point (an odd number of marks beyond it) and twice otherwise
+        trees = stable_marked_trees(6)
+        assert len(trees) == 692
+        for tree in trees:
+            cover = double_cover_graph(tree)
+            assert cover.total_genus() == 2, tree
+            lifts = [k for _, _, k in cover.edges]
+            for k, (c, _) in enumerate(tree.edges):
+                odd = sum(tree.far_side_marks(k, c)) % 2 == 1
+                assert lifts.count(k) == (1 if odd else 2), (tree, k)
+
     def test_odd_marks_rejected(self):
         with pytest.raises(ValueError):
             double_cover_graph(MarkedTree(((3, 0),), ()))
@@ -265,8 +267,8 @@ class TestStructureAutomorphisms:
     @pytest.mark.parametrize("name,grammar,blown,swap,m,n", ALL_TABLES,
                              ids=[row[0] for row in ALL_TABLES])
     def test_numbers(self, name, grammar, blown, swap, m, n):
-        desc = StratumDescriptor(parse_tree(grammar), frozenset(blown), swap)
-        assert prym_aut_number(desc) == n
+        assert prym_aut_number(parse_tree(grammar), frozenset(blown),
+                               swap) == n
 
     def test_count_identity_and_its_documented_exception(self):
         # m = 2^(r') h holds everywhere except the all-mixed star, where the
@@ -305,17 +307,15 @@ class TestFiberCounts:
 
     def test_pushforward_coefficients(self):
         # D0' -> 6 x the one-nodal base divisor (image aut 2)
-        d0p = StratumDescriptor(parse_tree("(B B -1)(A A B B -1)"),
-                                frozenset(), False)
-        assert stratum_pushforward_coeff(d0p, image_aut=2) == 6
+        d0p = parse_tree("(B B -1)(A A B B -1)")
+        assert stratum_pushforward_coeff(d0p, frozenset(), False, 2) == 6
         # D1:1 -> 9 x the two-component base divisor (image aut 4)
-        d11 = StratumDescriptor(parse_tree("(A B B -1)(A B B -1)"),
-                                frozenset(), False)
-        assert stratum_pushforward_coeff(d11, image_aut=4) == 9
+        d11 = parse_tree("(A B B -1)(A B B -1)")
+        assert stratum_pushforward_coeff(d11, frozenset(), False, 4) == 9
         # B1+ -> 1/2 x the two-component base divisor
-        b1p = StratumDescriptor(parse_tree("(A A A -1)(B B B -1)"),
-                                frozenset([0]), True)
-        assert stratum_pushforward_coeff(b1p, image_aut=4) == Fraction(1, 2)
+        b1p = parse_tree("(A A A -1)(B B B -1)")
+        assert stratum_pushforward_coeff(b1p, frozenset([0]), True, 4) \
+            == Fraction(1, 2)
 
 
 def test_trees_isomorphic():

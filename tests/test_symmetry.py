@@ -64,7 +64,8 @@ def test_reynolds_idempotent_and_projects():
     group = standard_group("R2")
 
     def reynolds(group, x, gb):
-        return gb.relabel(group.elements, x).scale(Fraction(1, group.order))
+        terms = [(gb.relabel(g, x), 1) for g in group.elements]
+        return gb.combine(x.degree, terms).scale(Fraction(1, group.order))
 
     rng = random.Random(9)
     divisors = all_divisors(6)
