@@ -13,10 +13,11 @@ goes through ``SparseEchelon``:
   same after every step (the fraction-free idea of Bareiss, Math. Comp.
   1968; dividing by the content instead of the previous pivot keeps each
   row the smallest integer multiple of itself).
-* ``integral_rref`` back-substitutes the same way, one combined integer
-  step per row, and returns the reduced rows in integer form; ``finish``
-  then divides each row by its leading entry, which gives the unique
-  reduced row-echelon form with ``Fraction`` entries.
+* ``finish`` back-substitutes the same way, one combined integer step per
+  row, and returns the reduced rows in integer form.  ``rref`` divides
+  each row by its leading entry, which gives the unique reduced
+  row-echelon form with ``Fraction`` entries; the Keel build reads the
+  integer rows themselves.
 
 Every step is an exact integer operation: there is no floating point and no
 modular or probabilistic arithmetic, so ranks, pivots, kernels and solutions
@@ -67,8 +68,14 @@ def rref(m: QMatrix) -> tuple[list[dict[int, Fraction]], list[int]]:
     ech = SparseEchelon()
     for row in m.rows:
         ech.add_row(row)
-    reduced = ech.finish()
-    return list(reduced.values()), list(reduced)
+    red, pivots = [], []
+    for lead, (a, tail) in sorted(ech.finish().items()):
+        row = {lead: _ONE}
+        for c, v in sorted(tail):
+            row[c] = Fraction(v, a)
+        red.append(row)
+        pivots.append(lead)
+    return red, pivots
 
 
 def rank(m: QMatrix) -> int:
@@ -127,7 +134,7 @@ class SparseEchelon:
     memory proportional to the rank.  Each stored pivot row is a primitive
     integer row with a positive leading entry, kept as the pair (leading
     entry, other entries).  ``finish`` returns the reduced row-echelon form
-    {pivot column: row dict}, with pivot entries 1 and ``Fraction`` values.
+    in that integer form, {pivot column: (leading entry, other entries)}.
     """
 
     def __init__(self):
@@ -172,21 +179,11 @@ class SparseEchelon:
                 _make_primitive(work)
         return False
 
-    def finish(self) -> dict[int, dict[int, Fraction]]:
-        """Back-substitute to full RREF; returns {pivot_col: row_dict}."""
-        out = {}
-        for lead, (a, tail) in sorted(self.integral_rref().items()):
-            row = {lead: _ONE}
-            for c, v in sorted(tail):
-                row[c] = Fraction(v, a)
-            out[lead] = row
-        return out
-
-    def integral_rref(self) -> dict[int, tuple[int, list[tuple[int, int]]]]:
+    def finish(self) -> dict[int, tuple[int, list[tuple[int, int]]]]:
         """Back-substitute to full RREF in integer form: {pivot_col: (a,
         [(col, v), ...])}, the row a*x_pivot + sum(v*x_col), primitive with
         a > 0 and with every other column free.  Dividing by a gives the
-        rows of ``finish``."""
+        rows of ``rref``."""
         pivots = self._pivots
         for lead in sorted(pivots, reverse=True):
             a, tail = pivots[lead]

@@ -15,12 +15,15 @@ works on divisor ranks (positions in the fixed divisor order): a monomial
 is a sorted tuple of ranks, and the divisors compatible with a given one
 form one integer bitset, so a relation row is found by index arithmetic
 and the tables are named by ``BoundaryIndex`` factors once at the end of
-each degree.  Reduction, products and linear combinations all accumulate
-such images in integer ``Coordinates`` and build one ``Fraction`` per output
-coordinate.  An element built by the kernel keeps those ``Coordinates``
-together with the kernel that built it, so that kernel reads them back
-instead of accumulating the element again.  The images of products of two
-basis monomials (the structure constants) are built on first use and kept.
+each degree.  Reduction, products and linear combinations all sum such
+images in one pass (``sum_images``): the common denominator first, then
+integer multiply-adds into one ``Coordinates``.  An element built by the
+kernel keeps those ``Coordinates`` together with the kernel that built it
+as its working form: that kernel reads them back instead of accumulating
+the element again, and equality, zero tests, scaling and integration read
+them too.  Its ``Fraction`` coefficients are built only when ``coeffs`` is
+first read.  The images of products of two basis monomials (the structure
+constants) are built on first use and kept.
 
 Relabelling works on ranks too.  ``divisor_permutation(g)`` is the table
 of divisor ranks renamed by a permutation g of the marks, read off the side
@@ -29,12 +32,13 @@ kept per g.  ``relabel_ranks`` renames one monomial of ranks through that
 table; ``relabel_images`` maps each basis monomial through it and keeps the
 image per g and degree.  ``linear_image(x, table)`` applies the linear map
 given by the images of the basis monomials: it takes the coordinates of x
-once, adds the images into one ``Coordinates`` and builds one element.
+once, sums the images into one ``Coordinates`` and builds one element.
 ``relabel(g, x)``, the mark-permutation action, applies the relabelling
 table of g; the pushforward to the base applies the orbit-average table of
 ``symmetry.average_images``.
-``RingElement``, a dict from monomials to ``Fraction`` coefficients, stays
-the format in which elements pass between modules.
+``RingElement.coeffs``, a dict from monomials to ``Fraction`` coefficients,
+stays the format in which elements pass between modules.  Coefficients are
+exact: a ``float`` is refused with ``TypeError``.
 """
 
 from __future__ import annotations
@@ -148,23 +152,37 @@ class RingElement:
     Elements produced by GradedBasis.reduce are supported on the chosen
     basis monomials of their degree; raw elements (relations, products
     before reduction) may carry arbitrary monomials.  An element built by a
-    ``GradedBasis`` records (kernel, ``Coordinates``); its coefficients are
-    never changed after construction, so the record stays valid.
+    ``GradedBasis`` records (kernel, ``Coordinates``) and holds no
+    coefficient dict until ``coeffs`` is first read; an element built by
+    the constructor holds its dict from the start.  Neither is changed
+    after construction, so the record stays valid.
     """
 
-    __slots__ = ("n", "degree", "coeffs", "record")
+    __slots__ = ("n", "degree", "_coeffs", "record")
 
     def __init__(self, n: int, degree: int, coeffs: dict[Monomial, Fraction] | None = None):
         self.n = n
         self.degree = degree
         self.record: tuple[GradedBasis, Coordinates] | None = None
-        self.coeffs: dict[Monomial, Fraction] = {}
+        self._coeffs: dict[Monomial, Fraction] | None = {}
         if coeffs:
             for m, c in coeffs.items():
                 if type(c) is not Fraction:
-                    c = Fraction(c)
+                    c = _exact(c)
                 if c:
-                    self.coeffs[m] = c
+                    self._coeffs[m] = c
+
+    @property
+    def coeffs(self) -> dict[Monomial, Fraction]:
+        """The nonzero coefficients by monomial, built from the record on
+        first read and kept; read them, never change them."""
+        coeffs = self._coeffs
+        if coeffs is None:
+            gb, v = self.record
+            basis, den = gb.basis[self.degree], v.den
+            coeffs = self._coeffs = {basis[i]: Fraction(c, den)
+                                     for i, c in enumerate(v.nums) if c}
+        return coeffs
 
     @classmethod
     def zero(cls, n: int, degree: int) -> "RingElement":
@@ -179,7 +197,9 @@ class RingElement:
         return cls(d.n, 1, {(d,): Fraction(1)})
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        if self._coeffs is None:
+            return not any(self.record[1].nums)
+        return not self._coeffs
 
     def __add__(self, other: "RingElement") -> "RingElement":
         if self.n != other.n or self.degree != other.degree:
@@ -193,13 +213,32 @@ class RingElement:
         return self + other.scale(-1)
 
     def scale(self, c) -> "RingElement":
-        c = Fraction(c)
+        """c times the element; a kernel-built element gives one its kernel
+        built, with the numerators times c's and the denominator times c's."""
+        if type(c) is not Fraction:
+            c = _exact(c)
+        if self.record is not None:
+            gb, v = self.record
+            p = c.numerator
+            return gb._element(self.degree, Coordinates(
+                [u * p for u in v.nums], v.den * c.denominator))
         return RingElement(self.n, self.degree,
                            {m: v * c for m, v in self.coeffs.items()})
 
     def __eq__(self, other):
-        return (isinstance(other, RingElement) and self.n == other.n
-                and self.degree == other.degree and self.coeffs == other.coeffs)
+        if not (isinstance(other, RingElement) and self.n == other.n
+                and self.degree == other.degree):
+            return False
+        a, b = self.record, other.record
+        if a is not None and b is not None and a[0] is b[0]:
+            # one kernel and degree, so one basis; neither den is in lowest
+            # terms, so the numerators are compared cross-multiplied
+            u, v = a[1], b[1]
+            if u.den == v.den:
+                return u.nums == v.nums
+            p, q = v.den, u.den
+            return all(x * p == y * q for x, y in zip(u.nums, v.nums))
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.n, self.degree, frozenset(self.coeffs.items())))
@@ -220,6 +259,14 @@ class RingElement:
         for m in sorted(self.coeffs):
             out.append([[list(d.key) for d in m], str(self.coeffs[m])])
         return out
+
+
+def _exact(c) -> Fraction:
+    """c as a Fraction.  A float is refused: its binary value, such as
+    3602879701896397/36028797018963968 for 0.1, is rarely the number meant."""
+    if isinstance(c, float):
+        raise TypeError(f"coefficients must be exact, not float: {c!r}")
+    return Fraction(c)
 
 
 def four_point_relation(n: int, i: int, j: int, k: int, l: int) -> tuple[RingElement, RingElement]:
@@ -256,27 +303,31 @@ _ZERO_IMAGE: Image = (1, ())
 
 class Coordinates:
     """An integer vector over one common denominator: the element
-    sum(nums[i] / den * basis[i]) of one degree."""
+    sum(nums[i] / den * basis[i]) of one degree.  den > 0 need not be in
+    lowest terms."""
 
     __slots__ = ("den", "nums")
 
-    def __init__(self, dim: int):
-        self.den = 1
-        self.nums = [0] * dim
+    def __init__(self, nums: list[int], den: int):
+        self.den = den
+        self.nums = nums
 
-    def add(self, num: int, den: int, image: Image) -> None:
-        """Add num/den times an image, in integers only."""
-        t, terms = image
+
+def sum_images(dim: int, terms: list[tuple[int, int, Image]]) -> Coordinates:
+    """The sum of num/den times image over the (num, den, image) terms, in
+    integers only: one pass takes the common denominator, a second adds the
+    numerators scaled to it."""
+    common = 1
+    for _, den, (t, _) in terms:
         e = den * t
-        if self.den % e:
-            common = lcm(self.den, e)
-            k = common // self.den
-            self.nums = [v * k for v in self.nums]
-            self.den = common
-        f = num * (self.den // e)
-        nums = self.nums
-        for i, v in terms:
+        if common % e:
+            common = lcm(common, e)
+    nums = [0] * dim
+    for num, den, (t, image) in terms:
+        f = num * (common // (den * t))
+        for i, v in image:
             nums[i] += f * v
+    return Coordinates(nums, common)
 
 
 class GradedBasis:
@@ -344,14 +395,13 @@ class GradedBasis:
         for quad in itertools.combinations(range(1, n + 1), 4):
             for rel in four_point_relation(n, *quad):
                 ech.add_row({rank[div]: c for (div,), c in rel.coeffs.items()})
-        rows = [row for _, row in sorted(ech.finish().items())]
-        self.linear_relations = [{(divisors[r],): c for r, c in row.items()}
-                                 for row in rows]
-        # The same relations as (rank, integer coefficient) pairs.
-        relations = []
-        for row in rows:
-            den = lcm(*(c.denominator for c in row.values()))
-            relations.append([(r, int(c * den)) for r, c in row.items()])
+        # The relations as (rank, integer coefficient) pairs, leading rank
+        # first: each is a primitive integer row of the reduced echelon form.
+        relations = [[(lead, a)] + sorted(tail)
+                     for lead, (a, tail) in sorted(ech.finish().items())]
+        self.linear_relations = [
+            {(divisors[r],): Fraction(v, rel[0][1]) for r, v in rel}
+            for rel in relations]
         # The unit monomial, compatible with every divisor.
         lower = [((), (1 << len(divisors)) - 1)]
         for d in range(1, self.top + 1):
@@ -384,7 +434,7 @@ class GradedBasis:
                     ech.add_row(row)
         # Pivot row i reads a*m_i + sum(v*m_c) = 0 over free columns c, so
         # m_i = sum(-v/a * m_c): the image is the row itself, negated.
-        rows = ech.integral_rref()
+        rows = ech.finish()
         divisors = self.divisors
         names = [tuple(divisors[r] for r in m) for m, _ in monos]
         column = {}
@@ -415,10 +465,10 @@ class GradedBasis:
         chain = monomial(*[canonicalize(set(range(1, k + 1)), self.n)
                            for k in range(2, self.n - 1)])
         reduced = self.reduce(RingElement(self.n, self.top, {chain: Fraction(1)}))
-        if len(reduced.coeffs) != 1:
+        v = reduced.record[1]
+        if len(v.nums) != 1 or not v.nums[0]:
             raise AssertionError("top degree is not one-dimensional")
-        (coeff,) = reduced.coeffs.values()
-        return coeff
+        return Fraction(v.nums[0], v.den)
 
     # -- coordinates ---------------------------------------------------------
 
@@ -429,7 +479,7 @@ class GradedBasis:
         """Coordinates of the reduced sum of c * x over the (x, c) terms,
         all of the given degree; c is an int or a Fraction."""
         red = self.reduction[degree]
-        acc = Coordinates(len(self.basis[degree]))
+        images = []
         for x, c in terms:
             if x.n != self.n or x.degree != degree:
                 raise ValueError("grade mismatch")
@@ -440,20 +490,17 @@ class GradedBasis:
                     if monomial_is_zero(m):
                         continue
                     raise KeyError(f"not a sorted degree-{degree} monomial: {m}")
-                acc.add(cn * xc.numerator, cd * xc.denominator, image)
-        return acc
+                images.append((cn * xc.numerator, cd * xc.denominator, image))
+        return sum_images(len(self.basis[degree]), images)
 
     def _element(self, degree: int, acc: Coordinates, den: int = 1) -> RingElement:
-        """The element acc / den, one Fraction per nonzero coordinate.  acc,
-        divided by den in place, becomes the element's record of its
-        coordinates, so the caller leaves it unchanged afterwards."""
+        """The element acc / den.  acc, divided by den in place, becomes the
+        element's record of its coordinates, so the caller leaves it
+        unchanged afterwards; no Fraction is built until ``coeffs`` is
+        read."""
         acc.den *= den
-        den = acc.den
-        basis = self.basis[degree]
         out = RingElement(self.n, degree)
-        # nonzero Fractions already, so RingElement's own filter is skipped
-        out.coeffs = {basis[i]: Fraction(v, den)
-                      for i, v in enumerate(acc.nums) if v}
+        out._coeffs = None
         out.record = (self, acc)
         return out
 
@@ -510,13 +557,13 @@ class GradedBasis:
         if degree > self.top:
             return RingElement.zero(self.n, degree)
         va, vb = self.coordinates(a), self.coordinates(b)
-        acc = Coordinates(len(self.basis[degree]))
         right = [(j, y) for j, y in enumerate(vb.nums) if y]
+        images = []
         for i, x in enumerate(va.nums):
             if x:
                 row = self._product_row(a.degree, i, b.degree)
-                for j, y in right:
-                    acc.add(x * y, 1, row[j])
+                images += [(x * y, 1, row[j]) for j, y in right]
+        acc = sum_images(len(self.basis[degree]), images)
         return self._element(degree, acc, va.den * vb.den)
 
     def _product_row(self, da: int, i: int, db: int) -> list[Image]:
@@ -536,16 +583,16 @@ class GradedBasis:
                      scale: Rational = 1) -> RingElement:
         """scale * sum(v[i] * table[i]), where v are the coordinates of x
         and table[i] is the Image of basis monomial i under a linear map of
-        x's degree: one accumulation in integer coordinates and one element
-        at the end."""
+        x's degree: one summation in integer coordinates and one element
+        at the end.  A float scale is refused."""
+        if type(scale) is not Fraction:
+            scale = _exact(scale)
         if x.degree > self.top:
             return RingElement.zero(self.n, x.degree)
         v = self.coordinates(x)
         num, den = scale.numerator, scale.denominator
-        acc = Coordinates(len(v.nums))
-        for i, c in enumerate(v.nums):
-            if c:
-                acc.add(c * num, den, table[i])
+        acc = sum_images(len(v.nums), [(c * num, den, table[i])
+                                       for i, c in enumerate(v.nums) if c])
         return self._element(x.degree, acc, v.den)
 
     def relabel(self, g: tuple[int, ...], x: RingElement) -> RingElement:
@@ -604,11 +651,9 @@ class GradedBasis:
         """Degree of a top-degree class against the normalized point class."""
         if x.degree != self.top:
             raise ValueError("integration needs a top-degree element")
-        reduced = self.reduce(x)
-        if not reduced.coeffs:
-            return Fraction(0)
-        (coeff,) = reduced.coeffs.values()
-        return coeff / self._point_norm
+        v = self.reduce(x).record[1]
+        (num,) = v.nums
+        return Fraction(num, v.den) / self._point_norm
 
 
 _CACHE: dict[int, GradedBasis] = {}

@@ -364,11 +364,12 @@ def push_to_base(space: SpaceDescriptor, element: RingElement) -> RingElement:
     The pushforward is the relative transfer, the sum of g.x over the left
     cosets gG of G in S_n.  For a G-invariant x that is the S_n-sum divided
     by |G|, so |S_n|/|G| times the S_n-average of x.  The precondition is
-    checked on the generators of G first, one ``act`` each; a class that is
-    not invariant raises ValueError.  The average is then one
+    checked on the generators of G first, one ``act`` each, compared with
+    x in the integer coordinates the kernel records; a class that is not
+    invariant raises ValueError.  The average is then one
     ``GradedBasis.linear_image`` through the S_n table of
-    ``average_images``: one accumulation in integer coordinates and one
-    element."""
+    ``average_images``: one summation in integer coordinates and one
+    element, whose ``Fraction`` coefficients are built only if read."""
     gb = space.gb
     reduced = gb.reduce(element)
     for h in space.group.generators:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd
 
 from .exact_linear import QMatrix, rref
-from .keel_ring import Coordinates, GradedBasis, Image, RingElement
+from .keel_ring import GradedBasis, Image, RingElement, sum_images
 
 # A permutation of {1..n} is a tuple p with p[i-1] = image of i.
 Perm = tuple[int, ...]
@@ -125,9 +125,9 @@ def average_images(group: PermGroup, gb: GradedBasis, d: int) -> list[Image]:
             if m in averages:
                 continue
             orbit = group.orbit(m, gb.relabel_ranks)
-            acc = Coordinates(len(ranks))
-            for o in orbit:
-                acc.add(1, 1, gb.reduction[d][tuple(divisors[r] for r in o)])
+            acc = sum_images(len(ranks), [
+                (1, 1, gb.reduction[d][tuple(divisors[r] for r in o)])
+                for o in orbit])
             den = acc.den * len(orbit)
             k = gcd(den, *acc.nums)
             image = (den // k, tuple((i, v // k)

@@ -12,8 +12,10 @@ modules.  Only the engine's own module and the Keel build name
 ``rref``, ``rank``, ``kernel_basis`` and ``solve``.  Only the evaluator of
 polynomials in named classes, in ``space_registry``, calls ``multiply``.
 Only ``RingElement.__init__`` and ``GradedBasis._element`` assign to the
-coefficients of an element, so the coordinates a kernel records on the
-elements it builds stay valid."""
+coefficients of an element, and only ``RingElement``'s own methods and
+``GradedBasis._element`` assign to its lazily filled coefficient slot
+``_coeffs`` and its coordinate record ``record``, so the coordinates a
+kernel records on the elements it builds stay valid."""
 
 import ast
 from pathlib import Path
@@ -37,6 +39,7 @@ ORACLE_FORBIDDEN_MODULES = {"prymspin.symmetry", "prymspin.pushpull"}
 ENGINE_MODULES = {"exact_linear.py", "keel_ring.py"}
 EVALUATOR_MODULE = "space_registry.py"
 COEFFS_WRITERS = {("RingElement", "__init__"), ("GradedBasis", "_element")}
+RECORD_ATTRS = {"_coeffs", "record"}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -128,8 +131,9 @@ def test_classes_are_multiplied_by_the_evaluator(paths=SOURCES):
 
 
 def _coeffs_writes(tree: ast.AST, owner=()):
-    """(enclosing class and function, line) of every assignment or deletion
-    whose target is an attribute ``coeffs`` or an item of one."""
+    """(enclosing class and function, attribute, line) of every assignment
+    or deletion whose target is an attribute ``coeffs``, ``_coeffs`` or
+    ``record``, or an item of one."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef,
                              ast.AsyncFunctionDef)):
@@ -148,16 +152,24 @@ def _coeffs_writes(tree: ast.AST, owner=()):
                 continue
             while isinstance(target, (ast.Subscript, ast.Starred)):
                 target = target.value
-            if isinstance(target, ast.Attribute) and target.attr == "coeffs":
-                yield owner[-2:], node.lineno
+            if isinstance(target, ast.Attribute) and (
+                    target.attr == "coeffs" or target.attr in RECORD_ATTRS):
+                yield owner[-2:], target.attr, node.lineno
         yield from _coeffs_writes(node, owner)
+
+
+def _may_write(owner: tuple[str, ...], attr: str) -> bool:
+    if attr in RECORD_ATTRS:
+        return owner[:-1] == ("RingElement",) or owner == ("GradedBasis",
+                                                           "_element")
+    return owner in COEFFS_WRITERS
 
 
 def test_coeffs_are_written_by_the_kernel_only(paths=SOURCES):
     bad = [f"{path.name}:{line}" for path in paths
-           for owner, line in _coeffs_writes(_tree(path))
-           if owner not in COEFFS_WRITERS]
-    assert not bad, f"coeffs assigned at {sorted(set(bad))}"
+           for owner, attr, line in _coeffs_writes(_tree(path))
+           if not _may_write(owner, attr)]
+    assert not bad, f"coeffs or record assigned at {sorted(set(bad))}"
 
 
 def test_coeffs_check_catches_violations(tmp_path):
@@ -168,12 +180,19 @@ def test_coeffs_check_catches_violations(tmp_path):
                  "def f(x, m):\n    del x.coeffs[m]\n",
                  "def f(x, y):\n    a, x.coeffs = 1, y\n",
                  "class RingElement:\n    def scale(self):\n"
-                 "        self.coeffs = {}\n"):
+                 "        self.coeffs = {}\n",
+                 "def f(x):\n    x._coeffs = {}\n",
+                 "class GradedBasis:\n    def reduce(self, x):\n"
+                 "        x.record = None\n"):
         bad.write_text(text)
-        with pytest.raises(AssertionError, match="coeffs assigned"):
+        with pytest.raises(AssertionError, match="record assigned"):
             test_coeffs_are_written_by_the_kernel_only([bad])
     for text in ("class GradedBasis:\n    def _element(self, out):\n"
                  "        out.coeffs = {}\n",
+                 "class GradedBasis:\n    def _element(self, out):\n"
+                 "        out._coeffs, out.record = None, (self, 1)\n",
+                 "class RingElement:\n    def scale(self, out):\n"
+                 "        out._coeffs = None\n",
                  "def f(t, x):\n    t[len(x.coeffs)] = x.coeffs\n"):
         bad.write_text(text)
         test_coeffs_are_written_by_the_kernel_only([bad])

@@ -9,9 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from prymspin.keel_ring import Coordinates, RingElement, build_graded_basis
+from prymspin.keel_ring import (GradedBasis, RingElement, build_graded_basis,
+                                sum_images)
+from prymspin.pushpull import push_to_base
 from prymspin.space_registry import SPACE_TAGS, load_space
 from prymspin.symmetry import act, invariant_basis, perm_from_cycles
+from test_pushpull import _transfer_inputs
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -93,12 +96,14 @@ def test_relabel_sums_over_permutations():
 
 
 def test_coordinates_mix_denominators():
-    acc = Coordinates(3)
-    acc.add(1, 2, (1, ((0, 1), (2, -1))))
-    acc.add(2, 3, (5, ((1, 4),)))
-    acc.add(-1, 6, (1, ((0, 3),)))
+    acc = sum_images(3, [(1, 2, (1, ((0, 1), (2, -1)))),
+                         (2, 3, (5, ((1, 4),))),
+                         (-1, 6, (1, ((0, 3),)))])
     assert [Fraction(v, acc.den) for v in acc.nums] == [
         Fraction(1, 2) - Fraction(1, 2), Fraction(8, 15), Fraction(-1, 2)]
+    assert sum_images(2, []).nums == [0, 0]
+    unit = sum_images(2, [(3, 1, (1, ((0, 2),))), (-1, 1, (1, ((0, 6), (1, 1))))])
+    assert (unit.den, unit.nums) == (1, [0, -1])
 
 
 GB = build_graded_basis(6)
@@ -174,3 +179,114 @@ def test_span_coordinates():
     assert gb.span_coordinates(space.named_class("d0r").value, span) is None
     assert gb.span_coordinates(RingElement.zero(6, 1), []) == []
     assert gb.span_coordinates(span[0], []) is None
+
+
+def test_float_coefficients_are_refused():
+    # 0.1 would be stored as 3602879701896397/36028797018963968
+    gb = build_graded_basis(6)
+    x = gb.reduce(RingElement.unit(6))
+    table = gb.relabel_images(tuple(range(1, 7)), 0)
+    for bad in (lambda: RingElement(6, 0, {(): 0.3}),
+                lambda: RingElement.unit(6).scale(0.1),
+                lambda: x.scale(0.5),
+                lambda: gb.linear_image(x, table, 0.1)):
+        with pytest.raises(TypeError, match="not float"):
+            bad()
+    assert gb.linear_image(x, table, Fraction(1, 10)) == \
+        RingElement(6, 0, {(): Fraction(1, 10)})
+
+
+@pytest.fixture(scope="module")
+def lazy_elements():
+    """The transfer inputs of the four spaces, the products of their
+    divisors, and the pushes of all of them to the base."""
+    out = []
+    for tag in SPACE_TAGS:
+        space, inputs = _transfer_inputs(tag)
+        elements = [x for _, x in inputs]
+        divisors = [x for x in elements if x.degree == 1]
+        elements += [space.gb.multiply(a, b)
+                     for a, b in itertools.combinations_with_replacement(
+                         divisors, 2)]
+        elements += [push_to_base(space, x) for x in list(elements)]
+        out += elements
+    return out
+
+
+class TestLazyCoefficients:
+    """Kernel-built elements hold integer coordinates and build their
+    Fractions on first read of ``coeffs``; every read that needs no
+    Fraction agrees with the one that does."""
+
+    def test_coeffs_match_the_record(self, lazy_elements):
+        recorded = 0
+        for x in lazy_elements:
+            if x.record is None:
+                continue
+            recorded += 1
+            gb, v = x.record
+            basis = gb.basis[x.degree]
+            assert [x.coeffs.get(b, 0) for b in basis] == \
+                [Fraction(c, v.den) for c in v.nums]
+            assert all(x.coeffs.values())
+            assert x.is_zero() == (not x.coeffs)
+        assert recorded > 100
+
+    def test_equality_agrees_with_coeffs(self, lazy_elements):
+        by_degree = {}
+        for x in lazy_elements:
+            by_degree.setdefault(x.degree, []).append(x)
+        equal = 0
+        for xs in by_degree.values():
+            for x, y in itertools.product(xs, repeat=2):
+                same = x.coeffs == y.coeffs
+                assert (x == y) == same and (x != y) != same
+                if same:
+                    equal += 1
+                    assert hash(x) == hash(y)
+        assert equal > len(lazy_elements)
+
+    def test_scaling_keeps_the_value(self, lazy_elements):
+        for x in lazy_elements:
+            twice = x.scale(2)
+            back = twice.scale(Fraction(1, 2))
+            if x.record is not None:
+                # den is left unreduced, so equality cross-multiplies
+                assert back.record[1].den == 2 * x.record[1].den
+                assert back.record[0] is x.record[0]
+            assert back == x and hash(back) == hash(x)
+            assert (twice == x) == x.is_zero()
+            assert x.scale(0).is_zero() and x.scale(0) == x.scale(0).scale(3)
+            assert x.scale(Fraction(-3, 4)).coeffs == \
+                {m: c * Fraction(-3, 4) for m, c in x.coeffs.items()}
+            copy = RingElement(x.n, x.degree, x.coeffs)
+            assert copy.record is None and copy == x and x == copy
+
+    def test_two_kernels_compare_by_value(self, lazy_elements):
+        first = build_graded_basis(6)
+        second = GradedBasis(6)
+        small = GradedBasis(5)
+        fives = [small.reduce(RingElement.unit(5)),
+                 small.reduce(RingElement(5, 1, {m: 1 for m in small.basis[1]})),
+                 RingElement.zero(5, 1)]
+        for x in lazy_elements:
+            if x.degree > first.top:
+                continue
+            copy = RingElement(x.n, x.degree, x.coeffs)
+            ours, theirs = first.reduce(copy), second.reduce(copy)
+            assert theirs.record[0] is second
+            assert ours == theirs and theirs == x and x == theirs
+            assert theirs.scale(2) != x or x.is_zero()
+            assert all(f != x and x != f for f in fives)
+
+    def test_warm_push_reads_no_coefficients(self):
+        for tag in SPACE_TAGS:
+            space = load_space(tag)
+            for name in space.names():
+                # a recorded copy, so no earlier read of the class counts
+                x = space.named_class(name).value.scale(1)
+                push_to_base(space, x)
+                pushed = push_to_base(space, x)
+                assert x._coeffs is None and pushed._coeffs is None, name
+                assert pushed == push_to_base(space, space.named_class(
+                    name).value)
