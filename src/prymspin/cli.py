@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import reference
 from .exact_linear import QMatrix, kernel_basis, rank
-from .keel_ring import RingElement, build_graded_basis, canonicalize
+from .keel_ring import Monomial, build_graded_basis, canonicalize
 from .presentations import (DEFAULT_MAX_DEGREE, Presentation, check_relation,
                             verify_presentation)
 from .pushpull import (check_combo_vanishes, derive_linear_relation,
@@ -147,7 +147,7 @@ def cmd_verify(args) -> int:
 _CLASS_TERM = re.compile(r"\s*([+-])?\s*(?:(\d+)\s*\*)?\s*\[([0-9,\s]+)\]")
 
 
-def _parse_divisor_expr(text: str, n: int) -> RingElement:
+def _parse_divisor_expr(text: str, n: int) -> dict[Monomial, Fraction]:
     coeffs = {}
     pos = 0
     while pos < len(text):
@@ -176,7 +176,7 @@ def _parse_divisor_expr(text: str, n: int) -> RingElement:
         pos = m.end()
     if not pos:
         raise ValueError(f"no class term in {text!r}")
-    return RingElement(n, 1, coeffs)
+    return coeffs
 
 
 def cmd_push(args) -> int:

@@ -17,13 +17,21 @@ form one integer bitset, so a relation row is found by index arithmetic
 and the tables are named by ``BoundaryIndex`` factors once at the end of
 each degree.  Reduction, products and linear combinations all sum such
 images in one pass (``sum_images``): the common denominator first, then
-integer multiply-adds into one ``Coordinates``.  An element built by the
-kernel keeps those ``Coordinates`` together with the kernel that built it
-as its working form: that kernel reads them back instead of accumulating
-the element again, and equality, zero tests, scaling and integration read
-them too.  Its ``Fraction`` coefficients are built only when ``coeffs`` is
-first read.  The images of products of two basis monomials (the structure
-constants) are built on first use and kept.
+integer multiply-adds into one ``Coordinates``.  The images of products of
+two basis monomials (the structure constants) are built on first use and
+kept.
+
+Ring elements have one form.  A ``RingElement`` is a reduced class: the
+kernel that built it, its degree and its integer ``Coordinates`` in that
+kernel's basis.  Only ``GradedBasis._element`` makes one; the kernel reads
+the coordinates back instead of reducing again, and equality, zero tests,
+scaling and integration read them too.  Its ``coeffs``, a dict from basis
+monomials to ``Fraction`` coefficients, are built when first read.  A
+combination that is not reduced (a four-point relation, a divisor sum to
+push along a cover) is a plain dict from sorted monomials to coefficients,
+as in ``GradedBasis.linear_relations``; ``GradedBasis.element`` is the one
+reader of such dicts.  Coefficients are exact: a ``float`` is refused with
+``TypeError``.
 
 Relabelling works on ranks too.  ``divisor_permutation(g)`` is the table
 of divisor ranks renamed by a permutation g of the marks, read off the side
@@ -36,9 +44,6 @@ once, sums the images into one ``Coordinates`` and builds one element.
 ``relabel(g, x)``, the mark-permutation action, applies the relabelling
 table of g; the pushforward to the base applies the orbit-average table of
 ``symmetry.average_images``.
-``RingElement.coeffs``, a dict from monomials to ``Fraction`` coefficients,
-stays the format in which elements pass between modules.  Coefficients are
-exact: a ``float`` is refused with ``TypeError``.
 """
 
 from __future__ import annotations
@@ -147,98 +152,71 @@ def monomial_is_zero(m: Monomial) -> bool:
 
 
 class RingElement:
-    """A Q-linear combination of monomials in boundary generators.
+    """A class of the n-pointed ring, reduced onto the basis monomials of
+    its degree: the kernel that built it, the degree, and the integer
+    ``Coordinates`` in that kernel's basis (empty above the top degree).
 
-    Elements produced by GradedBasis.reduce are supported on the chosen
-    basis monomials of their degree; raw elements (relations, products
-    before reduction) may carry arbitrary monomials.  An element built by a
-    ``GradedBasis`` records (kernel, ``Coordinates``) and holds no
-    coefficient dict until ``coeffs`` is first read; an element built by
-    the constructor holds its dict from the start.  Neither is changed
-    after construction, so the record stays valid.
+    Only ``GradedBasis._element`` builds one.  An element is never changed
+    after it is built, so its coordinates stay valid; its ``Fraction``
+    coefficients are built when ``coeffs`` is first read.
     """
 
-    __slots__ = ("n", "degree", "_coeffs", "record")
+    __slots__ = ("kernel", "degree", "coords", "_coeffs")
 
-    def __init__(self, n: int, degree: int, coeffs: dict[Monomial, Fraction] | None = None):
-        self.n = n
+    def __init__(self, kernel: GradedBasis, degree: int, coords: Coordinates):
+        self.kernel = kernel
         self.degree = degree
-        self.record: tuple[GradedBasis, Coordinates] | None = None
-        self._coeffs: dict[Monomial, Fraction] | None = {}
-        if coeffs:
-            for m, c in coeffs.items():
-                if type(c) is not Fraction:
-                    c = _exact(c)
-                if c:
-                    self._coeffs[m] = c
+        self.coords = coords
+        self._coeffs: dict[Monomial, Fraction] | None = None
+
+    @property
+    def n(self) -> int:
+        return self.kernel.n
 
     @property
     def coeffs(self) -> dict[Monomial, Fraction]:
-        """The nonzero coefficients by monomial, built from the record on
-        first read and kept; read them, never change them."""
+        """The nonzero coefficients by basis monomial, built on first read
+        and kept; read them, never change them."""
         coeffs = self._coeffs
         if coeffs is None:
-            gb, v = self.record
-            basis, den = gb.basis[self.degree], v.den
-            coeffs = self._coeffs = {basis[i]: Fraction(c, den)
-                                     for i, c in enumerate(v.nums) if c}
+            v = self.coords
+            basis = self.kernel.basis.get(self.degree, ())
+            coeffs = self._coeffs = {m: Fraction(c, v.den)
+                                     for m, c in zip(basis, v.nums) if c}
         return coeffs
 
     @classmethod
     def zero(cls, n: int, degree: int) -> "RingElement":
-        return cls(n, degree)
+        return build_graded_basis(n).element(degree, {})
 
     @classmethod
     def unit(cls, n: int) -> "RingElement":
-        return cls(n, 0, {(): Fraction(1)})
-
-    @classmethod
-    def generator(cls, d: BoundaryIndex) -> "RingElement":
-        return cls(d.n, 1, {(d,): Fraction(1)})
+        return build_graded_basis(n).element(0, {(): 1})
 
     def is_zero(self) -> bool:
-        if self._coeffs is None:
-            return not any(self.record[1].nums)
-        return not self._coeffs
-
-    def __add__(self, other: "RingElement") -> "RingElement":
-        if self.n != other.n or self.degree != other.degree:
-            raise ValueError("grade mismatch")
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return RingElement(self.n, self.degree, out)
-
-    def __sub__(self, other: "RingElement") -> "RingElement":
-        return self + other.scale(-1)
+        return not any(self.coords.nums)
 
     def scale(self, c) -> "RingElement":
-        """c times the element; a kernel-built element gives one its kernel
-        built, with the numerators times c's and the denominator times c's."""
+        """c times the element: the numerators times c's numerator and the
+        denominator times c's denominator."""
         if type(c) is not Fraction:
             c = _exact(c)
-        if self.record is not None:
-            gb, v = self.record
-            p = c.numerator
-            return gb._element(self.degree, Coordinates(
-                [u * p for u in v.nums], v.den * c.denominator))
-        return RingElement(self.n, self.degree,
-                           {m: v * c for m, v in self.coeffs.items()})
+        v, p = self.coords, c.numerator
+        return self.kernel._element(self.degree, Coordinates(
+            [u * p for u in v.nums], v.den * c.denominator))
 
     def __eq__(self, other):
-        if not (isinstance(other, RingElement) and self.n == other.n
-                and self.degree == other.degree):
+        if not isinstance(other, RingElement) or self.degree != other.degree:
             return False
-        a, b = self.record, other.record
-        if a is not None and b is not None and a[0] is b[0]:
-            # one kernel and degree, so one basis; neither den is in lowest
-            # terms, so the numerators are compared cross-multiplied
-            u, v = a[1], b[1]
-            if u.den == v.den:
-                return u.nums == v.nums
-            p, q = v.den, u.den
-            return all(x * p == y * q for x, y in zip(u.nums, v.nums))
-        return self.coeffs == other.coeffs
+        if self.kernel is not other.kernel:
+            return self.n == other.n and self.coeffs == other.coeffs
+        # one kernel and degree, so one basis; neither den is in lowest
+        # terms, so the numerators are compared cross-multiplied
+        u, v = self.coords, other.coords
+        if u.den == v.den:
+            return u.nums == v.nums
+        p, q = v.den, u.den
+        return all(x * p == y * q for x, y in zip(u.nums, v.nums))
 
     def __hash__(self):
         return hash((self.n, self.degree, frozenset(self.coeffs.items())))
@@ -269,29 +247,28 @@ def _exact(c) -> Fraction:
     return Fraction(c)
 
 
-def four_point_relation(n: int, i: int, j: int, k: int, l: int) -> tuple[RingElement, RingElement]:
+def four_point_relation(n: int, i: int, j: int, k: int,
+                        l: int) -> tuple[dict[Monomial, Fraction], ...]:
     """The two independent degree-1 relations attached to four distinct
     marks: the sum of divisors separating {i,j} from {k,l} equals the sum
     separating {i,k} from {j,l}, and equals the one separating {i,l} from
-    {j,k}.  Returns (S_ij|kl - S_ik|jl, S_ij|kl - S_il|jk); both vanish."""
+    {j,k}.  Returns (S_ij|kl - S_ik|jl, S_ij|kl - S_il|jk) as dicts of
+    monomials; both vanish in the ring."""
     marks = (i, j, k, l)
     if len(set(marks)) != 4 or not all(1 <= x <= n for x in marks):
         raise ValueError("need four distinct marks in range")
 
-    def separating_sum(a, b, c, d):
+    def separating(a, b, c, d, sign):
         rest = [x for x in range(1, n + 1) if x not in (a, b, c, d)]
-        coeffs: dict[Monomial, Fraction] = {}
-        for r in range(len(rest) + 1):
-            for extra in itertools.combinations(rest, r):
-                div = canonicalize({a, b} | set(extra), n)
-                m = (div,)
-                coeffs[m] = coeffs.get(m, Fraction(0)) + 1
-        return RingElement(n, 1, coeffs)
+        return {(canonicalize({a, b} | set(extra), n),): sign
+                for r in range(len(rest) + 1)
+                for extra in itertools.combinations(rest, r)}
 
-    s_ij = separating_sum(i, j, k, l)
-    s_ik = separating_sum(i, k, j, l)
-    s_il = separating_sum(i, l, j, k)
-    return s_ij - s_ik, s_ij - s_il
+    # A split separates at most one of the three pairings of the four
+    # marks, so the sums have no divisor in common.
+    s_ij = separating(i, j, k, l, Fraction(1))
+    return ({**s_ij, **separating(i, k, j, l, Fraction(-1))},
+            {**s_ij, **separating(i, l, j, k, Fraction(-1))})
 
 
 # A reduced image in one degree: (den, ((i, num), ...)) stands for the sum
@@ -316,7 +293,8 @@ class Coordinates:
 def sum_images(dim: int, terms: list[tuple[int, int, Image]]) -> Coordinates:
     """The sum of num/den times image over the (num, den, image) terms, in
     integers only: one pass takes the common denominator, a second adds the
-    numerators scaled to it."""
+    numerators scaled to it.  The (i, num) pairs of an image are read once,
+    in the second pass."""
     common = 1
     for _, den, (t, _) in terms:
         e = den * t
@@ -394,7 +372,7 @@ class GradedBasis:
         ech = SparseEchelon()
         for quad in itertools.combinations(range(1, n + 1), 4):
             for rel in four_point_relation(n, *quad):
-                ech.add_row({rank[div]: c for (div,), c in rel.coeffs.items()})
+                ech.add_row({rank[div]: c for (div,), c in rel.items()})
         # The relations as (rank, integer coefficient) pairs, leading rank
         # first: each is a primitive integer row of the reduced echelon form.
         relations = [[(lead, a)] + sorted(tail)
@@ -464,8 +442,7 @@ class GradedBasis:
         splits {1,2} < {1,2,3} < ... — integrates to 1."""
         chain = monomial(*[canonicalize(set(range(1, k + 1)), self.n)
                            for k in range(2, self.n - 1)])
-        reduced = self.reduce(RingElement(self.n, self.top, {chain: Fraction(1)}))
-        v = reduced.record[1]
+        v = self.element(self.top, {chain: 1}).coords
         if len(v.nums) != 1 or not v.nums[0]:
             raise AssertionError("top degree is not one-dimensional")
         return Fraction(v.nums[0], v.den)
@@ -475,43 +452,40 @@ class GradedBasis:
     def dims(self) -> list[int]:
         return [len(self.basis[d]) for d in range(self.top + 1)]
 
-    def _accumulate(self, degree: int, terms) -> Coordinates:
-        """Coordinates of the reduced sum of c * x over the (x, c) terms,
-        all of the given degree; c is an int or a Fraction."""
+    def element(self, degree: int, coeffs) -> RingElement:
+        """The reduced class of a combination of monomials: coeffs maps
+        sorted degree-d monomials to int or Fraction coefficients.  A
+        monomial that vanishes (two incompatible factors, or any monomial
+        above the top degree) is skipped; a monomial that is not sorted
+        raises KeyError."""
+        if degree > self.top:
+            return self._element(degree, Coordinates([], 1))
         red = self.reduction[degree]
         images = []
-        for x, c in terms:
-            if x.n != self.n or x.degree != degree:
-                raise ValueError("grade mismatch")
-            cn, cd = c.numerator, c.denominator
-            for m, xc in x.coeffs.items():
-                image = red.get(m)
-                if image is None:
-                    if monomial_is_zero(m):
-                        continue
-                    raise KeyError(f"not a sorted degree-{degree} monomial: {m}")
-                images.append((cn * xc.numerator, cd * xc.denominator, image))
-        return sum_images(len(self.basis[degree]), images)
+        for m, c in coeffs.items():
+            if type(c) is not Fraction:
+                c = _exact(c)
+            image = red.get(m)
+            if image is None:
+                if monomial_is_zero(m):
+                    continue
+                raise KeyError(f"not a sorted degree-{degree} monomial: {m}")
+            images.append((c.numerator, c.denominator, image))
+        return self._element(degree, sum_images(len(self.basis[degree]),
+                                                images))
 
     def _element(self, degree: int, acc: Coordinates, den: int = 1) -> RingElement:
         """The element acc / den.  acc, divided by den in place, becomes the
-        element's record of its coordinates, so the caller leaves it
-        unchanged afterwards; no Fraction is built until ``coeffs`` is
-        read."""
+        element's coordinates, so the caller leaves it unchanged afterwards;
+        no Fraction is built until ``coeffs`` is read."""
         acc.den *= den
-        out = RingElement(self.n, degree)
-        out._coeffs = None
-        out.record = (self, acc)
-        return out
+        return RingElement(self, degree, acc)
 
     def coordinates(self, x: RingElement) -> Coordinates:
-        """Coordinates of reduce(x) in the basis of its degree: the record
-        of x when this kernel built it, else accumulated.  The result is
-        read, never changed."""
-        record = x.record
-        if record is not None and record[0] is self:
-            return record[1]
-        return self._accumulate(x.degree, ((x, 1),))
+        """Coordinates of x in the basis of its degree: its own when this
+        kernel built it, else read again from its coefficients.  The result
+        is read, never changed."""
+        return x.coords if x.kernel is self else self.reduce(x).coords
 
     def span_coordinates(self, x: RingElement,
                          span: list[RingElement]) -> list[Fraction] | None:
@@ -533,20 +507,32 @@ class GradedBasis:
     # -- reduction, products, relabelling, integration ----------------------
 
     def reduce(self, x: RingElement) -> RingElement:
-        """Rewrite onto the degree's basis monomials.  An element this
-        kernel built is reduced already and never changes, so it is
-        returned itself."""
-        record = x.record
-        if record is not None and record[0] is self:
+        """x as an element of this kernel.  An element this kernel built is
+        reduced already and never changes, so it is returned itself; one
+        built by another kernel instance is read again from its
+        coefficients."""
+        if x.kernel is self:
             return x
-        return self.combine(x.degree, ((x, 1),))
+        if x.n != self.n:
+            raise ValueError("mismatched number of marks")
+        return self.element(x.degree, x.coeffs)
 
     def combine(self, degree: int, terms) -> RingElement:
-        """The reduced sum of c * x over the (x, c) terms, all of the given
-        degree; c is an int or a Fraction."""
-        if degree > self.top:
-            return RingElement.zero(self.n, degree)
-        return self._element(degree, self._accumulate(degree, terms))
+        """The sum of c * x over the (x, c) terms, all of the given degree;
+        c is an int or a Fraction.  The coordinates of the terms are summed
+        in one pass."""
+        vectors = []
+        for x, c in terms:
+            if x.degree != degree:
+                raise ValueError("grade mismatch")
+            if type(c) is not Fraction:
+                c = _exact(c)
+            # the coordinates of x as an image over their own denominator
+            v = self.coordinates(x)
+            vectors.append((c.numerator, c.denominator,
+                            (v.den, enumerate(v.nums))))
+        return self._element(degree, sum_images(
+            len(self.basis.get(degree, ())), vectors))
 
     def multiply(self, a: RingElement, b: RingElement) -> RingElement:
         """Bilinear product followed by reduction; degrees beyond the top
@@ -555,7 +541,7 @@ class GradedBasis:
             raise ValueError("mismatched number of marks")
         degree = a.degree + b.degree
         if degree > self.top:
-            return RingElement.zero(self.n, degree)
+            return self.element(degree, {})
         va, vb = self.coordinates(a), self.coordinates(b)
         right = [(j, y) for j, y in enumerate(vb.nums) if y]
         images = []
@@ -587,8 +573,6 @@ class GradedBasis:
         at the end.  A float scale is refused."""
         if type(scale) is not Fraction:
             scale = _exact(scale)
-        if x.degree > self.top:
-            return RingElement.zero(self.n, x.degree)
         v = self.coordinates(x)
         num, den = scale.numerator, scale.denominator
         acc = sum_images(len(v.nums), [(c * num, den, table[i])
@@ -599,7 +583,7 @@ class GradedBasis:
         """x with mark i renamed g[i-1], reduced; a degree beyond the top
         has no relabelling table and gives the zero element."""
         if x.degree > self.top:
-            return RingElement.zero(self.n, x.degree)
+            return self.element(x.degree, {})
         return self.linear_image(x, self.relabel_images(g, x.degree))
 
     def relabel_images(self, g: tuple[int, ...], degree: int) -> list[Image]:
@@ -651,7 +635,7 @@ class GradedBasis:
         """Degree of a top-degree class against the normalized point class."""
         if x.degree != self.top:
             raise ValueError("integration needs a top-degree element")
-        v = self.reduce(x).record[1]
+        v = self.reduce(x).coords
         (num,) = v.nums
         return Fraction(num, v.den) / self._point_norm
 

@@ -29,7 +29,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .exact_linear import QMatrix, Rational, rref
-from .keel_ring import BoundaryIndex, RingElement, four_point_relation
+from .keel_ring import (BoundaryIndex, Monomial, RingElement,
+                        four_point_relation)
 from .presentations import check_relation
 from .space_registry import SpaceDescriptor, load_space
 from .symmetry import act, average_images
@@ -92,29 +93,33 @@ class NamedCombo:
 
 # -- pushforward along the 6-marked covers ------------------------------------
 
-def _tabled_push(space: SpaceDescriptor, image, element: RingElement) -> NamedCombo:
-    """Proper pushforward of a divisor combination, each divisor finding its
-    (image name, mapping degree) through ``image``, converted to
-    stack-weighted coordinates: a divisor mapping with degree k onto W
-    contributes k [W] = k * aut(W) * w."""
-    if element.degree != 1:
-        raise ValueError("tabled pushforward covers divisor classes")
+def _tabled_push(space: SpaceDescriptor, image,
+                 coeffs: dict[Monomial, Fraction]) -> NamedCombo:
+    """Proper pushforward of a formal divisor combination, a dict whose keys
+    are one-divisor monomials (div,), each divisor finding its (image name,
+    mapping degree) through ``image``, converted to stack-weighted
+    coordinates: a divisor mapping with degree k onto W contributes
+    k [W] = k * aut(W) * w.  Any other key raises ValueError."""
     out = NamedCombo(space.tag)
-    for (div,), c in element.coeffs.items():
-        name, degree = image(div)
+    for m, c in coeffs.items():
+        if len(m) != 1:
+            raise ValueError("tabled pushforward covers divisor classes")
+        name, degree = image(m[0])
         out.add((name,), c * degree * space.aut_number(name))
     return out
 
 
-def pushforward(space: SpaceDescriptor, element: RingElement) -> NamedCombo:
-    """Pushforward along the cover of a 6-marked space: a divisor maps onto
-    the boundary class whose orbit holds it, with that class's degree."""
+def pushforward(space: SpaceDescriptor,
+                coeffs: dict[Monomial, Fraction]) -> NamedCombo:
+    """Pushforward of a formal divisor combination along the cover of a
+    6-marked space: a divisor maps onto the boundary class whose orbit
+    holds it, with that class's degree."""
     def image(div):
         name = space.boundary_of.get(div)
         if name is None:
             raise KeyError(f"divisor {div} not tabled for {space.tag}")
         return name, space.boundary[name].degree
-    return _tabled_push(space, image, element)
+    return _tabled_push(space, image, coeffs)
 
 
 def derive_linear_relation(space_tag: str) -> NamedCombo:
@@ -127,7 +132,7 @@ def derive_linear_relation(space_tag: str) -> NamedCombo:
     column = {name: j for j, name in enumerate(names)}
     rows = []
     for rel in space.gb.linear_relations:
-        combo = pushforward(space, RingElement(space.n, 1, rel))
+        combo = pushforward(space, rel)
         rows.append({column[nm]: c for (nm,), c in combo.terms.items()})
     red, pivots = rref(QMatrix(rows, len(names)))
     if not pivots:
@@ -173,11 +178,13 @@ def _divisor_two_subset(d: BoundaryIndex) -> frozenset[int]:
     return frozenset(range(1, d.n + 1)) - d.members
 
 
-def pushforward_m05(table_name: str, element: RingElement) -> NamedCombo:
-    """Pushforward along a 5-marked boundary cover, in stack coordinates."""
+def pushforward_m05(table_name: str,
+                    coeffs: dict[Monomial, Fraction]) -> NamedCombo:
+    """Pushforward of a formal divisor combination of the 5-marked space
+    along a boundary cover, in stack coordinates."""
     space_tag, table = H_TABLES[table_name]
     return _tabled_push(load_space(space_tag),
-                        lambda div: table[_divisor_two_subset(div)], element)
+                        lambda div: table[_divisor_two_subset(div)], coeffs)
 
 
 def derive_m05_relations() -> list[NamedCombo]:
@@ -386,7 +393,7 @@ def base_class_coordinates(element: RingElement):
     span."""
     m2 = load_space("M2")
     if element.degree == 0:
-        names, span = ["1"], [RingElement.unit(m2.n)]
+        names, span = ["1"], [m2.gb.element(0, {(): 1})]
     else:
         names = (["delta0", "delta1"] if element.degree == 1
                  else [n for n in m2.strata

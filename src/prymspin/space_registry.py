@@ -192,8 +192,7 @@ class SpaceDescriptor:
             raise KeyError(f"unknown class name {name!r} on {self.tag}")
         k = len(e.rep)
         mult = Fraction(e.stab_order, e.aut * 2 ** (k - 1))
-        return NamedClass(self.gb.reduce(
-            RingElement(self.n, k, dict.fromkeys(e.orbit, mult))))
+        return NamedClass(self.gb.element(k, dict.fromkeys(e.orbit, mult)))
 
     def evaluate(self, terms: dict[tuple[str, ...], Fraction]) -> RingElement:
         """The reduced sum of c times the product of the named classes, over
@@ -214,7 +213,7 @@ class SpaceDescriptor:
         product of all but the last name times the class of the last."""
         if len(names) < 2:
             return (self.named_class(names[0]).value if names
-                    else RingElement.unit(self.n))
+                    else self.gb.element(0, {(): 1}))
         prod = self._products.get(names)
         if prod is None:
             prod = self._products[names] = self.gb.multiply(

@@ -80,10 +80,6 @@ class MarkedTree:
     def degree(self, c: int) -> int:
         return sum(1 for e in self.edges if c in e)
 
-    def special_count(self, c: int) -> int:
-        a, b = self.marks[c]
-        return a + b + self.degree(c)
-
     def total_marks(self) -> tuple[int, int]:
         return (sum(a for a, _ in self.marks), sum(b for _, b in self.marks))
 

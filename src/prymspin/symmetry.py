@@ -160,7 +160,7 @@ class InvariantBasis:
         rows = [dict(terms) for _, terms
                 in dict.fromkeys(average_images(self.group, gb, d))]
         red, _ = rref(QMatrix(rows, len(ambient)))
-        return [RingElement(gb.n, d, {ambient[j]: x for j, x in row.items()})
+        return [gb.element(d, {ambient[j]: x for j, x in row.items()})
                 for row in red]
 
     def dims(self) -> list[int]:

@@ -8,12 +8,14 @@ stratification and from Keel's recursion for the Poincare polynomials, and
 top-degree integrals are re-derived from a linear system whose only inputs
 are the four-point rewriting rule and the transversality of distinct
 pairwise-compatible splits.  ``reduce``, ``multiply`` and ``act`` are the
-ring on dicts of monomials with ``Fraction`` coefficients: the reduction
-echelonizes the raw relation rows itself, and products and relabellings
-act monomial by monomial before one reduction, with no table of basis
-coordinates.  The pushforward to the base is recomputed by brute force over
-all of S_n with the same relabelling and a single reduction, and as the
-transfer over the left coset representatives of the group in S_n.  Exact
+ring on dicts of monomials with ``Fraction`` coefficients, with no ring
+element type: the reduction echelonizes the raw relation rows itself, and
+products and relabellings act monomial by monomial before one reduction,
+with no table of basis coordinates.  The tests compare a kernel element's
+``coeffs`` with these dicts.  The pushforward to the base is recomputed by
+brute force over all of S_n with the same relabelling and a single
+reduction, and as the transfer over the left coset representatives of the
+group in S_n.  Exact
 elimination over Q is done by ``FractionEchelon``, a plain ``Fraction``
 Gauss-Jordan kept here as the reference for the integer-first production
 engine.  The order of the extremity kernel of a marked tree is the hand
@@ -31,7 +33,7 @@ import itertools
 from fractions import Fraction
 from math import comb, lcm
 
-from prymspin.keel_ring import (RingElement, all_divisors, canonicalize,
+from prymspin.keel_ring import (all_divisors, canonicalize,
                                 four_point_relation, monomial)
 from prymspin.strata_aut import MarkedTree
 
@@ -147,7 +149,7 @@ def raw_relation_rows(n: int, degree: int):
         for rel in four_point_relation(n, *quad):
             for low in lowers:
                 row: dict[int, int] = {}
-                for (div,), c in rel.coeffs.items():
+                for (div,), c in rel.items():
                     prod = monomial(div, *low)
                     if not _pairwise_compatible(prod):
                         continue
@@ -237,7 +239,9 @@ def point_count_betti(n: int) -> list[int]:
             if not _pairwise_compatible(subset):
                 continue
             tree, _ = tree_from_splits(tuple(sorted(subset)), n, a_marks)
-            counts = [tree.special_count(c) for c in range(len(tree.marks))]
+            # the special points of a component: its marks and its edges
+            counts = [a + b + sum(c in e for e in tree.edges)
+                      for c, (a, b) in enumerate(tree.marks)]
             poly = _open_stratum_poly(counts)
             for i, c in enumerate(poly):
                 total[i] += c
@@ -297,7 +301,7 @@ def _rewrites(div, n: int):
             # r1 = sum(S holding i,k; avoiding j,l) minus the sum holding
             # i,j and avoiding k,l; the latter contains div exactly once.
             coeffs: dict = {}
-            for (d,), c in r1.coeffs.items():
+            for (d,), c in r1.items():
                 coeffs[d] = coeffs.get(d, Fraction(0)) + c
             assert coeffs.get(div) == Fraction(-1)
             coeffs.pop(div)
@@ -380,29 +384,37 @@ def _reduction_table(n: int, degree: int) -> dict:
     return table
 
 
-def reduce(x):
-    """The element rewritten onto the basis monomials of its degree, term
-    by term in ``Fraction`` arithmetic."""
-    if x.degree > x.n - 3:
-        return RingElement.zero(x.n, x.degree)
-    table = _reduction_table(x.n, x.degree)
+def reduce(n: int, coeffs: dict) -> dict:
+    """The combination of monomials of the n-pointed ring rewritten onto the
+    basis monomials of their degrees, term by term in ``Fraction``
+    arithmetic; the nonzero coefficients only."""
     acc: dict = {}
-    for m, c in x.coeffs.items():
-        if not _pairwise_compatible(m):
+    for m, c in coeffs.items():
+        if len(m) > n - 3 or not _pairwise_compatible(m):
             continue
-        for bm, bc in table[m].items():
+        for bm, bc in _reduction_table(n, len(m))[m].items():
             acc[bm] = acc.get(bm, Fraction(0)) + c * bc
-    return RingElement(x.n, x.degree, acc)
+    return {m: c for m, c in acc.items() if c}
 
 
-def multiply(a, b):
+def linear_combination(terms) -> dict:
+    """The sum of c times the dict x over the (x, c) terms, unreduced; the
+    nonzero coefficients only."""
+    acc: dict = {}
+    for x, c in terms:
+        for m, v in x.items():
+            acc[m] = acc.get(m, Fraction(0)) + c * v
+    return {m: c for m, c in acc.items() if c}
+
+
+def multiply(n: int, a: dict, b: dict) -> dict:
     """The product of every pair of monomials, summed and reduced once."""
     raw: dict = {}
-    for ma, ca in a.coeffs.items():
-        for mb, cb in b.coeffs.items():
+    for ma, ca in a.items():
+        for mb, cb in b.items():
             m = monomial(*ma, *mb)
             raw[m] = raw.get(m, Fraction(0)) + ca * cb
-    return reduce(RingElement(a.n, a.degree + b.degree, raw))
+    return reduce(n, raw)
 
 
 def relabel(g, m):
@@ -411,28 +423,27 @@ def relabel(g, m):
                       for d in m))
 
 
-def act(g, x):
-    """Every monomial relabelled by the permutation g, summed and reduced
-    once."""
+def act(g, x: dict) -> dict:
+    """Every monomial relabelled by the permutation g of 1..n, summed and
+    reduced once."""
     raw: dict = {}
-    for m, c in x.coeffs.items():
+    for m, c in x.items():
         im = relabel(g, m)
         raw[im] = raw.get(im, Fraction(0)) + c
-    return reduce(RingElement(x.n, x.degree, raw))
+    return reduce(len(g), raw)
 
 
 # -- pushforward to the base over the whole symmetric group ---------------------
 
-def push_full_group(space, x):
+def push_full_group(space, x: dict) -> dict:
     """Pushforward of an invariant class to the base by brute force: the sum
     of the relabelled class over all n! permutations of the marks, reduced
     once and divided by the order of the space's group."""
     acc: dict = {}
-    for m, c in x.coeffs.items():
+    for m, c in x.items():
         for im, k in _images_over_sn(m, space.n).items():
             acc[im] = acc.get(im, Fraction(0)) + c * k
-    total = reduce(RingElement(space.n, x.degree, acc))
-    return total.scale(Fraction(1, space.group.order))
+    return reduce(space.n, {m: c / space.group.order for m, c in acc.items()})
 
 
 def coset_representatives(group) -> list[tuple[int, ...]]:

@@ -3,7 +3,9 @@
 A traced benchmark run is correct when every operation succeeds and its
 self-tests pass: the golden outputs (the ``report-all`` digest among them),
 the layer counters each workload must exercise, and the tracer's alias and
-repeat checks.  ``queries`` starts 88 processes and stays a manual gate:
+repeat checks.  All three workloads run; ``queries`` starts 88 processes
+(about 11 s on a 2-vCPU host) and is the one workload that runs
+``prymspin push``.  By hand:
 
     python3 perfbench/run.py --workload queries --seed 9090 --seconds 1 --trace 1
 """
@@ -18,7 +20,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["report-all", "pushforward"])
+@pytest.mark.parametrize("workload", ["report-all", "pushforward", "queries"])
 def test_traced_benchmark_run_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,

@@ -11,11 +11,11 @@ modules.  Only the engine's own module and the Keel build name
 ``SparseEchelon``: every other module eliminates through the adapters
 ``rref``, ``rank``, ``kernel_basis`` and ``solve``.  Only the evaluator of
 polynomials in named classes, in ``space_registry``, calls ``multiply``.
-Only ``RingElement.__init__`` and ``GradedBasis._element`` assign to the
-coefficients of an element, and only ``RingElement``'s own methods and
-``GradedBasis._element`` assign to its lazily filled coefficient slot
-``_coeffs`` and its coordinate record ``record``, so the coordinates a
-kernel records on the elements it builds stay valid."""
+Only ``GradedBasis._element`` calls ``RingElement(...)``; nothing assigns
+to an element's read-only ``coeffs``, and only ``RingElement``'s own
+methods and ``GradedBasis._element`` assign to its slots ``kernel``,
+``coords`` and ``_coeffs``, so every element is a reduced class whose
+coordinates stay valid."""
 
 import ast
 from pathlib import Path
@@ -26,7 +26,7 @@ SOURCES = sorted((Path(__file__).parent.parent / "src" / "prymspin").glob("*.py"
 FORBIDDEN_MODULES = {"random", "numpy"}
 ORACLES = Path(__file__).with_name("oracles.py")
 ORACLE_FORBIDDEN_NAMES = {"GradedBasis", "build_graded_basis",
-                          "incompatible", "monomial_is_zero",
+                          "RingElement", "incompatible", "monomial_is_zero",
                           "marked_tree_automorphism_group",
                           "count_marked_automorphisms", "prym_aut_number",
                           "fiber_count", "extremity_kernel",
@@ -38,8 +38,8 @@ ORACLE_FORBIDDEN_NAMES = {"GradedBasis", "build_graded_basis",
 ORACLE_FORBIDDEN_MODULES = {"prymspin.symmetry", "prymspin.pushpull"}
 ENGINE_MODULES = {"exact_linear.py", "keel_ring.py"}
 EVALUATOR_MODULE = "space_registry.py"
-COEFFS_WRITERS = {("RingElement", "__init__"), ("GradedBasis", "_element")}
-RECORD_ATTRS = {"_coeffs", "record"}
+ELEMENT_MAKER = ("GradedBasis", "_element")
+ELEMENT_SLOTS = {"kernel", "coords", "_coeffs"}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -130,15 +130,19 @@ def test_classes_are_multiplied_by_the_evaluator(paths=SOURCES):
     assert not bad, f"{bad} call multiply"
 
 
-def _coeffs_writes(tree: ast.AST, owner=()):
-    """(enclosing class and function, attribute, line) of every assignment
-    or deletion whose target is an attribute ``coeffs``, ``_coeffs`` or
-    ``record``, or an item of one."""
+def _element_writes(tree: ast.AST, owner=()):
+    """(enclosing class and function, what, line) of every call of
+    ``RingElement`` and of every assignment or deletion whose target is an
+    attribute ``coeffs`` or an element slot, or an item of one."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef,
                              ast.AsyncFunctionDef)):
-            yield from _coeffs_writes(node, owner + (node.name,))
+            yield from _element_writes(node, owner + (node.name,))
             continue
+        if isinstance(node, ast.Call) and "RingElement" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None)):
+            yield owner[-2:], "RingElement(...)", node.lineno
         if isinstance(node, (ast.Assign, ast.Delete)):
             targets = list(node.targets)
         elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
@@ -153,23 +157,23 @@ def _coeffs_writes(tree: ast.AST, owner=()):
             while isinstance(target, (ast.Subscript, ast.Starred)):
                 target = target.value
             if isinstance(target, ast.Attribute) and (
-                    target.attr == "coeffs" or target.attr in RECORD_ATTRS):
+                    target.attr == "coeffs" or target.attr in ELEMENT_SLOTS):
                 yield owner[-2:], target.attr, node.lineno
-        yield from _coeffs_writes(node, owner)
+        yield from _element_writes(node, owner)
 
 
-def _may_write(owner: tuple[str, ...], attr: str) -> bool:
-    if attr in RECORD_ATTRS:
-        return owner[:-1] == ("RingElement",) or owner == ("GradedBasis",
-                                                           "_element")
-    return owner in COEFFS_WRITERS
+def _allowed(owner: tuple[str, ...], what: str) -> bool:
+    if what in ELEMENT_SLOTS:
+        return owner[:-1] == ("RingElement",) or owner == ELEMENT_MAKER
+    return what == "RingElement(...)" and owner == ELEMENT_MAKER
 
 
 def test_coeffs_are_written_by_the_kernel_only(paths=SOURCES):
     bad = [f"{path.name}:{line}" for path in paths
-           for owner, attr, line in _coeffs_writes(_tree(path))
-           if not _may_write(owner, attr)]
-    assert not bad, f"coeffs or record assigned at {sorted(set(bad))}"
+           for owner, what, line in _element_writes(_tree(path))
+           if not _allowed(owner, what)]
+    assert not bad, \
+        f"element built or its slots assigned at {sorted(set(bad))}"
 
 
 def test_coeffs_check_catches_violations(tmp_path):
@@ -181,18 +185,29 @@ def test_coeffs_check_catches_violations(tmp_path):
                  "def f(x, y):\n    a, x.coeffs = 1, y\n",
                  "class RingElement:\n    def scale(self):\n"
                  "        self.coeffs = {}\n",
-                 "def f(x):\n    x._coeffs = {}\n",
-                 "class GradedBasis:\n    def reduce(self, x):\n"
-                 "        x.record = None\n"):
-        bad.write_text(text)
-        with pytest.raises(AssertionError, match="record assigned"):
-            test_coeffs_are_written_by_the_kernel_only([bad])
-    for text in ("class GradedBasis:\n    def _element(self, out):\n"
-                 "        out.coeffs = {}\n",
                  "class GradedBasis:\n    def _element(self, out):\n"
-                 "        out._coeffs, out.record = None, (self, 1)\n",
+                 "        out.coeffs = {}\n",
+                 "def f(x):\n    x._coeffs = {}\n",
+                 "def f(x, gb):\n    x.kernel = gb\n",
+                 "class GradedBasis:\n    def reduce(self, x):\n"
+                 "        x.coords = None\n",
+                 "def f(gb, v):\n    return RingElement(gb, 1, v)\n",
+                 "import prymspin.keel_ring as k\n"
+                 "def f(gb, v):\n    return k.RingElement(gb, 1, v)\n",
+                 "class GradedBasis:\n    def combine(self, v):\n"
+                 "        return RingElement(self, 1, v)\n",
+                 "class RingElement:\n    def scale(self, v):\n"
+                 "        return RingElement(self.kernel, 1, v)\n"):
+        bad.write_text(text)
+        with pytest.raises(AssertionError, match="slots assigned"):
+            test_coeffs_are_written_by_the_kernel_only([bad])
+    for text in ("class GradedBasis:\n    def _element(self, d, v):\n"
+                 "        return RingElement(self, d, v)\n",
+                 "class GradedBasis:\n    def _element(self, out):\n"
+                 "        out._coeffs, out.coords = None, (self, 1)\n",
                  "class RingElement:\n    def scale(self, out):\n"
                  "        out._coeffs = None\n",
+                 "def f(n):\n    return RingElement.unit(n)\n",
                  "def f(t, x):\n    t[len(x.coeffs)] = x.coeffs\n"):
         bad.write_text(text)
         test_coeffs_are_written_by_the_kernel_only([bad])
@@ -212,6 +227,7 @@ def test_checks_catch_violations(tmp_path):
                  "from prymspin.keel_ring import build_graded_basis as b\n",
                  "from prymspin.keel_ring import incompatible\n",
                  "from prymspin.keel_ring import RingElement, monomial_is_zero\n",
+                 "from prymspin.keel_ring import RingElement\n",
                  "from prymspin.strata_aut import marked_tree_automorphism_group\n",
                  "from prymspin.strata_aut import count_marked_automorphisms\n",
                  "from prymspin.strata_aut import prym_aut_number\n",

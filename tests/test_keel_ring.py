@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ def D(*marks, n=6):
 
 
 def gen(*marks, n=6):
-    return RingElement.generator(D(*marks, n=n))
+    return build_graded_basis(n).element(1, {(D(*marks, n=n),): 1})
 
 
 def product(gb, elements):
@@ -118,12 +119,12 @@ class TestFourPointRelation:
                          ((3, 4), 1), ((1, 3), -1), ((1, 3, 5), -1),
                          ((1, 3, 6), -1), ((2, 4), -1)]:
             expected[(D(*marks),)] = Fraction(c)
-        assert r1.coeffs == expected
+        assert r1 == expected
 
     def test_five_marks_pattern(self):
         # [1,2]+[3,4] = [1,3]+[2,4] on five marks (sums have two terms each)
         r1, _ = four_point_relation(5, 1, 2, 3, 4)
-        coeffs = {m[0].key: c for m, c in r1.coeffs.items()}
+        coeffs = {m[0].key: c for m, c in r1.items()}
         assert coeffs == {(1, 2): 1, (3, 4): 1, (1, 3): -1, (2, 4): -1}
 
     def test_four_marks_force_dimension_one(self):
@@ -134,7 +135,7 @@ class TestFourPointRelation:
         gb = build_graded_basis(6)
         for quad in itertools.combinations(range(1, 7), 4):
             for rel in four_point_relation(6, *quad):
-                assert gb.reduce(rel).is_zero()
+                assert gb.element(1, rel).is_zero()
 
     def test_distinct_marks_required(self):
         with pytest.raises(ValueError):
@@ -225,7 +226,7 @@ class TestMultiply:
 
     def test_unit(self):
         gb = build_graded_basis(6)
-        x = gb.reduce(gen(1, 2) + gen(3, 4).scale(Fraction(2, 3)))
+        x = gb.combine(1, [(gen(1, 2), 1), (gen(3, 4), Fraction(2, 3))])
         assert gb.multiply(x, RingElement.unit(6)) == x
 
     def test_triple_product_hits_the_top(self):
@@ -250,7 +251,7 @@ class TestMultiply:
             for _ in range(3):
                 d = rng.choice(divisors)
                 coeffs[(d,)] = Fraction(rng.randint(-4, 4))
-            return gb.reduce(RingElement(6, 1, coeffs))
+            return gb.element(1, coeffs)
 
         for _ in range(20):
             a, b, c = random_elem(), random_elem(), random_elem()
@@ -265,21 +266,20 @@ class TestMultiply:
         rng = random.Random(17)
         divisors = all_divisors(6)
         for _ in range(100):
-            raw_a = RingElement(6, 1, {
-                (rng.choice(divisors),): Fraction(rng.randint(-3, 3))
-                for _ in range(2)})
+            raw_a = {(rng.choice(divisors),): Fraction(rng.randint(-3, 3))
+                     for _ in range(2)}
             raw_b_coeffs = {}
             for _ in range(2):
                 m = monomial(rng.choice(divisors), rng.choice(divisors))
                 raw_b_coeffs[m] = Fraction(rng.randint(-3, 3))
-            raw_b = RingElement(6, 2, raw_b_coeffs)
-            lhs = gb.multiply(gb.reduce(raw_a), gb.reduce(raw_b))
+            lhs = gb.multiply(gb.element(1, raw_a),
+                              gb.element(2, raw_b_coeffs))
             raw_prod = {}
-            for ma, ca in raw_a.coeffs.items():
-                for mb, cb in raw_b.coeffs.items():
+            for ma, ca in raw_a.items():
+                for mb, cb in raw_b_coeffs.items():
                     mm = monomial(*(ma + mb))
                     raw_prod[mm] = raw_prod.get(mm, Fraction(0)) + ca * cb
-            rhs = gb.reduce(RingElement(6, 3, raw_prod))
+            rhs = gb.element(3, raw_prod)
             assert lhs == rhs
 
 
@@ -308,7 +308,7 @@ class TestIntegrate:
         from oracles import oracle_integrals
         gb = build_graded_basis(6)
         for m, expected in oracle_integrals(6).items():
-            got = gb.integrate(RingElement(6, 3, {m: Fraction(1)}))
+            got = gb.integrate(gb.element(3, {m: 1}))
             assert got == expected
 
     def test_perfect_pairing(self):
@@ -320,7 +320,7 @@ class TestIntegrate:
                                  for x in lower], len(upper)))
 
         def basis(d):
-            return [RingElement(6, d, {m: Fraction(1)}) for m in gb.basis[d]]
+            return [gb.element(d, {m: 1}) for m in gb.basis[d]]
 
         for d in (0, 1):
             assert pairing_rank(basis(d), basis(3 - d)) == len(gb.basis[d])
@@ -332,9 +332,51 @@ class TestIntegrate:
 
 
 def test_serialize():
-    x = gen(1, 2).scale(Fraction(3, 2)) + gen(3, 4)
-    assert x.serialize() == [[[[1, 2]], "3/2"], [[[3, 4]], "1"]]
+    # [1,4] and [3,4] are basis divisors, so reduction keeps both terms
     gb = build_graded_basis(6)
+    x = gb.combine(1, [(gen(1, 4), Fraction(3, 2)), (gen(3, 4), 1)])
+    assert x.serialize() == [[[[1, 4]], "3/2"], [[[3, 4]], "1"]]
     top = product(gb, [gen(1, 2), gen(3, 4), gen(1, 2, 3, 4)])
     (monomial_lists, coeff), = top.serialize()
     assert Fraction(coeff) == gb.integrate(top) * Fraction(coeff) / gb.integrate(top)
+
+
+class TestPsiClasses:
+    """The whole multiplication table against the psi-class integrals.
+
+    Keel's formula gives psi_i as the sum of the divisors D_T over the sides
+    T that hold i and neither of two other marks j, k.  In genus 0 the
+    integral of psi_1^a_1 ... psi_n^a_n with a_1 + ... + a_n = n - 3 is
+    (n-3)! / (a_1! ... a_n!) (the string equation; Witten, "Two-dimensional
+    gravity and intersection theory on moduli space", 1991)."""
+
+    @staticmethod
+    def psi(gb, i, j, k):
+        others = [x for x in range(1, gb.n + 1) if x not in (i, j, k)]
+        return gb.element(1, {(canonicalize({i, *extra}, gb.n),): 1
+                              for r in range(1, len(others) + 1)
+                              for extra in itertools.combinations(others, r)})
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_psi_does_not_depend_on_the_two_marks(self, n):
+        gb = build_graded_basis(n)
+        for i in range(1, n + 1):
+            rest = [x for x in range(1, n + 1) if x != i]
+            first, *others = [self.psi(gb, i, j, k)
+                              for j, k in itertools.combinations(rest, 2)]
+            assert not first.is_zero()
+            assert all(x == first for x in others), i
+
+    @pytest.mark.parametrize("n,count", [(4, 4), (5, 15), (6, 56)])
+    def test_psi_integrals_are_multinomial(self, n, count):
+        gb = build_graded_basis(n)
+        psi = [self.psi(gb, i, *[x for x in range(1, n + 1) if x != i][:2])
+               for i in range(1, n + 1)]
+        exponents = [a for a in itertools.product(range(n - 2), repeat=n)
+                     if sum(a) == n - 3]
+        assert len(exponents) == count
+        for a in exponents:
+            prod = product(gb, [x for x, k in zip(psi, a) for _ in range(k)])
+            expected = Fraction(math.factorial(n - 3),
+                                math.prod(math.factorial(k) for k in a))
+            assert gb.integrate(prod) == expected, a

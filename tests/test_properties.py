@@ -5,7 +5,6 @@ Examples are derandomized, so every run checks the same cases."""
 
 import itertools
 import math
-from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,18 +23,18 @@ small_ints = st.integers(min_value=-5, max_value=5)
 
 
 def elements(degree: int):
-    """Integer combinations of nonzero monomials of a degree, unreduced."""
+    """Integer combinations of nonzero monomials of a degree, reduced."""
     monos = sorted(GB.reduction[degree])
     return st.dictionaries(st.sampled_from(monos), small_ints,
                            min_size=1, max_size=4).map(
-        lambda coeffs: RingElement(6, degree, coeffs))
+        lambda coeffs: GB.element(degree, coeffs))
 
 
 @PROPERTY
 @given(st.integers(min_value=0, max_value=3).flatmap(elements))
 def test_reduce_is_idempotent(x):
-    once = GB.reduce(x)
-    assert GB.reduce(once) == once
+    # the reduced coefficients, read again, give the same class
+    assert GB.element(x.degree, x.coeffs) == x
 
 
 @PROPERTY
@@ -61,10 +60,9 @@ def invariant_pairs(draw):
              [nm for nm, e in space.strata.items() if len(e.rep) == 2])
 
     def combo():
-        acc = RingElement.zero(space.n, degree)
-        for name in names:
-            acc = acc + space.named_class(name).value.scale(draw(small_ints))
-        return space.gb.reduce(acc)
+        return space.gb.combine(degree, [(space.named_class(name).value,
+                                          draw(small_ints))
+                                         for name in names])
 
     return space, combo(), combo(), draw(small_ints), draw(small_ints)
 
@@ -73,10 +71,10 @@ def invariant_pairs(draw):
 @given(invariant_pairs())
 def test_push_to_base_is_linear(case):
     space, x, y, a, b = case
-    combo = space.gb.reduce(x.scale(a) + y.scale(b))
-    expected = (push_to_base(space, x).scale(Fraction(a))
-                + push_to_base(space, y).scale(Fraction(b)))
-    assert push_to_base(space, combo) == space.gb.reduce(expected)
+    combo = space.gb.combine(x.degree, [(x, a), (y, b)])
+    expected = space.gb.combine(x.degree, [(push_to_base(space, x), a),
+                                           (push_to_base(space, y), b)])
+    assert push_to_base(space, combo) == expected
 
 
 @PROPERTY
@@ -110,9 +108,8 @@ def test_evaluate_matches_multiply_chain(case):
         terms[names] = terms.get(names, 0) + math.prod(c for _, c in choice)
     expected = RingElement.unit(space.n)
     for f in factors:
-        value = RingElement.zero(space.n, 1)
-        for name, c in f.items():
-            value = value + space.named_class(name).value.scale(c)
+        value = gb.combine(1, [(space.named_class(name).value, c)
+                               for name, c in f.items()])
         expected = gb.multiply(expected, value)
     assert space.evaluate(terms) == expected
 

@@ -103,12 +103,12 @@ def test_aut_number():
 def test_named_class_lambda():
     r2 = load_space("R2")
     gb = r2.gb
-    manual = gb.reduce(
-        r2.named_class("d0p").value.scale(Fraction(1, 10))
-        + r2.named_class("d0pp").value.scale(Fraction(1, 10))
-        + r2.named_class("d0r").value.scale(Fraction(1, 5))
-        + r2.named_class("d1").value.scale(Fraction(1, 5))
-        + r2.named_class("d11").value.scale(Fraction(1, 5)))
+    manual = gb.combine(1, [
+        (r2.named_class("d0p").value, Fraction(1, 10)),
+        (r2.named_class("d0pp").value, Fraction(1, 10)),
+        (r2.named_class("d0r").value, Fraction(1, 5)),
+        (r2.named_class("d1").value, Fraction(1, 5)),
+        (r2.named_class("d11").value, Fraction(1, 5))])
     assert r2.named_class("l").value == manual
 
 
