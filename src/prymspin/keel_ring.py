@@ -21,16 +21,20 @@ integer multiply-adds into one ``Coordinates``.  The images of products of
 two basis monomials (the structure constants) are built on first use and
 kept.
 
-Ring elements have one form.  A ``RingElement`` is a reduced class: the
-kernel that built it, its degree and its integer ``Coordinates`` in that
-kernel's basis.  Only ``GradedBasis._element`` makes one; the kernel reads
-the coordinates back instead of reducing again, and equality, zero tests,
-scaling and integration read them too.  Its ``coeffs``, a dict from basis
-monomials to ``Fraction`` coefficients, are built when first read.  A
-combination that is not reduced (a four-point relation, a divisor sum to
-push along a cover) is a plain dict from sorted monomials to coefficients,
-as in ``GradedBasis.linear_relations``; ``GradedBasis.element`` is the one
-reader of such dicts.  Coefficients are exact: a ``float`` is refused with
+Ring elements have one form, and one kernel per mark count reads them.
+A ``RingElement`` is a reduced class: the kernel that built it, its degree
+and its integer ``Coordinates`` in that kernel's basis.  Only
+``GradedBasis._element`` makes one, and only the kernel that built an
+element reads its coordinates: ``GradedBasis.coordinates`` raises
+``ValueError`` for an element of another kernel instance, and every
+product, combination, comparison and integration goes through it.
+``build_graded_basis`` keeps the one kernel of each mark count.  An
+element's ``coeffs``, a dict from basis monomials to ``Fraction``
+coefficients, are built when first read.  A combination that is not
+reduced (a four-point relation, a divisor sum to push along a cover) is a
+plain dict from sorted monomials to coefficients, as in
+``GradedBasis.linear_relations``; ``GradedBasis.element`` is the one reader
+of such dicts.  Coefficients are exact: a ``float`` is refused with
 ``TypeError``.
 
 Relabelling works on ranks too.  ``divisor_permutation(g)`` is the table
@@ -128,16 +132,6 @@ def all_divisors(n: int) -> list[BoundaryIndex]:
     return [BoundaryIndex(side, n) for side in sorted(sides)]
 
 
-def incompatible(s: BoundaryIndex, t: BoundaryIndex) -> bool:
-    """True when D^S . D^T is forced to vanish: the two splits can coexist
-    on a stable curve only if one of S<=T, T<=S, S<=T^c, S^c<=T holds."""
-    if s.n != t.n:
-        raise ValueError("mismatched number of marks")
-    a, b = s.members, t.members
-    full = frozenset(range(1, s.n + 1))
-    return not (a <= b or b <= a or a <= (full - b) or (full - a) <= b)
-
-
 # A monomial is a sorted tuple of BoundaryIndex factors (a multiset).
 Monomial = tuple[BoundaryIndex, ...]
 
@@ -146,19 +140,16 @@ def monomial(*factors: BoundaryIndex) -> Monomial:
     return tuple(sorted(factors))
 
 
-def monomial_is_zero(m: Monomial) -> bool:
-    return any(incompatible(a, b)
-               for a, b in itertools.combinations(m, 2))
-
-
 class RingElement:
     """A class of the n-pointed ring, reduced onto the basis monomials of
     its degree: the kernel that built it, the degree, and the integer
     ``Coordinates`` in that kernel's basis (empty above the top degree).
 
-    Only ``GradedBasis._element`` builds one.  An element is never changed
-    after it is built, so its coordinates stay valid; its ``Fraction``
-    coefficients are built when ``coeffs`` is first read.
+    Only ``GradedBasis._element`` builds one, and only that kernel reads
+    its coordinates: comparing it with an element of another kernel
+    instance raises ``ValueError``.  An element is never changed after it
+    is built, so its coordinates stay valid; its ``Fraction`` coefficients
+    are built when ``coeffs`` is first read.
     """
 
     __slots__ = ("kernel", "degree", "coords", "_coeffs")
@@ -168,10 +159,6 @@ class RingElement:
         self.degree = degree
         self.coords = coords
         self._coeffs: dict[Monomial, Fraction] | None = None
-
-    @property
-    def n(self) -> int:
-        return self.kernel.n
 
     @property
     def coeffs(self) -> dict[Monomial, Fraction]:
@@ -184,10 +171,6 @@ class RingElement:
             coeffs = self._coeffs = {m: Fraction(c, v.den)
                                      for m, c in zip(basis, v.nums) if c}
         return coeffs
-
-    @classmethod
-    def zero(cls, n: int, degree: int) -> "RingElement":
-        return build_graded_basis(n).element(degree, {})
 
     @classmethod
     def unit(cls, n: int) -> "RingElement":
@@ -206,20 +189,18 @@ class RingElement:
             [u * p for u in v.nums], v.den * c.denominator))
 
     def __eq__(self, other):
-        if not isinstance(other, RingElement) or self.degree != other.degree:
+        if not isinstance(other, RingElement):
             return False
-        if self.kernel is not other.kernel:
-            return self.n == other.n and self.coeffs == other.coeffs
+        v = self.kernel.coordinates(other)
+        if self.degree != other.degree:
+            return False
         # one kernel and degree, so one basis; neither den is in lowest
         # terms, so the numerators are compared cross-multiplied
-        u, v = self.coords, other.coords
+        u = self.coords
         if u.den == v.den:
             return u.nums == v.nums
         p, q = v.den, u.den
         return all(x * p == y * q for x, y in zip(u.nums, v.nums))
-
-    def __hash__(self):
-        return hash((self.n, self.degree, frozenset(self.coeffs.items())))
 
     def __repr__(self):
         if not self.coeffs:
@@ -313,19 +294,20 @@ class GradedBasis:
     n-pointed ring in basis coordinates.
 
     The keys of ``reduction[d]`` are the nonzero degree-d monomials (those
-    whose factors are pairwise compatible) in sorted order: a monomial
-    outside them is zero.  For each degree d the basis is the set of
-    non-pivot monomials of the echelonized relation space, spanned by
-    (degree-1 relations) x (nonzero degree d-1 monomials).
+    whose factors are pairwise compatible) in sorted order: any other
+    sorted product of d divisors is zero.  For each degree d the basis is
+    the set of non-pivot monomials of the echelonized relation space,
+    spanned by (degree-1 relations) x (nonzero degree d-1 monomials).
 
-    Divisor i is ``divisors[i]``, and ``compatibility[i]`` is the bitset
-    of the divisors compatible with it.  The build extends each nonzero
-    degree d-1 monomial, held as a sorted tuple of ranks with the AND of
-    its factors' bitsets, by the set bits of that AND from its last factor
-    on, in ascending rank; this keeps the sorted monomial order and so the
-    choice of basis.  Of the rank data, the bitsets, the side masks and
-    the basis monomials as rank tuples (``basis_ranks``) outlive the
-    build; the last two serve relabelling.
+    Divisor i is ``divisors[i]``, ``rank`` maps each divisor back to i, and
+    ``compatibility[i]`` is the bitset of the divisors compatible with
+    it.  The build extends each nonzero degree d-1 monomial, held as a
+    sorted tuple of ranks with the AND of its factors' bitsets, by the set
+    bits of that AND from its last factor on, in ascending rank; this keeps
+    the sorted monomial order and so the choice of basis.  Of the rank
+    data, ``rank``, the bitsets, the side masks and the basis monomials as
+    rank tuples (``basis_ranks``) outlive the build; the last two serve
+    relabelling.
     """
 
     def __init__(self, n: int):
@@ -367,7 +349,7 @@ class GradedBasis:
     def _build(self):
         n = self.n
         divisors = self.divisors
-        rank = {div: i for i, div in enumerate(divisors)}
+        rank = self.rank = {div: i for i, div in enumerate(divisors)}
         # Degree-1 relations, echelonized once and reused in every degree.
         ech = SparseEchelon()
         for quad in itertools.combinations(range(1, n + 1), 4):
@@ -454,25 +436,27 @@ class GradedBasis:
 
     def element(self, degree: int, coeffs) -> RingElement:
         """The reduced class of a combination of monomials: coeffs maps
-        sorted degree-d monomials to int or Fraction coefficients.  A
-        monomial that vanishes (two incompatible factors, or any monomial
-        above the top degree) is skipped; a monomial that is not sorted
-        raises KeyError."""
-        if degree > self.top:
-            return self._element(degree, Coordinates([], 1))
-        red = self.reduction[degree]
+        sorted degree-d monomials of this kernel's divisors to int or
+        Fraction coefficients.  The keys of ``reduction[d]`` are all the
+        nonzero ones, so any other such monomial (incompatible factors, or
+        any degree above the top) is skipped; a monomial of another length,
+        with a factor of another mark count, or not sorted raises
+        KeyError."""
+        red = self.reduction.get(degree, {})
         images = []
         for m, c in coeffs.items():
             if type(c) is not Fraction:
                 c = _exact(c)
             image = red.get(m)
             if image is None:
-                if monomial_is_zero(m):
+                ranks = [self.rank.get(f) for f in m]
+                if (len(m) == degree and None not in ranks
+                        and ranks == sorted(ranks)):
                     continue
                 raise KeyError(f"not a sorted degree-{degree} monomial: {m}")
             images.append((c.numerator, c.denominator, image))
-        return self._element(degree, sum_images(len(self.basis[degree]),
-                                                images))
+        return self._element(degree, sum_images(
+            len(self.basis.get(degree, ())), images))
 
     def _element(self, degree: int, acc: Coordinates, den: int = 1) -> RingElement:
         """The element acc / den.  acc, divided by den in place, becomes the
@@ -482,10 +466,12 @@ class GradedBasis:
         return RingElement(self, degree, acc)
 
     def coordinates(self, x: RingElement) -> Coordinates:
-        """Coordinates of x in the basis of its degree: its own when this
-        kernel built it, else read again from its coefficients.  The result
-        is read, never changed."""
-        return x.coords if x.kernel is self else self.reduce(x).coords
+        """Coordinates of x in the basis of its degree, read, never
+        changed.  Only the kernel that built x reads them: an element of
+        another kernel instance raises ValueError."""
+        if x.kernel is not self:
+            raise ValueError("element of another ring kernel")
+        return x.coords
 
     def span_coordinates(self, x: RingElement,
                          span: list[RingElement]) -> list[Fraction] | None:
@@ -507,15 +493,11 @@ class GradedBasis:
     # -- reduction, products, relabelling, integration ----------------------
 
     def reduce(self, x: RingElement) -> RingElement:
-        """x as an element of this kernel.  An element this kernel built is
-        reduced already and never changes, so it is returned itself; one
-        built by another kernel instance is read again from its
-        coefficients."""
-        if x.kernel is self:
-            return x
-        if x.n != self.n:
-            raise ValueError("mismatched number of marks")
-        return self.element(x.degree, x.coeffs)
+        """x itself: an element this kernel built is reduced already and
+        never changes.  An element of another kernel instance raises
+        ValueError, as in ``coordinates``."""
+        self.coordinates(x)
+        return x
 
     def combine(self, degree: int, terms) -> RingElement:
         """The sum of c * x over the (x, c) terms, all of the given degree;
@@ -537,12 +519,10 @@ class GradedBasis:
     def multiply(self, a: RingElement, b: RingElement) -> RingElement:
         """Bilinear product followed by reduction; degrees beyond the top
         give the zero element of that degree."""
-        if a.n != b.n or a.n != self.n:
-            raise ValueError("mismatched number of marks")
+        va, vb = self.coordinates(a), self.coordinates(b)
         degree = a.degree + b.degree
         if degree > self.top:
             return self.element(degree, {})
-        va, vb = self.coordinates(a), self.coordinates(b)
         right = [(j, y) for j, y in enumerate(vb.nums) if y]
         images = []
         for i, x in enumerate(va.nums):

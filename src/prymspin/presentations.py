@@ -347,12 +347,9 @@ def check_relation(space_tag: str, text: str) -> tuple[bool, RingElement]:
 class PresentationReport:
     """The comparison of a presentation with the invariant ring of a space."""
 
-    def __init__(self, space: str, presentation: str,
-                 generators_vanish: list[bool],
+    def __init__(self, generators_vanish: list[bool],
                  surjective_by_degree: list[bool], hilbert: list[int],
                  invariant_dims: list[int], independent: bool):
-        self.space = space
-        self.presentation = presentation
         self.generators_vanish = generators_vanish
         self.surjective_by_degree = surjective_by_degree
         self.hilbert = hilbert
@@ -389,7 +386,6 @@ def verify_presentation(space_tag: str, p: Presentation) -> PresentationReport:
         surjective.append(rank(QMatrix(rows, len(gb.basis[d])))
                           == inv_dims[d])
     return PresentationReport(
-        space=space_tag, presentation=p.name or "(custom)",
         generators_vanish=vanish, surjective_by_degree=surjective,
         hilbert=hilbert_function(p), invariant_dims=inv_dims,
         independent=independence_check(p))

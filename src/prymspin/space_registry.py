@@ -265,7 +265,6 @@ def load_space(tag: str) -> SpaceDescriptor:
     # Orbits are taken on divisor ranks: a monomial is a sorted tuple of
     # ranks, which each generator renames through the kernel's table.
     divisors = gb.divisors
-    rank = {div: i for i, div in enumerate(divisors)}
     # The divisors come first, so each divisor upstairs has its class in
     # boundary_of before any stratum reads which of its edges are blown up.
     boundary: dict[str, StratumEntry] = {}
@@ -275,7 +274,7 @@ def load_space(tag: str) -> SpaceDescriptor:
     for i, item in enumerate(data["boundary"] + data["strata"]):
         divisor = i < n_divisors
         name = item["name"]
-        ranks = tuple(sorted(rank[canonicalize(set(s), n)]
+        ranks = tuple(sorted(gb.rank[canonicalize(set(s), n)]
                              for s in item["rep"]))
         rep = tuple(divisors[r] for r in ranks)
         orbit = frozenset(tuple(divisors[r] for r in m)

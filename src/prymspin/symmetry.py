@@ -20,7 +20,6 @@ the full symmetric group.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from math import gcd
 
 from .exact_linear import QMatrix, rref
@@ -165,11 +164,6 @@ class InvariantBasis:
 
     def dims(self) -> list[int]:
         return [len(self.per_degree[d]) for d in range(self.gb.top + 1)]
-
-    def coordinates(self, x: RingElement) -> list[Fraction] | None:
-        """Coordinates of an invariant element in this basis, or None if the
-        element is not in the span."""
-        return self.gb.span_coordinates(x, self.per_degree[x.degree])
 
 
 def invariant_basis(group: PermGroup, gb: GradedBasis) -> InvariantBasis:

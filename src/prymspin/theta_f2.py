@@ -121,9 +121,7 @@ def verify_bijections(g: int) -> dict:
             images.add(v)
     surjective = len(images) == prym_expected
     return {
-        "genus": g,
         "prym_count_matches": census["prym_total"] == prym_expected,
-        "phi_injective": injective,
         "phi_bijective": injective and surjective,
         "spin_census": (census["spin_even"], census["spin_odd"]),
         "arf_census": (arf_even, arf_odd),

@@ -5,7 +5,8 @@ literal, no ``float(...)`` call, and no import of ``random`` or ``numpy``.
 No module imports ``dataclasses``, which every process would pay for at
 start-up.
 The test oracles stay independent of the code they check: they import no
-ring kernel or compatibility rule, no automorphism enumerator or number
+ring kernel (which holds the compatibility rule), no automorphism
+enumerator or number
 built on it, no theta census, and nothing of the symmetry or pushforward
 modules.  Only the engine's own module and the Keel build name
 ``SparseEchelon``: every other module eliminates through the adapters
@@ -15,7 +16,9 @@ Only ``GradedBasis._element`` calls ``RingElement(...)``; nothing assigns
 to an element's read-only ``coeffs``, and only ``RingElement``'s own
 methods and ``GradedBasis._element`` assign to its slots ``kernel``,
 ``coords`` and ``_coeffs``, so every element is a reduced class whose
-coordinates stay valid."""
+coordinates stay valid.  Only ``keel_ring.build_graded_basis`` calls
+``GradedBasis(...)``, so each mark count has one kernel, the only reader of
+the elements it builds."""
 
 import ast
 from pathlib import Path
@@ -26,7 +29,7 @@ SOURCES = sorted((Path(__file__).parent.parent / "src" / "prymspin").glob("*.py"
 FORBIDDEN_MODULES = {"random", "numpy"}
 ORACLES = Path(__file__).with_name("oracles.py")
 ORACLE_FORBIDDEN_NAMES = {"GradedBasis", "build_graded_basis",
-                          "RingElement", "incompatible", "monomial_is_zero",
+                          "RingElement",
                           "marked_tree_automorphism_group",
                           "count_marked_automorphisms", "prym_aut_number",
                           "fiber_count", "extremity_kernel",
@@ -40,6 +43,7 @@ ENGINE_MODULES = {"exact_linear.py", "keel_ring.py"}
 EVALUATOR_MODULE = "space_registry.py"
 ELEMENT_MAKER = ("GradedBasis", "_element")
 ELEMENT_SLOTS = {"kernel", "coords", "_coeffs"}
+KERNEL_MAKER = ("keel_ring.py", ("build_graded_basis",))
 
 
 def _tree(path: Path) -> ast.Module:
@@ -213,6 +217,51 @@ def test_coeffs_check_catches_violations(tmp_path):
         test_coeffs_are_written_by_the_kernel_only([bad])
 
 
+def _kernel_builds(tree: ast.AST, owner=()):
+    """(enclosing classes and functions, line) of every call of
+    ``GradedBasis``."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            yield from _kernel_builds(node, owner + (node.name,))
+            continue
+        if isinstance(node, ast.Call) and "GradedBasis" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None)):
+            yield owner, node.lineno
+        yield from _kernel_builds(node, owner)
+
+
+def test_one_kernel_per_mark_count(paths=SOURCES):
+    bad = [f"{path.name}:{line}" for path in paths
+           for owner, line in _kernel_builds(_tree(path))
+           if (path.name, owner) != KERNEL_MAKER]
+    assert not bad, f"GradedBasis built outside the kernel cache at {bad}"
+
+
+def test_kernel_check_catches_violations(tmp_path):
+    for name, text in (
+            ("bad.py", "def f():\n    return GradedBasis(6)\n"),
+            ("bad.py", "import prymspin.keel_ring as k\nGB = k.GradedBasis(5)\n"),
+            ("bad.py", "def build_graded_basis(n):\n    return GradedBasis(n)\n"),
+            ("keel_ring.py", "class GradedBasis:\n    def fresh(self):\n"
+                             "        return GradedBasis(self.n)\n"),
+            ("keel_ring.py", "def build_graded_basis(n):\n"
+                             "    def inner():\n        return GradedBasis(n)\n"
+                             "    return inner()\n"),
+            ("keel_ring.py", "_CACHE = {6: GradedBasis(6)}\n")):
+        bad = tmp_path / name
+        bad.write_text(text)
+        with pytest.raises(AssertionError, match="outside the kernel cache"):
+            test_one_kernel_per_mark_count([bad])
+    good = tmp_path / "keel_ring.py"
+    good.write_text("def build_graded_basis(n):\n"
+                    "    if n not in _CACHE:\n"
+                    "        _CACHE[n] = GradedBasis(n)\n"
+                    "    return _CACHE[n]\n")
+    test_one_kernel_per_mark_count([good])
+
+
 def test_checks_catch_violations(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("import random\nx = float(2)\ny = 0.5\n")
@@ -225,8 +274,6 @@ def test_checks_catch_violations(tmp_path):
         test_arithmetic_is_exact(bad)
     for text in ("from prymspin.keel_ring import GradedBasis\n",
                  "from prymspin.keel_ring import build_graded_basis as b\n",
-                 "from prymspin.keel_ring import incompatible\n",
-                 "from prymspin.keel_ring import RingElement, monomial_is_zero\n",
                  "from prymspin.keel_ring import RingElement\n",
                  "from prymspin.strata_aut import marked_tree_automorphism_group\n",
                  "from prymspin.strata_aut import count_marked_automorphisms\n",

@@ -8,7 +8,7 @@ import pytest
 from prymspin.exact_linear import QMatrix, rank
 from prymspin.keel_ring import (BoundaryIndex, RingElement, all_divisors,
                                 build_graded_basis, canonicalize,
-                                four_point_relation, incompatible, monomial)
+                                four_point_relation, monomial)
 from prymspin.space_registry import load_space
 from prymspin.symmetry import invariant_basis
 
@@ -100,15 +100,40 @@ class TestBoundaryIndexValue:
         assert d.key == (1, 2) and hash(d) == hash(((1, 2), 6))
 
 
-class TestIncompatible:
-    def test_examples(self):
-        assert incompatible(D(1, 2), D(1, 3))
-        assert not incompatible(D(1, 2), D(1, 2, 3))
-        assert not incompatible(D(1, 2), D(3, 4))
+class TestVanishingRule:
+    """``element`` skips a monomial outside ``reduction[d]`` only when it is
+    a sorted product of d divisors of its own kernel: those are exactly the
+    monomials that vanish.  Anything else raises KeyError, whether or not
+    its factors are compatible."""
 
-    def test_mismatched_marks(self):
-        with pytest.raises(ValueError):
-            incompatible(D(1, 2), D(1, 2, n=5))
+    def test_incompatible_factors_vanish(self):
+        gb = build_graded_basis(6)
+        assert gb.element(2, {(D(1, 2), D(1, 3)): 1}).is_zero()
+        assert gb.element(3, {(D(1, 2), D(1, 3), D(3, 4)): 5}).is_zero()
+        assert not gb.element(2, {(D(1, 2), D(3, 4)): 1}).is_zero()
+
+    def test_above_the_top_every_sorted_monomial_vanishes(self):
+        gb = build_graded_basis(6)
+        x = gb.element(4, {(D(1, 2),) * 4: 1, (D(1, 2), D(1, 3), D(1, 4),
+                                               D(1, 5)): 2})
+        assert x.degree == 4 and x.is_zero() and x.coords.nums == []
+
+    @pytest.mark.parametrize("degree,m", [
+        (1, (D(1, 2), D(1, 3))),
+        (2, (D(1, 2), D(1, 3), D(3, 4))),
+        (1, (D(1, 2), D(3, 4))),
+        (4, (D(1, 2),)),
+        (0, (D(1, 2),)),
+        (2, (D(1, 2), D(1, 2, n=5))),
+        (2, (D(1, 3), D(1, 2))),
+        (2, (D(1, 3), D(1, 2, 3))),
+        (3, (D(1, 3), D(1, 2), D(1, 4))),
+    ])
+    def test_malformed_monomial_raises(self, degree, m):
+        # wrong length, a factor of another mark count, or not sorted
+        gb = build_graded_basis(6)
+        with pytest.raises(KeyError, match=f"degree-{degree} monomial"):
+            gb.element(degree, {m: 1})
 
 
 class TestFourPointRelation:
@@ -286,7 +311,7 @@ class TestMultiply:
 class TestIntegrate:
     def test_zero(self):
         gb = build_graded_basis(6)
-        assert gb.integrate(RingElement.zero(6, 3)) == 0
+        assert gb.integrate(gb.element(3, {})) == 0
 
     def test_point_chain_is_one(self):
         gb = build_graded_basis(6)
@@ -336,9 +361,14 @@ def test_serialize():
     gb = build_graded_basis(6)
     x = gb.combine(1, [(gen(1, 4), Fraction(3, 2)), (gen(3, 4), 1)])
     assert x.serialize() == [[[[1, 4]], "3/2"], [[[3, 4]], "1"]]
+    # three pairwise compatible divisors meet in one point, so the single
+    # basis monomial b carries the coefficient c with c * integral(b) = 1
+    from oracles import oracle_integrals
     top = product(gb, [gen(1, 2), gen(3, 4), gen(1, 2, 3, 4)])
     (monomial_lists, coeff), = top.serialize()
-    assert Fraction(coeff) == gb.integrate(top) * Fraction(coeff) / gb.integrate(top)
+    b = tuple(D(*key) for key in monomial_lists)
+    assert [b] == gb.basis[3]
+    assert Fraction(coeff) * oracle_integrals(6)[b] == 1
 
 
 class TestPsiClasses:

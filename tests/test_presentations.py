@@ -20,7 +20,9 @@ def degree1_kernel(tag, p):
     invariant basis, and the kernel is that of the coordinate matrix."""
     space = load_space(tag)
     inv = invariant_basis(space.group, space.gb)
-    coords = [inv.coordinates(space.named_class(v).value) for v in p.variables]
+    coords = [space.gb.span_coordinates(space.named_class(v).value,
+                                        inv.per_degree[1])
+              for v in p.variables]
     ker = kernel_basis(QMatrix([{j: x for j, x in enumerate(row) if x}
                                 for row in zip(*coords)], len(coords)))
     return [[v.get(j, 0) for j in range(len(coords))] for v in ker]

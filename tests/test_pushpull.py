@@ -385,32 +385,6 @@ class TestCoordinateRecord:
             return element(degree, coeffs)
         monkeypatch.setattr(gb, "element", counting)
 
-    def test_other_kernel_never_reads_the_record(self, monkeypatch):
-        first = build_graded_basis(6)
-        second = GradedBasis(6)
-        read = []
-        x = first.element(1, {**gen(1, 2), **gen(3, 4)})
-        y = second.element(1, {**gen(1, 2), **gen(3, 4)})
-        self._spy(monkeypatch, first, read)
-        self._spy(monkeypatch, second, read)
-        assert second.coordinates(x).nums == first.coordinates(x).nums
-        assert read == [second]
-        read.clear()
-        assert first.coordinates(y).nums == second.coordinates(y).nums
-        assert read == [first]
-
-    def test_reduce_returns_an_element_its_kernel_built(self, monkeypatch):
-        first = build_graded_basis(6)
-        second = GradedBasis(6)
-        x = first.element(1, {**gen(1, 2), **gen(3, 4)})
-        assert first.reduce(x) is x
-        read = []
-        self._spy(monkeypatch, second, read)
-        y = second.reduce(x)
-        assert read == [second]
-        assert y == x and y is not x and y.kernel is second
-        assert second.reduce(y) is y and read == [second]
-
     def test_warm_push_accumulates_nothing(self, monkeypatch):
         space = load_space("R2")
         x = space.named_class(space.names()[0]).value

@@ -183,7 +183,7 @@ def test_span_coordinates():
     assert gb.span_coordinates(x, span) == [2, Fraction(-1, 3), 5]
     # the one linear relation of R2 involves every boundary class
     assert gb.span_coordinates(space.named_class("d0r").value, span) is None
-    assert gb.span_coordinates(RingElement.zero(6, 1), []) == []
+    assert gb.span_coordinates(gb.element(1, {}), []) == []
     assert gb.span_coordinates(span[0], []) is None
 
 
@@ -246,9 +246,7 @@ class TestLazyCoefficients:
             for x, y in itertools.product(xs, repeat=2):
                 same = x.coeffs == y.coeffs
                 assert (x == y) == same and (x != y) != same
-                if same:
-                    equal += 1
-                    assert hash(x) == hash(y)
+                equal += same
         assert equal > len(lazy_elements)
 
     def test_scaling_keeps_the_value(self, lazy_elements):
@@ -258,27 +256,41 @@ class TestLazyCoefficients:
             # den is left unreduced, so equality cross-multiplies
             assert back.coords.den == 2 * x.coords.den
             assert back.kernel is x.kernel
-            assert back == x and hash(back) == hash(x)
+            assert back == x
             assert (twice == x) == x.is_zero()
             assert x.scale(0).is_zero() and x.scale(0) == x.scale(0).scale(3)
             assert x.scale(Fraction(-3, 4)).coeffs == \
                 {m: c * Fraction(-3, 4) for m, c in x.coeffs.items()}
 
-    def test_two_kernels_compare_by_value(self, lazy_elements):
+    def test_only_the_building_kernel_reads_an_element(self):
+        # one kernel per mark count: an element of another kernel instance,
+        # even one of the same n, is refused, never read again by value
         first = build_graded_basis(6)
         second = GradedBasis(6)
-        small = GradedBasis(5)
-        fives = [small.reduce(RingElement.unit(5)),
-                 small.element(1, {m: 1 for m in small.basis[1]}),
-                 RingElement.zero(5, 1)]
-        for x in lazy_elements:
-            if x.degree > first.top:
-                continue
-            ours, theirs = first.reduce(x), second.reduce(x)
-            assert ours is x and theirs.kernel is second
-            assert ours == theirs and theirs == x and x == theirs
-            assert theirs.scale(2) != x or x.is_zero()
-            assert all(f != x and x != f for f in fives)
+        small = build_graded_basis(5)
+        mine = first.element(1, {(first.divisors[0],): 1})
+        for other in (second.element(1, {(second.divisors[0],): 1}),
+                      second.element(3, {}), RingElement.unit(5),
+                      small.element(1, {m: 1 for m in small.basis[1]})):
+            for call in (lambda: first.coordinates(other),
+                         lambda: first.reduce(other),
+                         lambda: first.combine(other.degree, [(other, 1)]),
+                         lambda: first.multiply(mine, other),
+                         lambda: first.multiply(other, mine),
+                         lambda: first.multiply(other, other),
+                         lambda: first.span_coordinates(other, []),
+                         lambda: first.span_coordinates(mine, [other]),
+                         lambda: first.linear_image(
+                             other, first.relabel_images(
+                                 tuple(range(1, 7)), 1)),
+                         lambda: mine == other,
+                         lambda: other == mine,
+                         lambda: mine != other):
+                with pytest.raises(ValueError, match="another ring kernel"):
+                    call()
+        with pytest.raises(ValueError, match="another ring kernel"):
+            first.integrate(second.element(3, {}))
+        assert first.reduce(mine) is mine and mine == first.reduce(mine)
 
     def test_warm_push_reads_no_coefficients(self):
         for tag in SPACE_TAGS:

@@ -53,10 +53,15 @@ def test_act_fixes_unit():
 
 
 def test_relations_closed_under_action():
+    # every formal four-point relation, relabelled monomial by monomial by a
+    # generator of S6, still vanishes in the kernel
     gb = build_graded_basis(6)
-    g = parse_cycles("(3 4)", 6)
-    for rel in four_point_relation(6, 1, 2, 3, 4):
-        assert act(g, gb.element(1, rel), gb).is_zero()
+    for quad in itertools.combinations(range(1, 7), 4):
+        for rel in four_point_relation(6, *quad):
+            for g in standard_group("M2").generators:
+                relabelled = {oracles.relabel(g, m): c for m, c in rel.items()}
+                assert len(relabelled) == len(rel)
+                assert gb.element(1, relabelled).is_zero(), (quad, g)
 
 
 def test_reynolds_idempotent_and_projects():
@@ -131,7 +136,8 @@ def test_r2_degree1_orbit_sums_span():
     from prymspin.space_registry import load_space
     space = load_space("R2")
     for name in space.boundary:
-        coords = basis.coordinates(space.named_class(name).value)
+        coords = gb.span_coordinates(space.named_class(name).value,
+                                     basis.per_degree[1])
         assert coords is not None
 
 
