@@ -31,7 +31,6 @@ from math import gcd, lcm
 from .exact_linear import QMatrix, Rational, rref
 from .keel_ring import (BoundaryIndex, Monomial, RingElement,
                         four_point_relation)
-from .presentations import check_relation
 from .space_registry import SpaceDescriptor, load_space
 from .symmetry import act, average_images
 
@@ -267,15 +266,6 @@ def check_combo_vanishes(combo: NamedCombo) -> tuple[bool, RingElement]:
     return residue.is_zero(), residue
 
 
-def m2_relation_verdicts() -> dict[str, bool]:
-    """The quadratic base relation and the two cross-check variants; each
-    is evaluated, never assumed."""
-    return {text: check_relation("M2", text)[0]
-            for text in ("12*delta1^2 + delta0*delta1",
-                         "delta0*delta1 + 12*delta0^2",
-                         "528*delta1^3 + delta0^3")}
-
-
 # -- Hodge class identity chains ----------------------------------------------
 
 # Each chain replays a projection-formula computation: the stack class y
@@ -335,7 +325,7 @@ LAMBDA_VANISHING = [
 def verify_lambda_identities() -> dict[str, dict]:
     """Replays each Hodge-class chain and checks it in the invariant ring,
     then checks the square-of-Hodge vanishings.  Returns a report keyed by
-    identity text."""
+    identity text; each residue is a ring element, zero when it holds."""
     report = {}
     for space_tag, y, factor, pushes, note in LAMBDA_CHAINS:
         space = load_space(space_tag)
@@ -349,7 +339,7 @@ def verify_lambda_identities() -> dict[str, dict]:
         ok, residue = check_combo_vanishes(diff)
         report[f"{y}*{lam} = {rhs}"] = {
             "holds": ok, "space": space_tag, "note": note,
-            "residue": residue.serialize()}
+            "residue": residue}
     for space_tag, names in LAMBDA_VANISHING:
         combo = NamedCombo(space_tag)
         combo.add(names, 1)
@@ -358,7 +348,7 @@ def verify_lambda_identities() -> dict[str, dict]:
             "holds": ok, "space": space_tag,
             "note": "square of the Hodge class vanishes against this "
                     "boundary divisor (pullback from a one-dimensional base)",
-            "residue": residue.serialize()}
+            "residue": residue}
     return report
 
 

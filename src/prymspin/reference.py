@@ -114,6 +114,7 @@ THETA_G2 = {"prym_total": 15, "spin_even": 10, "spin_odd": 6}
 # first variant is a transcription slip of the true relation and fails,
 # while the cubic one holds).
 M2_RELATION = "12*delta1^2 + delta0*delta1"
+M2_VARIANTS = ("delta0*delta1 + 12*delta0^2", "528*delta1^3 + delta0^3")
 
 # M2_RELATION pulled back to each cover, written in its boundary classes:
 # each text is a nonzero multiple of M2_RELATION with delta0 and delta1

@@ -11,7 +11,8 @@ is blown up, and the published values the entry must reproduce.  A divisor
 carries its mapping degree and fiber count over the base stratum, a
 stratum of higher codimension its pushforward coefficient; every entry
 carries its automorphism number.  Loading a space recomputes these from the
-dual-tree combinatorics and fails loudly on any mismatch.  The forgetful
+dual-tree combinatorics, keeps each beside its table value in the entry's
+``checks`` and fails loudly on any mismatch.  The forgetful
 degree |S_6|/|G|, the pullbacks of the base boundary classes
 (``pullback_tables``) and the Hodge class (Mumford's 10 lambda = delta0 +
 2 delta1, pulled back) are derived, never read.
@@ -101,7 +102,8 @@ class StratumEntry:
     upstairs, with the table values of its kind and the data computed from
     its dual tree.  A boundary divisor (k = 1) has a mapping degree and a
     fiber count; a stratum has a pushforward target and coefficient unless
-    it is a base stratum.  Values a kind does not have are None."""
+    it is a base stratum.  Values a kind does not have are None.  The
+    load audit fills ``checks`` with {what: (computed, table value)}."""
 
     def __init__(self, name: str, display: str, rep: Monomial,
                  orbit: frozenset[Monomial], aut: int, stab_order: int,
@@ -121,6 +123,7 @@ class StratumEntry:
         self.fiber_count = fiber_count
         self.pushforward_target = pushforward_target
         self.pushforward_coeff = pushforward_coeff
+        self.checks: dict[str, tuple] = {}
 
 
 class SpaceDescriptor:
@@ -317,7 +320,13 @@ def load_space(tag: str) -> SpaceDescriptor:
 
 
 def _audit(space: SpaceDescriptor, base: SpaceDescriptor):
-    tag, order = space.tag, space.group.order
+    """Checks that the boundary orbits cover every divisor, that no two
+    entries share a monomial and that each stratum's tree forgets to its
+    pushforward target's.  Each entry's ``checks`` maps what is recomputed
+    to (computed, table value): the automorphism number, for a divisor the
+    degree |G|/(|orbit| m) and the fiber count, for a stratum with a target
+    the pushforward coefficient.  Any pair that differs raises."""
+    tag, order, swap = space.tag, space.group.order, space.unordered_classes
     missing = set(space.gb.divisors) - set(space.boundary_of)
     if missing:
         raise RegistryError(f"{tag}: boundary orbits do not cover all "
@@ -329,21 +338,13 @@ def _audit(space: SpaceDescriptor, base: SpaceDescriptor):
                 raise RegistryError(f"{tag}: strata {seen[m]} and {e.name} "
                                     f"share the monomial {m}")
             seen[m] = e.name
-        if e.degree is not None and (
-                len(e.orbit) * e.degree * e.stab_order != order):
-            raise RegistryError(
-                f"{tag}/{e.name}: orbit({len(e.orbit)}) x degree({e.degree}) "
-                f"x aut_upstairs({e.stab_order}) != group order {order}")
-        stratum = (e.tree, e.blown_edges, space.unordered_classes)
-        n_computed = prym_aut_number(*stratum)
-        if n_computed != e.aut:
-            raise RegistryError(f"{tag}/{e.name}: computed automorphism "
-                                f"number {n_computed}, table says {e.aut}")
-        if e.fiber_count is not None:
-            m_count = fiber_count(e.tree, space.unordered_classes)
-            if m_count != e.fiber_count:
-                raise RegistryError(f"{tag}/{e.name}: computed fiber count "
-                                    f"{m_count}, table says {e.fiber_count}")
+        stratum = (e.tree, e.blown_edges, swap)
+        e.checks = {"automorphism number": (prym_aut_number(*stratum), e.aut)}
+        if e.degree is not None:
+            e.checks["degree"] = (
+                Fraction(order, len(e.orbit) * e.stab_order), e.degree)
+            e.checks["fiber count"] = (fiber_count(e.tree, swap),
+                                       e.fiber_count)
         if e.pushforward_target is not None:
             target = base.strata[e.pushforward_target]
             plain_src = MarkedTree(
@@ -351,8 +352,10 @@ def _audit(space: SpaceDescriptor, base: SpaceDescriptor):
             if not trees_isomorphic(plain_src, target.tree):
                 raise RegistryError(f"{tag}/{e.name}: underlying tree does "
                                     f"not match {e.pushforward_target}")
-            coeff = stratum_pushforward_coeff(*stratum, target.aut)
-            if coeff != e.pushforward_coeff:
-                raise RegistryError(
-                    f"{tag}/{e.name}: computed pushforward coefficient "
-                    f"{coeff}, table says {e.pushforward_coeff}")
+            e.checks["pushforward coefficient"] = (
+                stratum_pushforward_coeff(*stratum, target.aut),
+                e.pushforward_coeff)
+        for what, (computed, table) in e.checks.items():
+            if computed != table:
+                raise RegistryError(f"{tag}/{e.name}: computed {what} "
+                                    f"{computed}, table says {table}")

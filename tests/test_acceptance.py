@@ -13,8 +13,7 @@ from prymspin.presentations import (Presentation, check_relation,
                                     independence_check, verify_presentation)
 from prymspin.pushpull import (check_combo_vanishes, derive_linear_relation,
                                derive_m05_relations, intersection_table,
-                               m2_relation_verdicts, mumford_base_numbers,
-                               verify_lambda_identities)
+                               mumford_base_numbers, verify_lambda_identities)
 from prymspin.space_registry import load_space
 from prymspin.strata_aut import fiber_count, prym_aut_number
 from prymspin.symmetry import invariant_dims, standard_group
@@ -132,11 +131,13 @@ def test_criterion_8_m05_relations():
 
 
 def test_criterion_9_base_relations():
-    verdicts = m2_relation_verdicts()
-    ok = verdicts[reference.M2_RELATION] is True
+    ok = check_relation("M2", reference.M2_RELATION)[0] is True
+    variants = {text: check_relation("M2", text)[0]
+                for text in reference.M2_VARIANTS}
+    # the swapped-index variant fails, the cubic one holds
+    ok &= list(variants.values()) == [False, True]
     detail = ("12*delta1^2+delta0*delta1 holds; variants evaluated: "
-              + ", ".join(f"{k} -> {v}" for k, v in sorted(verdicts.items())
-                          if k != reference.M2_RELATION))
+              + ", ".join(f"{k} -> {v}" for k, v in sorted(variants.items())))
     assert _report("9", ok, detail)
 
 
@@ -164,8 +165,8 @@ def test_criterion_11_theta():
     ok = True
     for g in range(1, 7):
         rep = verify_bijections(g)
-        ok &= rep["prym_count_matches"] and rep["phi_bijective"]
-        ok &= rep["census_match"]
+        ok &= rep["prym_total"] == 2 ** (2 * g) - 1 and rep["phi_bijective"]
+        ok &= rep["spin_census"] == rep["arf_census"]
     census = torsion_census(2)
     ok &= (census["prym_total"], census["spin_even"],
            census["spin_odd"]) == (15, 10, 6)

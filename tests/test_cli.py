@@ -158,6 +158,35 @@ def test_json_output(capsys):
     assert doc["ok"] is True
 
 
+def test_report_verdict_compares_computed_with_expected():
+    from prymspin.cli import Report
+    report = Report("t")
+    rows = report.section("s")
+    rows.append(("equal", "1", (1, "a"), (1, "a")))
+    rows.append(("only reported", "x", True, None))
+    assert report.ok
+    rows.append(("differs", "2", [2], [3]))
+    assert not report.ok
+    assert [Report.verdict(row) for row in rows] == [True, None, False]
+    assert "- [ok] equal: 1\n- [--] only reported: x\n- [FAIL] differs: 2" \
+        in report.render_markdown()
+    doc = json.loads(report.render_json())
+    assert [row["ok"] for row in doc["sections"][0]["rows"]] == [
+        True, None, False]
+
+
+def test_strata_rows_read_the_audited_checks(capsys, monkeypatch):
+    # the strata rows compare the values the load audit stored, so one
+    # computed value that differs from its table fails that row alone
+    from prymspin.space_registry import load_space
+    monkeypatch.setitem(load_space("R2").boundary["d0r"].checks,
+                        "fiber count", (2, 1))
+    code, out = run(capsys, "strata", "--space", "R2")
+    assert code == 1
+    assert [line for line in out.splitlines() if "[FAIL]" in line] == [
+        "- [FAIL] D0^r: degree 6, aut 2, fibers 4"]
+
+
 def test_input_errors_exit_2(capsys, tmp_path):
     assert main(["push", "--map", "bogus", "--class", "[1,2]"]) == 2
     assert main(["push", "--map", "f_R", "--class", "oops"]) == 2

@@ -18,7 +18,9 @@ methods and ``GradedBasis._element`` assign to its slots ``kernel``,
 ``coords`` and ``_coeffs``, so every element is a reduced class whose
 coordinates stay valid.  Only ``keel_ring.build_graded_basis`` calls
 ``GradedBasis(...)``, so each mark count has one kernel, the only reader of
-the elements it builds."""
+the elements it builds.  Every row the CLI appends to a report section is
+(label, text, computed, expected) with no bool literal as its computed
+value, so ``Report.verdict`` alone turns a comparison into ok/FAIL."""
 
 import ast
 from pathlib import Path
@@ -44,6 +46,7 @@ EVALUATOR_MODULE = "space_registry.py"
 ELEMENT_MAKER = ("GradedBasis", "_element")
 ELEMENT_SLOTS = {"kernel", "coords", "_coeffs"}
 KERNEL_MAKER = ("keel_ring.py", ("build_graded_basis",))
+CLI = next(path for path in SOURCES if path.name == "cli.py")
 
 
 def _tree(path: Path) -> ast.Module:
@@ -260,6 +263,53 @@ def test_kernel_check_catches_violations(tmp_path):
                     "        _CACHE[n] = GradedBasis(n)\n"
                     "    return _CACHE[n]\n")
     test_one_kernel_per_mark_count([good])
+
+
+def _row_appends(tree: ast.Module):
+    """Every append to a row list: a name bound to a ``section(...)`` call
+    or a parameter named ``rows``."""
+    lists = {"rows"} | {target.id for node in ast.walk(tree)
+                        if isinstance(node, ast.Assign)
+                        and isinstance(node.value, ast.Call)
+                        and getattr(node.value.func, "attr", None) == "section"
+                        for target in node.targets
+                        if isinstance(target, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "append"
+                and getattr(node.func.value, "id", None) in lists):
+            yield node
+
+
+def test_report_rows_are_data(path=CLI):
+    bad, calls = [], list(_row_appends(_tree(path)))
+    for call in calls:
+        row = call.args[0] if len(call.args) == 1 else None
+        if not (isinstance(row, ast.Tuple) and len(row.elts) == 4
+                and not any(isinstance(e, ast.Starred) for e in row.elts)):
+            bad.append(f"line {call.lineno}: not a 4-field row")
+        elif (isinstance(row.elts[2], ast.Constant)
+              and isinstance(row.elts[2].value, bool)):
+            bad.append(f"line {call.lineno}: computed value is a bool literal")
+    assert calls and not bad, f"report rows in {path.name}: {bad or 'none'}"
+
+
+def test_row_check_catches_violations(tmp_path):
+    bad = tmp_path / "cli.py"
+    for text in ('rows = report.section("s")\nrows.append(("a", "b", True))\n',
+                 'table = report.section("s")\n'
+                 'table.append(("a", "b", True, True))\n',
+                 'def f(rows, pair):\n    rows.append(("a", "b", *pair))\n',
+                 'def f(rows, row):\n    rows.append(row)\n',
+                 'out = []\nout.append("text")\n'):
+        bad.write_text(text)
+        with pytest.raises(AssertionError, match="report rows"):
+            test_report_rows_are_data(bad)
+    bad.write_text('rows = report.section("s")\n'
+                   'rows.append(("a", str(x), x, True))\n'
+                   'rows.append(("b", str(y), y, None))\n')
+    test_report_rows_are_data(bad)
+    assert len(list(_row_appends(_tree(CLI)))) >= 30
 
 
 def test_checks_catch_violations(tmp_path):

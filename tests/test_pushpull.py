@@ -11,11 +11,12 @@ from prymspin import reference
 from prymspin.exact_linear import QMatrix, kernel_basis, rank, rref
 from prymspin.keel_ring import (GradedBasis, RingElement, build_graded_basis,
                                 canonicalize, four_point_relation)
+from prymspin.presentations import check_relation
 from prymspin.pushpull import (INTERSECTION_CALIBRATION, NamedCombo,
                                check_combo_vanishes, derive_linear_relation,
                                derive_m05_relations, intersection_number,
-                               intersection_table, m2_relation_verdicts,
-                               mumford_base_numbers, push_to_base, pushforward,
+                               intersection_table, mumford_base_numbers,
+                               push_to_base, pushforward,
                                pushforward_m05, stratum_pushforward_check,
                                verify_lambda_identities)
 from prymspin.space_registry import SPACE_TAGS, load_space
@@ -171,18 +172,24 @@ def test_mumford_base_numbers():
 
 
 def test_m2_relation_verdicts():
-    verdicts = m2_relation_verdicts()
-    assert verdicts["12*delta1^2 + delta0*delta1"] is True
+    assert reference.M2_RELATION == "12*delta1^2 + delta0*delta1"
+    assert check_relation("M2", reference.M2_RELATION)[0] is True
     # the two cross-check variants, evaluated rather than assumed: the
     # swapped-index variant fails, the cubic one holds
-    assert verdicts["delta0*delta1 + 12*delta0^2"] is False
-    assert verdicts["528*delta1^3 + delta0^3"] is True
+    assert reference.M2_VARIANTS == ("delta0*delta1 + 12*delta0^2",
+                                     "528*delta1^3 + delta0^3")
+    assert [check_relation("M2", text)[0]
+            for text in reference.M2_VARIANTS] == [False, True]
+    assert not hasattr(pushpull, "m2_relation_verdicts")
 
 
 def test_lambda_identities_all_hold():
     report = verify_lambda_identities()
     assert len(report) == 15
     assert all(info["holds"] for info in report.values())
+    # the residue is the ring element itself, zero exactly when it holds
+    assert all(isinstance(info["residue"], RingElement)
+               and info["residue"].is_zero() for info in report.values())
 
 
 class TestTransversality:

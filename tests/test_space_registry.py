@@ -284,9 +284,19 @@ def test_load_space_has_no_mark_count(monkeypatch):
     assert sr.load_space("M2").n == 6 == sr.load_space("M2").gb.n
 
 
-def test_tampered_preset_fails_loudly(tmp_path, monkeypatch):
+@pytest.mark.parametrize("section,field,value,message", [
+    ("boundary", "aut", 3, "d0p: computed automorphism number 2, table says 3"),
+    ("boundary", "degree", 5, "d0p: computed degree 4, table says 5"),
+    ("boundary", "fiber_count", 7, "d0p: computed fiber count 6, table says 7"),
+    ("strata", "pushforward", ["Delta00", "2"],
+     "Ep_p: computed pushforward coefficient 1, table says 2"),
+], ids=["aut", "degree", "fiber_count", "pushforward"])
+def test_tampered_preset_fails_loudly(tmp_path, monkeypatch, section, field,
+                                      value, message):
+    # one table value of the first entry of a section is broken; the audit
+    # names what it recomputed, the value it got and the table's
     data = load_preset_json("space_R2.json")
-    data["boundary"][0]["aut"] = 3     # break one automorphism number
+    data[section][0][field] = value
     bad_dir = tmp_path / "presets"
     bad_dir.mkdir()
     with open(bad_dir / "space_R2.json", "w", encoding="utf-8") as fh:
@@ -294,7 +304,7 @@ def test_tampered_preset_fails_loudly(tmp_path, monkeypatch):
     monkeypatch.setenv("MODULI_PRESETS", str(bad_dir))
     import prymspin.space_registry as sr
     monkeypatch.setattr(sr, "_SPACE_CACHE", {})
-    with pytest.raises(RegistryError):
+    with pytest.raises(RegistryError, match=re.escape(f"R2/{message}")):
         sr.load_space("R2")
 
 
