@@ -21,7 +21,7 @@ from .exact_linear import QMatrix, kernel_basis, rank
 from .keel_ring import Monomial, build_graded_basis, canonicalize
 from .presentations import (DEFAULT_MAX_DEGREE, Presentation, check_relation,
                             verify_presentation)
-from .pushpull import (check_combo_vanishes, derive_linear_relation,
+from .pushpull import (COVERS, check_combo_vanishes, derive_linear_relation,
                        derive_m05_relations, intersection_table,
                        mumford_base_numbers, pushforward, pushforward_m05,
                        verify_lambda_identities)
@@ -193,7 +193,7 @@ def cmd_push(args) -> int:
         tag = {"f_R": "R2", "f_plus": "S2plus", "f_minus": "S2minus"}[name]
         elem = _parse_divisor_expr(args.cls, 6)
         combo = pushforward(load_space(tag), elem)
-    elif name in ("h0p", "h0alpha"):
+    elif name in COVERS:
         elem = _parse_divisor_expr(args.cls, 5)
         combo = pushforward_m05(name, elem)
     else:

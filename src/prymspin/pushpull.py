@@ -2,13 +2,18 @@
 
 This module carries the whole intersection-theoretic toolbox: pushforward
 of boundary classes along the finite covers from the 6- and 5-marked
-rational curve spaces (one tabled push: a divisor finds its image class
-and mapping degree through the loaded space's divisor map, or through the
-tables ``H_TABLES`` of the 5-marked covers), derivation of the linear and
-quadratic boundary relations from the four-point relations, the
-Hodge-class identity chains, the full intersection-number tables of
-boundary divisors against codimension-2 strata, and the base-space numbers
-they calibrate against.
+rational curve spaces, derivation of the linear and quadratic boundary
+relations from the four-point relations, the Hodge-class identity chains,
+the full intersection-number tables of boundary divisors against
+codimension-2 strata, and the base-space numbers they calibrate against.
+
+Every cover pushes by one rule: a monomial upstairs maps onto the class
+whose orbit holds it, with that class's ``cover_degree``.  A 5-marked
+cover has no table of its own.  Its source is the covered divisor
+D_c = M_{0,5} x M_{0,3} of the 6-marked space, the node of D_c playing
+mark 5, so a 5-marked divisor is the codimension-2 monomial (D_c, D_S')
+upstairs, S' its canonical side with the marks renamed into D_c's main
+component (``COVERS``).
 
 The pushforward of a G-invariant class x to the base is |S_6|/|G| times
 its average over S_6 (15, 10 and 6 times for R2, S2plus and S2minus),
@@ -29,8 +34,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .exact_linear import QMatrix, Rational, rref
-from .keel_ring import (BoundaryIndex, Monomial, RingElement,
-                        four_point_relation)
+from .keel_ring import (Monomial, RingElement, canonicalize,
+                        four_point_relation, monomial)
 from .space_registry import SpaceDescriptor, load_space
 from .symmetry import act, average_images
 
@@ -90,35 +95,23 @@ class NamedCombo:
         return " + ".join(parts)
 
 
-# -- pushforward along the 6-marked covers ------------------------------------
-
-def _tabled_push(space: SpaceDescriptor, image,
-                 coeffs: dict[Monomial, Fraction]) -> NamedCombo:
-    """Proper pushforward of a formal divisor combination, a dict whose keys
-    are one-divisor monomials (div,), each divisor finding its (image name,
-    mapping degree) through ``image``, converted to stack-weighted
-    coordinates: a divisor mapping with degree k onto W contributes
-    k [W] = k * aut(W) * w.  Any other key raises ValueError."""
-    out = NamedCombo(space.tag)
-    for m, c in coeffs.items():
-        if len(m) != 1:
-            raise ValueError("tabled pushforward covers divisor classes")
-        name, degree = image(m[0])
-        out.add((name,), c * degree * space.aut_number(name))
-    return out
-
+# -- pushforward along the covers ---------------------------------------------
 
 def pushforward(space: SpaceDescriptor,
                 coeffs: dict[Monomial, Fraction]) -> NamedCombo:
-    """Pushforward of a formal divisor combination along the cover of a
-    6-marked space: a divisor maps onto the boundary class whose orbit
-    holds it, with that class's degree."""
-    def image(div):
-        name = space.boundary_of.get(div)
+    """Proper pushforward of a formal combination of monomials of the
+    6-marked space, in stack-weighted coordinates: a monomial maps onto the
+    class W whose orbit holds it with degree k = ``cover_degree(W)``, and
+    contributes k [W] = k * aut(W) * w.  A monomial in no orbit raises
+    KeyError."""
+    out = NamedCombo(space.tag)
+    for m, c in coeffs.items():
+        name = space.class_of.get(m)
         if name is None:
-            raise KeyError(f"divisor {div} not tabled for {space.tag}")
-        return name, space.boundary[name].degree
-    return _tabled_push(space, image, coeffs)
+            raise KeyError(f"monomial {m} not tabled for {space.tag}")
+        out.add((name,), c * space.cover_degree(name)
+                * space.aut_number(name))
+    return out
 
 
 def derive_linear_relation(space_tag: str) -> NamedCombo:
@@ -146,44 +139,32 @@ def derive_linear_relation(space_tag: str) -> NamedCombo:
 
 # -- the 5-marked boundary covers ---------------------------------------------
 
-# The glued point of the 5-marked space is mark 5; marks 1..4 sit on the
-# moving component.  Each table sends the 2-subset side of a boundary
-# divisor to (image stratum, mapping degree).
-H_TABLES = {
-    "h0p": ("R2", {
-        frozenset({1, 2}): ("Ep_pp", 2),
-        frozenset({3, 4}): ("Ep_p", 2),
-        frozenset({1, 3}): ("Ep_r", 1), frozenset({1, 4}): ("Ep_r", 1),
-        frozenset({2, 3}): ("Ep_r", 1), frozenset({2, 4}): ("Ep_r", 1),
-        frozenset({5, 1}): ("F11p", 2), frozenset({5, 2}): ("F11p", 2),
-        frozenset({5, 3}): ("F1p", 2), frozenset({5, 4}): ("F1p", 2),
-    }),
-    "h0alpha": ("S2minus", {
-        frozenset({2, 3}): ("Cm", 2), frozenset({2, 4}): ("Cm", 2),
-        frozenset({3, 4}): ("Cm", 2),
-        frozenset({1, 2}): ("Dm", 2), frozenset({1, 3}): ("Dm", 2),
-        frozenset({1, 4}): ("Dm", 2),
-        frozenset({5, 1}): ("Xm", 6),
-        frozenset({5, 2}): ("Ym", 2), frozenset({5, 3}): ("Ym", 2),
-        frozenset({5, 4}): ("Ym", 2),
-    }),
-}
+# Each cover of a divisor D_c sends marks 1..4 of the 5-marked space to the
+# marks on D_c's main component, listed here; mark 5 is the node, and the
+# other two marks sit on the bubble.  Which upstairs mark plays which mark
+# of the 5-marked space is a labelling convention, not a derived value.
+COVERS = {"h0p": ("R2", (1, 2, 5, 6)),         # D0' = [3,4]
+          "h0alpha": ("S2minus", (1, 4, 5, 6))}  # A0- = [2,3]
 
 
-def _divisor_two_subset(d: BoundaryIndex) -> frozenset[int]:
-    """The 2-element side of a 5-marked boundary divisor."""
-    if len(d.key) == 2:
-        return d.members
-    return frozenset(range(1, d.n + 1)) - d.members
-
-
-def pushforward_m05(table_name: str,
+def pushforward_m05(cover: str,
                     coeffs: dict[Monomial, Fraction]) -> NamedCombo:
     """Pushforward of a formal divisor combination of the 5-marked space
-    along a boundary cover, in stack coordinates."""
-    space_tag, table = H_TABLES[table_name]
-    return _tabled_push(load_space(space_tag),
-                        lambda div: table[_divisor_two_subset(div)], coeffs)
+    along a boundary cover, in stack coordinates: each divisor is lifted to
+    the monomial (D_c, D_S') of the 6-marked space and pushed from there.
+    A key that is not a 5-marked divisor raises ValueError."""
+    space_tag, marks = COVERS[cover]
+    space = load_space(space_tag)
+    n = space.n
+    covered = canonicalize(set(range(1, n + 1)) - set(marks), n)
+    lifted: dict[Monomial, Fraction] = {}
+    for m, c in coeffs.items():
+        if len(m) != 1 or m[0].n != n - 1:
+            raise ValueError(f"{cover} pushes divisors of the 5-marked "
+                             f"space, not {m}")
+        side = canonicalize({marks[i - 1] for i in m[0].key}, n)
+        lifted[monomial(covered, side)] = c
+    return pushforward(space, lifted)
 
 
 def derive_m05_relations() -> list[NamedCombo]:

@@ -10,12 +10,16 @@ divisor), its orbit, its dual tree with the edges at which the stable model
 is blown up, and the published values the entry must reproduce.  A divisor
 carries its mapping degree and fiber count over the base stratum, a
 stratum of higher codimension its pushforward coefficient; every entry
-carries its automorphism number.  Loading a space recomputes these from the
+carries its automorphism number.  Loading a space maps every monomial of
+every orbit to its class (``SpaceDescriptor.class_of``), refusing a
+monomial that two entries share, recomputes the published values from the
 dual-tree combinatorics, keeps each beside its table value in the entry's
-``checks`` and fails loudly on any mismatch.  The forgetful
-degree |S_6|/|G|, the pullbacks of the base boundary classes
-(``pullback_tables``) and the Hodge class (Mumford's 10 lambda = delta0 +
-2 delta1, pulled back) are derived, never read.
+``checks`` and fails loudly on any mismatch.  ``cover_degree`` is the
+degree |G|/(|orbit| m) with which an orbit monomial upstairs maps onto its
+class; it is the divisor degree the audit checks and the degree every
+pushforward reads.  The forgetful degree |S_6|/|G|, the pullbacks of the
+base boundary classes (``pullback_tables``) and the Hodge class (Mumford's
+10 lambda = delta0 + 2 delta1, pulled back) are derived, never read.
 
 ``SpaceDescriptor.evaluate`` is the one evaluator of polynomials in named
 classes, and the one place where named classes are multiplied: relations,
@@ -32,7 +36,7 @@ from fractions import Fraction
 from importlib import resources
 from math import factorial
 
-from .keel_ring import (BoundaryIndex, GradedBasis, Monomial, RingElement,
+from .keel_ring import (GradedBasis, Monomial, RingElement,
                         build_graded_basis, canonicalize)
 from .reference import MUMFORD_LAMBDA
 from .strata_aut import (MarkedTree, count_marked_automorphisms,
@@ -133,7 +137,7 @@ class SpaceDescriptor:
     def __init__(self, tag: str, group: PermGroup, n: int,
                  a_marks: frozenset[int], unordered_classes: bool,
                  boundary: dict[str, StratumEntry],
-                 boundary_of: dict[BoundaryIndex, str],
+                 class_of: dict[Monomial, str],
                  strata: dict[str, StratumEntry], lambda_name: str,
                  lambda_coeffs: dict[str, Fraction], gb: GradedBasis):
         self.tag = tag
@@ -144,7 +148,7 @@ class SpaceDescriptor:
         # degree of the forgetful map to the base: |S_n| / |G|
         self.fundamental_pushforward = Fraction(factorial(n), group.order)
         self.boundary = boundary
-        self.boundary_of = boundary_of  # each divisor upstairs -> its class
+        self.class_of = class_of  # each orbit monomial upstairs -> its class
         self.strata = strata
         self.lambda_name = lambda_name
         self.lambda_coeffs = lambda_coeffs
@@ -168,6 +172,16 @@ class SpaceDescriptor:
         if e is None:
             raise KeyError(f"no automorphism number for {name!r}")
         return e.aut
+
+    def cover_degree(self, name: str) -> Fraction:
+        """The degree |G|/(|orbit| m) with which each monomial of the class's
+        orbit maps onto the class: |G|/|orbit| is the order of the
+        monomial's stabilizer in G, and m of those permutations are generic
+        automorphisms of the stratum, which fix it pointwise."""
+        e = self._entry(name)
+        if e is None:
+            raise KeyError(f"no cover degree for {name!r}")
+        return Fraction(self.group.order, len(e.orbit) * e.stab_order)
 
     def named_class(self, name: str) -> NamedClass:
         """The invariant ring element representing a named class.
@@ -269,10 +283,10 @@ def load_space(tag: str) -> SpaceDescriptor:
     # ranks, which each generator renames through the kernel's table.
     divisors = gb.divisors
     # The divisors come first, so each divisor upstairs has its class in
-    # boundary_of before any stratum reads which of its edges are blown up.
+    # class_of before any stratum reads which of its edges are blown up.
     boundary: dict[str, StratumEntry] = {}
     strata: dict[str, StratumEntry] = {}
-    boundary_of: dict[BoundaryIndex, str] = {}
+    class_of: dict[Monomial, str] = {}
     n_divisors = len(data["boundary"])
     for i, item in enumerate(data["boundary"] + data["strata"]):
         divisor = i < n_divisors
@@ -282,13 +296,11 @@ def load_space(tag: str) -> SpaceDescriptor:
         rep = tuple(divisors[r] for r in ranks)
         orbit = frozenset(tuple(divisors[r] for r in m)
                           for m in group.orbit(ranks, gb.relabel_ranks))
-        if divisor:
-            for (d,) in orbit:
-                if d in boundary_of:
-                    raise RegistryError(
-                        f"{tag}: divisor orbits of {boundary_of[d]} and "
-                        f"{name} overlap")
-                boundary_of[d] = name
+        for m in orbit:
+            if m in class_of:
+                raise RegistryError(f"{tag}: orbits of {class_of[m]} and "
+                                    f"{name} share the monomial {m}")
+            class_of[m] = name
         tree = tree_from_monomial(rep, n, a_marks)
         push = item.get("pushforward")
         entry = StratumEntry(
@@ -297,7 +309,7 @@ def load_space(tag: str) -> SpaceDescriptor:
             stab_order=count_marked_automorphisms(tree, unordered), tree=tree,
             # a divisor missing from every orbit fails the coverage audit
             blown_edges=frozenset(k for k, d in enumerate(rep)
-                                  if boundary_of.get(d) in blown_names),
+                                  if class_of.get((d,)) in blown_names),
             degree=int(item["degree"]) if divisor else None,
             fiber_count=int(item["fiber_count"]) if divisor else None,
             pushforward_target=push[0] if push else None,
@@ -309,7 +321,7 @@ def load_space(tag: str) -> SpaceDescriptor:
     space = SpaceDescriptor(
         tag=tag, group=group, n=n, a_marks=a_marks,
         unordered_classes=unordered,
-        boundary=boundary, boundary_of=boundary_of, strata=strata,
+        boundary=boundary, class_of=class_of, strata=strata,
         lambda_name=data["lambda_class"]["name"],
         lambda_coeffs={w: share * c for b, share in MUMFORD_LAMBDA.items()
                        for w, c in pulled[b].items()},
@@ -320,29 +332,23 @@ def load_space(tag: str) -> SpaceDescriptor:
 
 
 def _audit(space: SpaceDescriptor, base: SpaceDescriptor):
-    """Checks that the boundary orbits cover every divisor, that no two
-    entries share a monomial and that each stratum's tree forgets to its
-    pushforward target's.  Each entry's ``checks`` maps what is recomputed
-    to (computed, table value): the automorphism number, for a divisor the
-    degree |G|/(|orbit| m) and the fiber count, for a stratum with a target
-    the pushforward coefficient.  Any pair that differs raises."""
-    tag, order, swap = space.tag, space.group.order, space.unordered_classes
-    missing = set(space.gb.divisors) - set(space.boundary_of)
+    """Checks that the boundary orbits cover every divisor and that each
+    stratum's tree forgets to its pushforward target's; that no two entries
+    share a monomial is checked by the loader as it fills ``class_of``.
+    Each entry's ``checks`` maps what is recomputed to (computed, table
+    value): the automorphism number, for a divisor the ``cover_degree`` and
+    the fiber count, for a stratum with a target the pushforward
+    coefficient.  Any pair that differs raises."""
+    tag, swap = space.tag, space.unordered_classes
+    missing = [d for d in space.gb.divisors if (d,) not in space.class_of]
     if missing:
         raise RegistryError(f"{tag}: boundary orbits do not cover all "
                             f"divisors; missing {sorted(map(str, missing))}")
-    seen: dict[Monomial, str] = {}
     for e in list(space.boundary.values()) + list(space.strata.values()):
-        for m in e.orbit:
-            if m in seen:
-                raise RegistryError(f"{tag}: strata {seen[m]} and {e.name} "
-                                    f"share the monomial {m}")
-            seen[m] = e.name
         stratum = (e.tree, e.blown_edges, swap)
         e.checks = {"automorphism number": (prym_aut_number(*stratum), e.aut)}
         if e.degree is not None:
-            e.checks["degree"] = (
-                Fraction(order, len(e.orbit) * e.stab_order), e.degree)
+            e.checks["degree"] = (space.cover_degree(e.name), e.degree)
             e.checks["fiber count"] = (fiber_count(e.tree, swap),
                                        e.fiber_count)
         if e.pushforward_target is not None:

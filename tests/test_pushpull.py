@@ -28,6 +28,30 @@ def gen(*marks, n=6):
     return {(canonicalize(set(marks), n),): Fraction(1)}
 
 
+# The published tables of the two 5-marked boundary covers: the 2-subset
+# side of each divisor of the 5-marked space (mark 5 is the glued point)
+# with its (image stratum, mapping degree).
+PUBLISHED_COVERS = {
+    "h0p": ("R2", {
+        frozenset({1, 2}): ("Ep_pp", 2),
+        frozenset({3, 4}): ("Ep_p", 2),
+        frozenset({1, 3}): ("Ep_r", 1), frozenset({1, 4}): ("Ep_r", 1),
+        frozenset({2, 3}): ("Ep_r", 1), frozenset({2, 4}): ("Ep_r", 1),
+        frozenset({5, 1}): ("F11p", 2), frozenset({5, 2}): ("F11p", 2),
+        frozenset({5, 3}): ("F1p", 2), frozenset({5, 4}): ("F1p", 2),
+    }),
+    "h0alpha": ("S2minus", {
+        frozenset({2, 3}): ("Cm", 2), frozenset({2, 4}): ("Cm", 2),
+        frozenset({3, 4}): ("Cm", 2),
+        frozenset({1, 2}): ("Dm", 2), frozenset({1, 3}): ("Dm", 2),
+        frozenset({1, 4}): ("Dm", 2),
+        frozenset({5, 1}): ("Xm", 6),
+        frozenset({5, 2}): ("Ym", 2), frozenset({5, 3}): ("Ym", 2),
+        frozenset({5, 4}): ("Ym", 2),
+    }),
+}
+
+
 class TestPushforward:
     def test_f_r_examples(self):
         r2 = load_space("R2")
@@ -92,18 +116,32 @@ class TestTabledPush:
         with pytest.raises(KeyError, match="not tabled for S2plus"):
             pushforward(load_space("S2plus"), gen(1, 2, n=5))
 
-    def test_degree_two_class_is_refused(self):
+    def test_degree_two_class_pushes_to_its_stratum(self):
+        # (D12, D34) is the lift of h0p's divisor [1,2], so both push alike
         product = {(canonicalize({1, 2}, 6), canonicalize({3, 4}, 6)): 1}
-        with pytest.raises(ValueError, match="divisor classes"):
+        combo = pushforward(load_space("R2"), product)
+        assert combo.terms == {("Ep_pp",): Fraction(4)}
+        assert combo.terms == pushforward_m05("h0p", gen(1, 2, n=5)).terms
+
+    def test_incompatible_pair_is_refused(self):
+        product = {(canonicalize({1, 2}, 6), canonicalize({1, 3}, 6)): 1}
+        with pytest.raises(KeyError, match="not tabled for R2"):
             pushforward(load_space("R2"), product)
 
-    @pytest.mark.parametrize("table_name", sorted(pushpull.H_TABLES))
-    def test_every_h_table_row(self, table_name):
-        space_tag, table = pushpull.H_TABLES[table_name]
+    def test_degree_two_class_is_refused(self):
+        # a 5-marked cover lifts divisors of the 5-marked space only
+        for key in [(canonicalize({1, 2}, 5), canonicalize({3, 4}, 5)),
+                    (canonicalize({1, 2}, 6),)]:
+            with pytest.raises(ValueError, match="divisors of the 5-marked"):
+                pushforward_m05("h0p", {key: Fraction(1)})
+
+    @pytest.mark.parametrize("cover", sorted(PUBLISHED_COVERS))
+    def test_every_h_table_row(self, cover):
+        space_tag, table = PUBLISHED_COVERS[cover]
         space = load_space(space_tag)
         assert len(table) == 10
         for pair, (name, degree) in table.items():
-            combo = pushforward_m05(table_name, gen(*pair, n=5))
+            combo = pushforward_m05(cover, gen(*pair, n=5))
             assert combo.space == space_tag
             assert combo.terms == {
                 (name,): Fraction(degree * space.aut_number(name))}, pair

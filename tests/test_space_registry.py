@@ -71,6 +71,12 @@ def test_orbit_degree_aut_identity():
         space = load_space(tag)
         for e in space.boundary.values():
             assert len(e.orbit) * e.degree * e.stab_order == space.group.order
+            assert space.cover_degree(e.name) == e.degree, e.name
+        for e in list(space.boundary.values()) + list(space.strata.values()):
+            k = space.cover_degree(e.name)
+            assert k.denominator == 1 and k > 0, (tag, e.name, k)
+    assert load_space("S2minus").cover_degree("Xm") == 6
+    assert load_space("R2").cover_degree("Ep_r") == 1
 
 
 def test_boundary_entries_r2():
@@ -305,6 +311,30 @@ def test_tampered_preset_fails_loudly(tmp_path, monkeypatch, section, field,
     import prymspin.space_registry as sr
     monkeypatch.setattr(sr, "_SPACE_CACHE", {})
     with pytest.raises(RegistryError, match=re.escape(f"R2/{message}")):
+        sr.load_space("R2")
+
+
+@pytest.mark.parametrize("section, index, rep, message", [
+    # [3,5] lies in the orbit of d0p's [3,4]
+    ("boundary", 2, [[3, 5]], "orbits of d0p and d0r share the monomial"),
+    # ([3,5], [1,2,3,5]) lies in the orbit of Ep_p's ([3,4], [5,6])
+    ("strata", 3, [[3, 5], [1, 2, 3, 5]],
+     "orbits of Ep_p and Er_r share the monomial"),
+], ids=["divisors", "strata"])
+def test_overlapping_orbits_fail_loudly(tmp_path, monkeypatch, section,
+                                        index, rep, message):
+    # an entry whose rep lies in an earlier entry's orbit claims monomials
+    # that class already holds; the loader names both classes
+    data = load_preset_json("space_R2.json")
+    data[section][index]["rep"] = rep
+    bad_dir = tmp_path / "presets"
+    bad_dir.mkdir()
+    with open(bad_dir / "space_R2.json", "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+    monkeypatch.setenv("MODULI_PRESETS", str(bad_dir))
+    import prymspin.space_registry as sr
+    monkeypatch.setattr(sr, "_SPACE_CACHE", {})
+    with pytest.raises(RegistryError, match=re.escape(f"R2: {message}")):
         sr.load_space("R2")
 
 
