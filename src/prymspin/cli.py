@@ -21,10 +21,10 @@ from .exact_linear import QMatrix, kernel_basis, rank
 from .keel_ring import Monomial, build_graded_basis, canonicalize
 from .presentations import (DEFAULT_MAX_DEGREE, Presentation, check_relation,
                             verify_presentation)
-from .pushpull import (COVERS, check_combo_vanishes, derive_linear_relation,
-                       derive_m05_relations, intersection_table,
-                       mumford_base_numbers, pushforward, pushforward_m05,
-                       verify_lambda_identities)
+from .pushpull import (COVERS, QUOTIENT_MAPS, check_combo_vanishes,
+                       derive_linear_relation, derive_m05_relations,
+                       intersection_table, mumford_base_numbers, pushforward,
+                       pushforward_m05, verify_lambda_identities)
 from .space_registry import MARKS, QUOTIENT_TAGS, SPACE_TAGS, load_space
 from .strata_aut import (count_marked_automorphisms, double_cover_graph,
                          parse_tree, prym_aut_number)
@@ -34,7 +34,8 @@ from .theta_f2 import verify_bijections
 
 class Report:
     """Ordered sections of (label, text, computed, expected) rows; the text
-    is printed, and expected is None on a row that only reports."""
+    is printed, and expected is None on a row that only reports.  Each
+    rendering reads the verdicts of one ``verdicts`` pass."""
 
     def __init__(self, title: str):
         self.title = title
@@ -50,39 +51,45 @@ class Report:
         _, _, computed, expected = row
         return None if expected is None else computed == expected
 
-    @property
-    def ok(self) -> bool:
-        return all(self.verdict(row) is not False
-                   for _, rows in self.sections for row in rows)
+    def verdicts(self) -> list[list[bool | None]]:
+        """The verdict of every row, by section, each comparison made once."""
+        return [[self.verdict(row) for row in rows]
+                for _, rows in self.sections]
 
-    def render_markdown(self) -> str:
+    @staticmethod
+    def passed(verdicts: list[list[bool | None]]) -> bool:
+        return all(v is not False for section in verdicts for v in section)
+
+    def render_markdown(self, verdicts: list[list[bool | None]]) -> str:
         out = [f"# {self.title}", ""]
-        for name, rows in self.sections:
+        for (name, rows), section in zip(self.sections, verdicts):
             out.append(f"## {name}")
             out.append("")
-            for row in rows:
-                mark = {True: "ok", False: "FAIL"}.get(self.verdict(row), "--")
+            for row, v in zip(rows, section):
+                mark = {True: "ok", False: "FAIL"}.get(v, "--")
                 out.append(f"- [{mark}] {row[0]}: {row[1]}")
             out.append("")
-        out.append(f"verdict: {'PASS' if self.ok else 'FAIL'}")
+        out.append(f"verdict: {'PASS' if self.passed(verdicts) else 'FAIL'}")
         out.append("")
         return "\n".join(out)
 
-    def render_json(self) -> str:
-        doc = {"title": self.title, "ok": self.ok, "sections": []}
-        for name, rows in self.sections:
+    def render_json(self, verdicts: list[list[bool | None]]) -> str:
+        doc = {"title": self.title, "ok": self.passed(verdicts),
+               "sections": []}
+        for (name, rows), section in zip(self.sections, verdicts):
             doc["sections"].append({
                 "name": name,
-                "rows": [{"label": row[0], "value": row[1],
-                          "ok": self.verdict(row)} for row in rows]})
+                "rows": [{"label": row[0], "value": row[1], "ok": v}
+                         for row, v in zip(rows, section)]})
         return json.dumps(doc, indent=2, sort_keys=False)
 
 
 def _emit(report: Report, as_json: bool) -> int:
-    sys.stdout.write(report.render_json() if as_json
-                     else report.render_markdown())
+    verdicts = report.verdicts()
+    sys.stdout.write(report.render_json(verdicts) if as_json
+                     else report.render_markdown(verdicts))
     sys.stdout.write("\n")
-    return 0 if report.ok else 1
+    return 0 if Report.passed(verdicts) else 1
 
 
 # -- subcommand bodies ---------------------------------------------------------
@@ -189,16 +196,17 @@ def cmd_push(args) -> int:
     name = args.map
     report = Report(f"pushforward along {name}")
     rows = report.section("image in stack-weighted classes")
-    if name in ("f_R", "f_plus", "f_minus"):
-        tag = {"f_R": "R2", "f_plus": "S2plus", "f_minus": "S2minus"}[name]
-        elem = _parse_divisor_expr(args.cls, 6)
-        combo = pushforward(load_space(tag), elem)
+    if name in QUOTIENT_MAPS:
+        space = load_space(QUOTIENT_MAPS[name])
+        combo = pushforward(space, _parse_divisor_expr(args.cls, space.n))
     elif name in COVERS:
-        elem = _parse_divisor_expr(args.cls, 5)
-        combo = pushforward_m05(name, elem)
+        # a cover's source is the 5-marked main component of a divisor
+        n = load_space(COVERS[name][0]).n - 1
+        combo = pushforward_m05(name, _parse_divisor_expr(args.cls, n))
     else:
-        raise ValueError(f"unknown map {name!r}; use f_R, f_plus, f_minus, "
-                         f"h0p or h0alpha")
+        *names, last = (*QUOTIENT_MAPS, *COVERS)
+        raise ValueError(f"unknown map {name!r}; use {', '.join(names)} "
+                         f"or {last}")
     for key, c in sorted(combo.terms.items()):
         rows.append(("*".join(key), str(c), c, None))
     if not combo.terms:

@@ -17,17 +17,18 @@ form one integer bitset, so a relation row is found by index arithmetic
 and the tables are named by ``BoundaryIndex`` factors once at the end of
 each degree.  Reduction, products and linear combinations all sum such
 images in one pass (``sum_images``): the common denominator first, then
-integer multiply-adds into one ``Coordinates``.  The images of products of
-two basis monomials (the structure constants) are built on first use and
+integer multiply-adds into one list of numerators.  The images of products
+of two basis monomials (the structure constants) are built on first use and
 kept.
 
 Ring elements have one form, and one kernel per mark count reads them.
-A ``RingElement`` is a reduced class: the kernel that built it, its degree
-and its integer ``Coordinates`` in that kernel's basis.  Only
-``GradedBasis._element`` makes one, and only the kernel that built an
-element reads its coordinates: ``GradedBasis.coordinates`` raises
-``ValueError`` for an element of another kernel instance, and every
-product, combination, comparison and integration goes through it.
+A ``RingElement`` is a reduced class: the kernel that built it, its degree,
+and its coordinates in that kernel's basis as integer numerators ``nums``
+over one denominator ``den``.  Only ``GradedBasis._element`` makes one, and
+only the kernel that built an element reads its coordinates:
+``GradedBasis.coordinates`` raises ``ValueError`` for an element of another
+kernel instance, and every product, combination, comparison and
+integration goes through it.
 ``build_graded_basis`` keeps the one kernel of each mark count.  An
 element's ``coeffs``, a dict from basis monomials to ``Fraction``
 coefficients, are built when first read.  A combination that is not
@@ -44,7 +45,7 @@ kept per g.  ``relabel_ranks`` renames one monomial of ranks through that
 table; ``relabel_images`` maps each basis monomial through it and keeps the
 image per g and degree.  ``linear_image(x, table)`` applies the linear map
 given by the images of the basis monomials: it takes the coordinates of x
-once, sums the images into one ``Coordinates`` and builds one element.
+once, sums the images into one list of numerators and builds one element.
 ``relabel(g, x)``, the mark-permutation action, applies the relabelling
 table of g; the pushforward to the base applies the orbit-average table of
 ``symmetry.average_images``.
@@ -142,8 +143,10 @@ def monomial(*factors: BoundaryIndex) -> Monomial:
 
 class RingElement:
     """A class of the n-pointed ring, reduced onto the basis monomials of
-    its degree: the kernel that built it, the degree, and the integer
-    ``Coordinates`` in that kernel's basis (empty above the top degree).
+    its degree: the kernel that built it, the degree, and its coordinates
+    in that kernel's basis, sum(nums[i] / den * basis[i]), with integer
+    numerators (none above the top degree) and an integer den > 0 that
+    need not be in lowest terms.
 
     Only ``GradedBasis._element`` builds one, and only that kernel reads
     its coordinates: comparing it with an element of another kernel
@@ -152,12 +155,14 @@ class RingElement:
     are built when ``coeffs`` is first read.
     """
 
-    __slots__ = ("kernel", "degree", "coords", "_coeffs")
+    __slots__ = ("kernel", "degree", "nums", "den", "_coeffs")
 
-    def __init__(self, kernel: GradedBasis, degree: int, coords: Coordinates):
+    def __init__(self, kernel: GradedBasis, degree: int, nums: list[int],
+                 den: int):
         self.kernel = kernel
         self.degree = degree
-        self.coords = coords
+        self.nums = nums
+        self.den = den
         self._coeffs: dict[Monomial, Fraction] | None = None
 
     @property
@@ -166,10 +171,9 @@ class RingElement:
         and kept; read them, never change them."""
         coeffs = self._coeffs
         if coeffs is None:
-            v = self.coords
             basis = self.kernel.basis.get(self.degree, ())
-            coeffs = self._coeffs = {m: Fraction(c, v.den)
-                                     for m, c in zip(basis, v.nums) if c}
+            coeffs = self._coeffs = {m: Fraction(c, self.den)
+                                     for m, c in zip(basis, self.nums) if c}
         return coeffs
 
     @classmethod
@@ -177,30 +181,29 @@ class RingElement:
         return build_graded_basis(n).element(0, {(): 1})
 
     def is_zero(self) -> bool:
-        return not any(self.coords.nums)
+        return not any(self.nums)
 
     def scale(self, c) -> "RingElement":
         """c times the element: the numerators times c's numerator and the
         denominator times c's denominator."""
         if type(c) is not Fraction:
             c = _exact(c)
-        v, p = self.coords, c.numerator
-        return self.kernel._element(self.degree, Coordinates(
-            [u * p for u in v.nums], v.den * c.denominator))
+        p = c.numerator
+        return self.kernel._element(self.degree, [u * p for u in self.nums],
+                                    self.den * c.denominator)
 
     def __eq__(self, other):
         if not isinstance(other, RingElement):
             return False
         v = self.kernel.coordinates(other)
-        if self.degree != other.degree:
+        if self.degree != v.degree:
             return False
         # one kernel and degree, so one basis; neither den is in lowest
         # terms, so the numerators are compared cross-multiplied
-        u = self.coords
-        if u.den == v.den:
-            return u.nums == v.nums
-        p, q = v.den, u.den
-        return all(x * p == y * q for x, y in zip(u.nums, v.nums))
+        if self.den == v.den:
+            return self.nums == v.nums
+        p, q = v.den, self.den
+        return all(x * p == y * q for x, y in zip(self.nums, v.nums))
 
     def __repr__(self):
         if not self.coeffs:
@@ -259,23 +262,12 @@ Image = tuple[int, tuple[tuple[int, int], ...]]
 _ZERO_IMAGE: Image = (1, ())
 
 
-class Coordinates:
-    """An integer vector over one common denominator: the element
-    sum(nums[i] / den * basis[i]) of one degree.  den > 0 need not be in
-    lowest terms."""
-
-    __slots__ = ("den", "nums")
-
-    def __init__(self, nums: list[int], den: int):
-        self.den = den
-        self.nums = nums
-
-
-def sum_images(dim: int, terms: list[tuple[int, int, Image]]) -> Coordinates:
-    """The sum of num/den times image over the (num, den, image) terms, in
-    integers only: one pass takes the common denominator, a second adds the
-    numerators scaled to it.  The (i, num) pairs of an image are read once,
-    in the second pass."""
+def sum_images(dim: int,
+               terms: list[tuple[int, int, Image]]) -> tuple[list[int], int]:
+    """The sum of num/den times image over the (num, den, image) terms, as
+    (numerators, common denominator), in integers only: one pass takes the
+    common denominator, a second adds the numerators scaled to it.  The
+    (i, num) pairs of an image are read once, in the second pass."""
     common = 1
     for _, den, (t, _) in terms:
         e = den * t
@@ -286,7 +278,7 @@ def sum_images(dim: int, terms: list[tuple[int, int, Image]]) -> Coordinates:
         f = num * (common // (den * t))
         for i, v in image:
             nums[i] += f * v
-    return Coordinates(nums, common)
+    return nums, common
 
 
 class GradedBasis:
@@ -335,10 +327,11 @@ class GradedBasis:
         self._products: dict[tuple[int, int, int], list[Image]] = {}
         self._divisor_perms: dict[tuple[int, ...], list[int]] = {}
         self._relabels: dict[tuple[tuple[int, ...], int], list[Image]] = {}
-        # Invariant bases of symmetry.invariant_basis, by group generators,
-        # and orbit-average tables of symmetry.average_images, by group
-        # generators and degree.
-        self.invariant_bases: dict[tuple[tuple[int, ...], ...], object] = {}
+        # The echelon rows of symmetry.invariant_basis, by group generators
+        # then degree, and orbit-average tables of symmetry.average_images,
+        # by group generators and degree.
+        self.invariant_bases: dict[tuple[tuple[int, ...], ...],
+                                   list[list[dict[int, Fraction]]]] = {}
         self.average_tables: dict[tuple[tuple[tuple[int, ...], ...], int],
                                   list[Image]] = {}
         self._build()
@@ -424,7 +417,7 @@ class GradedBasis:
         splits {1,2} < {1,2,3} < ... — integrates to 1."""
         chain = monomial(*[canonicalize(set(range(1, k + 1)), self.n)
                            for k in range(2, self.n - 1)])
-        v = self.element(self.top, {chain: 1}).coords
+        v = self.element(self.top, {chain: 1})
         if len(v.nums) != 1 or not v.nums[0]:
             raise AssertionError("top degree is not one-dimensional")
         return Fraction(v.nums[0], v.den)
@@ -455,23 +448,23 @@ class GradedBasis:
                     continue
                 raise KeyError(f"not a sorted degree-{degree} monomial: {m}")
             images.append((c.numerator, c.denominator, image))
-        return self._element(degree, sum_images(
+        return self._element(degree, *sum_images(
             len(self.basis.get(degree, ())), images))
 
-    def _element(self, degree: int, acc: Coordinates, den: int = 1) -> RingElement:
-        """The element acc / den.  acc, divided by den in place, becomes the
-        element's coordinates, so the caller leaves it unchanged afterwards;
-        no Fraction is built until ``coeffs`` is read."""
-        acc.den *= den
-        return RingElement(self, degree, acc)
+    def _element(self, degree: int, nums: list[int], den: int) -> RingElement:
+        """The element with coordinates nums / den.  nums becomes the
+        element's own, so the caller leaves it unchanged afterwards; no
+        Fraction is built until ``coeffs`` is read."""
+        return RingElement(self, degree, nums, den)
 
-    def coordinates(self, x: RingElement) -> Coordinates:
-        """Coordinates of x in the basis of its degree, read, never
-        changed.  Only the kernel that built x reads them: an element of
-        another kernel instance raises ValueError."""
+    def coordinates(self, x: RingElement) -> RingElement:
+        """x, whose ``nums`` and ``den`` are its coordinates in the basis
+        of its degree, read, never changed.  Only the kernel that built x
+        reads them: an element of another kernel instance raises
+        ValueError."""
         if x.kernel is not self:
             raise ValueError("element of another ring kernel")
-        return x.coords
+        return x
 
     def span_coordinates(self, x: RingElement,
                          span: list[RingElement]) -> list[Fraction] | None:
@@ -513,7 +506,7 @@ class GradedBasis:
             v = self.coordinates(x)
             vectors.append((c.numerator, c.denominator,
                             (v.den, enumerate(v.nums))))
-        return self._element(degree, sum_images(
+        return self._element(degree, *sum_images(
             len(self.basis.get(degree, ())), vectors))
 
     def multiply(self, a: RingElement, b: RingElement) -> RingElement:
@@ -529,8 +522,8 @@ class GradedBasis:
             if x:
                 row = self._product_row(a.degree, i, b.degree)
                 images += [(x * y, 1, row[j]) for j, y in right]
-        acc = sum_images(len(self.basis[degree]), images)
-        return self._element(degree, acc, va.den * vb.den)
+        nums, den = sum_images(len(self.basis[degree]), images)
+        return self._element(degree, nums, den * va.den * vb.den)
 
     def _product_row(self, da: int, i: int, db: int) -> list[Image]:
         """The Image of the i-th basis monomial of degree da times each basis
@@ -555,9 +548,9 @@ class GradedBasis:
             scale = _exact(scale)
         v = self.coordinates(x)
         num, den = scale.numerator, scale.denominator
-        acc = sum_images(len(v.nums), [(c * num, den, table[i])
-                                       for i, c in enumerate(v.nums) if c])
-        return self._element(x.degree, acc, v.den)
+        nums, common = sum_images(len(v.nums), [
+            (c * num, den, table[i]) for i, c in enumerate(v.nums) if c])
+        return self._element(x.degree, nums, common * v.den)
 
     def relabel(self, g: tuple[int, ...], x: RingElement) -> RingElement:
         """x with mark i renamed g[i-1], reduced; a degree beyond the top
@@ -615,7 +608,7 @@ class GradedBasis:
         """Degree of a top-degree class against the normalized point class."""
         if x.degree != self.top:
             raise ValueError("integration needs a top-degree element")
-        v = self.reduce(x).coords
+        v = self.reduce(x)
         (num,) = v.nums
         return Fraction(num, v.den) / self._point_norm
 

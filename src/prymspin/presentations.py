@@ -26,7 +26,7 @@ from fractions import Fraction
 from .exact_linear import QMatrix, kernel_basis, rank, rref
 from .keel_ring import RingElement
 from .space_registry import SpaceDescriptor, load_space, load_preset_json
-from .symmetry import invariant_basis
+from .symmetry import invariant_dims
 
 # A polynomial is a dict from the sorted tuple of the names a monomial
 # multiplies to its coefficient; () keys the constant term.
@@ -376,7 +376,7 @@ def verify_presentation(space_tag: str, p: Presentation) -> PresentationReport:
         raise ValueError(f"variables {p.variables} do not match the "
                          f"boundary classes of {space_tag}")
     vanish = [evaluate_in_ring(space, g).is_zero() for g in p.generators]
-    inv_dims = invariant_basis(space.group, gb).dims()
+    inv_dims = invariant_dims(space.group, gb)
     surjective = []
     for d in range(gb.top + 1):
         images = [evaluate_in_ring(space, {m: Fraction(1)})

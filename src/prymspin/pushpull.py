@@ -139,6 +139,11 @@ def derive_linear_relation(space_tag: str) -> NamedCombo:
 
 # -- the 5-marked boundary covers ---------------------------------------------
 
+# The maps a divisor combination is pushed along, by name: the finite maps
+# from the 6-marked space onto the quotients, pushed by ``pushforward``,
+# and the boundary covers of ``COVERS``, pushed by ``pushforward_m05``.
+QUOTIENT_MAPS = {"f_R": "R2", "f_plus": "S2plus", "f_minus": "S2minus"}
+
 # Each cover of a divisor D_c sends marks 1..4 of the 5-marked space to the
 # marks on D_c's main component, listed here; mark 5 is the node, and the
 # other two marks sit on the bubble.  Which upstairs mark plays which mark

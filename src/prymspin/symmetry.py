@@ -12,14 +12,17 @@ permutation.
 average of basis monomial i, the mean of the reduced monomials in its orbit,
 as an integer ``Image``.  The table is built once per group and degree and
 kept on the graded basis.  The fixed subring in each degree is the span of
-the distinct averages (the image of the averaging projector), kept as its
-reduced row-echelon basis; ``pushpull.push_to_base`` applies the table of
-the full symmetric group.
+the distinct averages (the image of the averaging projector).
+``invariant_basis`` keeps it as plain rows, the reduced row-echelon form of
+those averages over the basis monomials of the degree, and builds no ring
+element; ``pushpull.push_to_base`` applies the table of the full symmetric
+group.
 """
 
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 from math import gcd
 
 from .exact_linear import QMatrix, rref
@@ -124,58 +127,37 @@ def average_images(group: PermGroup, gb: GradedBasis, d: int) -> list[Image]:
             if m in averages:
                 continue
             orbit = group.orbit(m, gb.relabel_ranks)
-            acc = sum_images(len(ranks), [
+            nums, den = sum_images(len(ranks), [
                 (1, 1, gb.reduction[d][tuple(divisors[r] for r in o)])
                 for o in orbit])
-            den = acc.den * len(orbit)
-            k = gcd(den, *acc.nums)
+            den *= len(orbit)
+            k = gcd(den, *nums)
             image = (den // k, tuple((i, v // k)
-                                     for i, v in enumerate(acc.nums) if v))
+                                     for i, v in enumerate(nums) if v))
             averages.update(dict.fromkeys(orbit, image))
         table = gb.average_tables[key] = [averages[m] for m in ranks]
     return table
 
 
-class InvariantBasis:
-    """Echelonized bases of the fixed subspace, one per degree.
-
-    The fixed subspace of a degree is spanned by the group averages of its
-    basis monomials (``average_images``); the rows kept are the reduced
-    row-echelon basis of the distinct averages, which depends on the
-    subspace only.
-    """
-
-    def __init__(self, group: PermGroup, gb: GradedBasis):
-        self.group = group
-        self.gb = gb
-        self.per_degree: dict[int, list[RingElement]] = {}
-        for d in range(gb.top + 1):
-            self.per_degree[d] = self._basis_for_degree(d)
-
-    def _basis_for_degree(self, d: int) -> list[RingElement]:
-        gb = self.gb
-        ambient = gb.basis[d]
-        # An Image's numerators span the same line as the average itself.
-        rows = [dict(terms) for _, terms
-                in dict.fromkeys(average_images(self.group, gb, d))]
-        red, _ = rref(QMatrix(rows, len(ambient)))
-        return [gb.element(d, {ambient[j]: x for j, x in row.items()})
-                for row in red]
-
-    def dims(self) -> list[int]:
-        return [len(self.per_degree[d]) for d in range(self.gb.top + 1)]
-
-
-def invariant_basis(group: PermGroup, gb: GradedBasis) -> InvariantBasis:
-    """The invariant basis of the group, built once per generator list and
-    kept on the graded basis."""
+def invariant_basis(group: PermGroup,
+                    gb: GradedBasis) -> list[list[dict[int, Fraction]]]:
+    """Entry d is a basis of the degree-d fixed subspace: the reduced
+    row-echelon rows of the distinct group averages (``average_images``),
+    each a sparse row over the basis monomials ``gb.basis[d]``.  The rows
+    depend on the subspace only.  Built once per generator list and kept on
+    the graded basis."""
     key = tuple(group.generators)
     basis = gb.invariant_bases.get(key)
     if basis is None:
-        basis = gb.invariant_bases[key] = InvariantBasis(group, gb)
+        # An Image's numerators span the same line as the average itself.
+        basis = gb.invariant_bases[key] = [
+            rref(QMatrix([dict(terms) for _, terms
+                          in dict.fromkeys(average_images(group, gb, d))],
+                         len(gb.basis[d])))[0]
+            for d in range(gb.top + 1)]
     return basis
 
 
 def invariant_dims(group: PermGroup, gb: GradedBasis) -> list[int]:
     """Dimension of the fixed subspace in each degree."""
-    return invariant_basis(group, gb).dims()
+    return [len(rows) for rows in invariant_basis(group, gb)]

@@ -164,13 +164,17 @@ def test_report_verdict_compares_computed_with_expected():
     rows = report.section("s")
     rows.append(("equal", "1", (1, "a"), (1, "a")))
     rows.append(("only reported", "x", True, None))
-    assert report.ok
+    assert Report.passed(report.verdicts())
     rows.append(("differs", "2", [2], [3]))
-    assert not report.ok
-    assert [Report.verdict(row) for row in rows] == [True, None, False]
+    verdicts = report.verdicts()
+    assert not Report.passed(verdicts)
+    assert verdicts == [[Report.verdict(row) for row in rows]] == [
+        [True, None, False]]
+    markdown = report.render_markdown(verdicts)
     assert "- [ok] equal: 1\n- [--] only reported: x\n- [FAIL] differs: 2" \
-        in report.render_markdown()
-    doc = json.loads(report.render_json())
+        in markdown and markdown.endswith("verdict: FAIL\n")
+    doc = json.loads(report.render_json(verdicts))
+    assert doc["ok"] is False
     assert [row["ok"] for row in doc["sections"][0]["rows"]] == [
         True, None, False]
 
@@ -185,6 +189,13 @@ def test_strata_rows_read_the_audited_checks(capsys, monkeypatch):
     assert code == 1
     assert [line for line in out.splitlines() if "[FAIL]" in line] == [
         "- [FAIL] D0^r: degree 6, aut 2, fibers 4"]
+
+
+def test_unknown_map_names_every_map(capsys):
+    assert main(["push", "--map", "bogus", "--class", "[1,2]"]) == 2
+    assert capsys.readouterr().err == (
+        "error: unknown map 'bogus'; use f_R, f_plus, f_minus, h0p or "
+        "h0alpha\n")
 
 
 def test_input_errors_exit_2(capsys, tmp_path):
@@ -232,19 +243,21 @@ def test_report_all_deterministic(capsys):
 
 def test_report_all_builds_each_invariant_basis_once(capsys, monkeypatch):
     # the invariant subring dimensions and the presentation checks share
-    # one invariant basis per space
-    monkeypatch.setattr(build_graded_basis(6), "invariant_bases", {})
-    built = []
-    init = symmetry.InvariantBasis.__init__
+    # one invariant basis per space: one echelon per space and degree
+    gb = build_graded_basis(6)
+    monkeypatch.setattr(gb, "invariant_bases", {})
+    echelons = []
+    rref = symmetry.rref
 
-    def counting_init(self, group, gb):
-        built.append(tuple(group.generators))
-        init(self, group, gb)
+    def counting_rref(m):
+        echelons.append(m.ncols)
+        return rref(m)
 
-    monkeypatch.setattr(symmetry.InvariantBasis, "__init__", counting_init)
+    monkeypatch.setattr(symmetry, "rref", counting_rref)
     code, _ = run(capsys, "report-all")
     assert code == 0
-    assert len(built) == len(set(built)) == 4
+    assert len(gb.invariant_bases) == 4
+    assert echelons == gb.dims() * 4
 
 
 @pytest.mark.parametrize("field,value,message", [

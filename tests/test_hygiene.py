@@ -15,8 +15,10 @@ polynomials in named classes, in ``space_registry``, calls ``multiply``.
 Only ``GradedBasis._element`` calls ``RingElement(...)``; nothing assigns
 to an element's read-only ``coeffs``, and only ``RingElement``'s own
 methods and ``GradedBasis._element`` assign to its slots ``kernel``,
-``coords`` and ``_coeffs``, so every element is a reduced class whose
-coordinates stay valid.  Only ``keel_ring.build_graded_basis`` calls
+``nums``, ``den`` and ``_coeffs``, so every element is a reduced class
+whose coordinates stay valid.  ``symmetry`` builds no element at all
+(no ``element``, ``_element`` or ``RingElement(...)`` call), so the
+invariant data stay plain rows.  Only ``keel_ring.build_graded_basis`` calls
 ``GradedBasis(...)``, so each mark count has one kernel, the only reader of
 the elements it builds.  Every row the CLI appends to a report section is
 (label, text, computed, expected) with no bool literal as its computed
@@ -44,9 +46,11 @@ ORACLE_FORBIDDEN_MODULES = {"prymspin.symmetry", "prymspin.pushpull"}
 ENGINE_MODULES = {"exact_linear.py", "keel_ring.py"}
 EVALUATOR_MODULE = "space_registry.py"
 ELEMENT_MAKER = ("GradedBasis", "_element")
-ELEMENT_SLOTS = {"kernel", "coords", "_coeffs"}
+ELEMENT_SLOTS = {"kernel", "nums", "den", "_coeffs"}
+ELEMENT_BUILDERS = {"element", "_element", "RingElement"}
 KERNEL_MAKER = ("keel_ring.py", ("build_graded_basis",))
 CLI = next(path for path in SOURCES if path.name == "cli.py")
+SYMMETRY = next(path for path in SOURCES if path.name == "symmetry.py")
 
 
 def _tree(path: Path) -> ast.Module:
@@ -197,7 +201,7 @@ def test_coeffs_check_catches_violations(tmp_path):
                  "def f(x):\n    x._coeffs = {}\n",
                  "def f(x, gb):\n    x.kernel = gb\n",
                  "class GradedBasis:\n    def reduce(self, x):\n"
-                 "        x.coords = None\n",
+                 "        x.nums = None\n",
                  "def f(gb, v):\n    return RingElement(gb, 1, v)\n",
                  "import prymspin.keel_ring as k\n"
                  "def f(gb, v):\n    return k.RingElement(gb, 1, v)\n",
@@ -211,13 +215,36 @@ def test_coeffs_check_catches_violations(tmp_path):
     for text in ("class GradedBasis:\n    def _element(self, d, v):\n"
                  "        return RingElement(self, d, v)\n",
                  "class GradedBasis:\n    def _element(self, out):\n"
-                 "        out._coeffs, out.coords = None, (self, 1)\n",
+                 "        out._coeffs, out.den = None, 1\n",
                  "class RingElement:\n    def scale(self, out):\n"
                  "        out._coeffs = None\n",
                  "def f(n):\n    return RingElement.unit(n)\n",
                  "def f(t, x):\n    t[len(x.coeffs)] = x.coeffs\n"):
         bad.write_text(text)
         test_coeffs_are_written_by_the_kernel_only([bad])
+
+
+def test_invariant_data_are_plain_rows(path=SYMMETRY):
+    bad = [node.lineno for node in ast.walk(_tree(path))
+           if isinstance(node, ast.Call) and ELEMENT_BUILDERS & {
+               getattr(node.func, "id", None),
+               getattr(node.func, "attr", None)}]
+    assert not bad, f"{path.name} builds ring elements at lines {bad}"
+
+
+def test_invariant_rows_check_catches_violations(tmp_path):
+    bad = tmp_path / "symmetry.py"
+    for text in ("def f(gb, row):\n    return gb.element(1, row)\n",
+                 "def f(gb, v):\n    return gb._element(1, v, 1)\n",
+                 "def f(gb, v):\n    return RingElement(gb, 1, v, 1)\n",
+                 "import prymspin.keel_ring as k\n"
+                 "def f(gb, v):\n    return k.RingElement(gb, 1, v, 1)\n"):
+        bad.write_text(text)
+        with pytest.raises(AssertionError, match="builds ring elements"):
+            test_invariant_data_are_plain_rows(bad)
+    bad.write_text("def f(g, x, gb):\n    return gb.relabel(g, x)\n"
+                   "def h(gb, d):\n    return gb.basis[d], gb.reduction[d]\n")
+    test_invariant_data_are_plain_rows(bad)
 
 
 def _kernel_builds(tree: ast.AST, owner=()):

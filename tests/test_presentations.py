@@ -19,9 +19,10 @@ def degree1_kernel(tag, p):
     the presentation variables: each variable's class is solved for in the
     invariant basis, and the kernel is that of the coordinate matrix."""
     space = load_space(tag)
-    inv = invariant_basis(space.group, space.gb)
-    coords = [space.gb.span_coordinates(space.named_class(v).value,
-                                        inv.per_degree[1])
+    gb = space.gb
+    inv = [gb.element(1, {gb.basis[1][j]: x for j, x in row.items()})
+           for row in invariant_basis(space.group, gb)[1]]
+    coords = [gb.span_coordinates(space.named_class(v).value, inv)
               for v in p.variables]
     ker = kernel_basis(QMatrix([{j: x for j, x in enumerate(row) if x}
                                 for row in zip(*coords)], len(coords)))

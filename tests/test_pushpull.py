@@ -418,7 +418,7 @@ class TestCoordinateRecord:
                 continue
             again = gb.element(x.degree, x.coeffs)
             assert again is not x
-            assert vector(gb.coordinates(x)) == vector(again.coords), label
+            assert vector(gb.coordinates(x)) == vector(again), label
 
     @staticmethod
     def _spy(monkeypatch, gb, calls):

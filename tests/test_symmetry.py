@@ -113,9 +113,9 @@ def test_invariant_basis_degree0_and_top():
     gb = build_graded_basis(6)
     for tag in ("R2", "S2plus", "S2minus", "M2"):
         basis = invariant_basis(standard_group(tag), gb)
-        assert len(basis.per_degree[0]) == 1
-        assert basis.per_degree[0][0] == RingElement.unit(6)
-        assert len(basis.per_degree[3]) == 1
+        # the unit is basis monomial 0 of degree 0
+        assert basis[0] == [{0: 1}] and gb.basis[0] == [()]
+        assert len(basis[3]) == 1
 
 
 def test_invariant_basis_is_built_once_per_group():
@@ -131,13 +131,14 @@ def test_r2_degree1_orbit_sums_span():
     gb = build_graded_basis(6)
     group = standard_group("R2")
     basis = invariant_basis(group, gb)
-    assert len(basis.per_degree[1]) == 4
+    assert len(basis[1]) == 4
     # every divisor orbit sum lies in the span
     from prymspin.space_registry import load_space
     space = load_space("R2")
+    span = [gb.element(1, {gb.basis[1][j]: x for j, x in row.items()})
+            for row in basis[1]]
     for name in space.boundary:
-        coords = gb.span_coordinates(space.named_class(name).value,
-                                     basis.per_degree[1])
+        coords = gb.span_coordinates(space.named_class(name).value, span)
         assert coords is not None
 
 
@@ -212,4 +213,5 @@ def test_invariant_basis_is_the_fixed_subspace(tag):
         red, _ = rref(QMatrix(fixed, len(ambient)))
         expected = [{ambient[j]: x for j, x in row.items() if x}
                     for row in red]
-        assert [y.coeffs for y in basis.per_degree[d]] == expected, d
+        assert [{ambient[j]: x for j, x in row.items()}
+                for row in basis[d]] == expected, d
