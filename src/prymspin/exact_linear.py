@@ -29,6 +29,7 @@ and return sparse results.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 # Arbitrary-precision rational; lowest terms and positive denominator are
@@ -149,9 +150,16 @@ class SparseEchelon:
                 den = lcm(den, v.denominator)
         work = {c: v.numerator * (den // v.denominator)
                 for c, v in row.items() if v}
+        # The columns of work in a heap: a column that elimination clears
+        # stays behind until it reaches the top, and each column that
+        # fill-in creates is pushed, so the top live column is the lead.
+        heap = list(work)
+        heapify(heap)
         pivots = self._pivots
         while work:
-            lead = min(work)
+            lead = heappop(heap)
+            while lead not in work:
+                lead = heappop(heap)
             piv = pivots.get(lead)
             if piv is None:
                 _make_primitive(work)
@@ -170,11 +178,14 @@ class SparseEchelon:
                     work[c] *= a
             get = work.get
             for c, v in tail:
-                nv = get(c, 0) - b * v
-                if nv:
-                    work[c] = nv
-                else:
+                old = get(c)
+                if old is None:
+                    work[c] = -b * v
+                    heappush(heap, c)
+                elif old == b * v:
                     del work[c]
+                else:
+                    work[c] = old - b * v
             if a != 1 and work:
                 _make_primitive(work)
         return False

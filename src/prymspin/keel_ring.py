@@ -13,13 +13,15 @@ reduction of every nonzero monomial as an integer image: numerators over
 one common denominator, as ``SparseEchelon`` stores its rows.  The build
 works on divisor ranks (positions in the fixed divisor order): a monomial
 is a sorted tuple of ranks, and the divisors compatible with a given one
-form one integer bitset, so a relation row is found by index arithmetic
-and the tables are named by ``BoundaryIndex`` factors once at the end of
-each degree.  Reduction, products and linear combinations all sum such
-images in one pass (``sum_images``): the common denominator first, then
-integer multiply-adds into one list of numerators.  The images of products
-of two basis monomials (the structure constants) are built on first use and
-kept.
+form one integer bitset, so a relation row is found by index arithmetic.
+The tables stay in ranks: ``reduction[d]`` is keyed by sorted rank tuples,
+and ``BoundaryIndex`` names appear only at the edge, in the basis
+monomials ``basis[d]``, in the monomial dicts that ``element`` reads (each
+mapped to ranks through ``rank`` on entry) and in an element's ``coeffs``.
+Reduction, products and linear combinations all sum such images in one
+pass (``sum_images``): the common denominator first, then integer
+multiply-adds into one list of numerators.  The images of products of two
+basis monomials (the structure constants) are built on first use and kept.
 
 Ring elements have one form, and one kernel per mark count reads them.
 A ``RingElement`` is a reduced class: the kernel that built it, its degree,
@@ -261,6 +263,12 @@ Image = tuple[int, tuple[tuple[int, int], ...]]
 
 _ZERO_IMAGE: Image = (1, ())
 
+_ONE = Fraction(1)
+
+
+def _dot(u: list[int], v: list[int]) -> int:
+    return sum(a * b for a, b in zip(u, v))
+
 
 def sum_images(dim: int,
                terms: list[tuple[int, int, Image]]) -> tuple[list[int], int]:
@@ -286,8 +294,9 @@ class GradedBasis:
     n-pointed ring in basis coordinates.
 
     The keys of ``reduction[d]`` are the nonzero degree-d monomials (those
-    whose factors are pairwise compatible) in sorted order: any other
-    sorted product of d divisors is zero.  For each degree d the basis is
+    whose factors are pairwise compatible) as sorted tuples of divisor
+    ranks, in sorted order: any other sorted product of d divisors is
+    zero.  For each degree d the basis is
     the set of non-pivot monomials of the echelonized relation space,
     spanned by (degree-1 relations) x (nonzero degree d-1 monomials).
 
@@ -321,8 +330,9 @@ class GradedBasis:
         self.basis: dict[int, list[Monomial]] = {0: [()]}
         # The basis monomials of each degree as sorted tuples of ranks.
         self.basis_ranks: dict[int, list[tuple[int, ...]]] = {0: [()]}
-        # reduction[d][monomial] = Image of the monomial in the degree-d basis
-        self.reduction: dict[int, dict[Monomial, Image]] = {
+        # reduction[d][ranks] = Image in the degree-d basis of the monomial
+        # whose factors have these sorted divisor ranks
+        self.reduction: dict[int, dict[tuple[int, ...], Image]] = {
             0: {(): (1, ((0, 1),))}}
         self._products: dict[tuple[int, int, int], list[Image]] = {}
         self._divisor_perms: dict[tuple[int, ...], list[int]] = {}
@@ -388,25 +398,21 @@ class GradedBasis:
         # Pivot row i reads a*m_i + sum(v*m_c) = 0 over free columns c, so
         # m_i = sum(-v/a * m_c): the image is the row itself, negated.
         rows = ech.finish()
-        divisors = self.divisors
-        names = [tuple(divisors[r] for r in m) for m, _ in monos]
         column = {}
-        basis = []
         basis_ranks = []
-        for i, name in enumerate(names):
+        for i, (m, _) in enumerate(monos):
             if i not in rows:
-                column[i] = len(basis)
-                basis.append(name)
-                basis_ranks.append(monos[i][0])
-        red: dict[Monomial, Image] = {}
-        for i, name in enumerate(names):
+                column[i] = len(basis_ranks)
+                basis_ranks.append(m)
+        red: dict[tuple[int, ...], Image] = {}
+        for i, (m, _) in enumerate(monos):
             if i in rows:
                 a, tail = rows[i]
-                red[name] = (a, tuple(sorted((column[c], -v)
-                                             for c, v in tail)))
+                red[m] = (a, tuple(sorted((column[c], -v) for c, v in tail)))
             else:
-                red[name] = (1, ((column[i], 1),))
-        self.basis[d] = basis
+                red[m] = (1, ((column[i], 1),))
+        divisors = self.divisors
+        self.basis[d] = [tuple(divisors[r] for r in m) for m in basis_ranks]
         self.basis_ranks[d] = basis_ranks
         self.reduction[d] = red
         return monos
@@ -430,21 +436,23 @@ class GradedBasis:
     def element(self, degree: int, coeffs) -> RingElement:
         """The reduced class of a combination of monomials: coeffs maps
         sorted degree-d monomials of this kernel's divisors to int or
-        Fraction coefficients.  The keys of ``reduction[d]`` are all the
-        nonzero ones, so any other such monomial (incompatible factors, or
-        any degree above the top) is skipped; a monomial of another length,
+        Fraction coefficients.  Each monomial is read as its tuple of
+        divisor ranks; the keys of ``reduction[d]`` are all the nonzero
+        ones, so any other such monomial (incompatible factors, or any
+        degree above the top) is skipped; a monomial of another length,
         with a factor of another mark count, or not sorted raises
         KeyError."""
         red = self.reduction.get(degree, {})
+        rank = self.rank
         images = []
         for m, c in coeffs.items():
             if type(c) is not Fraction:
                 c = _exact(c)
-            image = red.get(m)
+            ranks = tuple(map(rank.get, m))
+            image = red.get(ranks)
             if image is None:
-                ranks = [self.rank.get(f) for f in m]
                 if (len(m) == degree and None not in ranks
-                        and ranks == sorted(ranks)):
+                        and list(ranks) == sorted(ranks)):
                     continue
                 raise KeyError(f"not a sorted degree-{degree} monomial: {m}")
             images.append((c.numerator, c.denominator, image))
@@ -472,13 +480,24 @@ class GradedBasis:
         reduce(x) lies outside the span (every element of x's degree)."""
         vectors = [self.coordinates(y) for y in span]
         target = self.coordinates(x)
-        # Column k holds the numerators of span[k] and the right side those
-        # of x, so a solution z gives c[k] = z[k] * den_k / den_x.
-        rows = [{k: v.nums[i] for k, v in enumerate(vectors) if v.nums[i]}
-                for i in range(len(target.nums))]
-        z = solve(QMatrix(rows, len(span)),
-                  {i: t for i, t in enumerate(target.nums) if t})
+        # S has the numerators of span[k] as column k and t those of x, so a
+        # solution z of S z = t gives c[k] = z[k] * den_k / den_x.  S^T S has
+        # the same null space as S, so the same pivot columns: when t lies in
+        # the span, the k x k system S^T S z = S^T t has the same solution
+        # with free variables 0.  That system is consistent for every t,
+        # also one outside the span, so S z = t is checked in integers.
+        cols = [v.nums for v in vectors]
+        t = target.nums
+        gram = [{j: g for j, g in enumerate(_dot(u, v) for v in cols) if g}
+                for u in cols]
+        z = solve(QMatrix(gram, len(span)),
+                  {j: p for j, p in enumerate(_dot(u, t) for u in cols) if p})
         if z is None:
+            return None
+        common = lcm(*(q.denominator for q in z.values()))
+        scaled = [(cols[k], int(q * common)) for k, q in z.items()]
+        if any(sum(u[i] * q for u, q in scaled) != ti * common
+               for i, ti in enumerate(t)):
             return None
         return [Fraction(z.get(k, 0) * v.den, target.den)
                 for k, v in enumerate(vectors)]
@@ -532,14 +551,14 @@ class GradedBasis:
         row = self._products.get((da, i, db))
         if row is None:
             red = self.reduction[da + db]
-            left = self.basis[da][i]
-            row = self._products[(da, i, db)] = []
-            for right in self.basis[db]:
-                row.append(red.get(monomial(*left, *right), _ZERO_IMAGE))
+            left = self.basis_ranks[da][i]
+            row = self._products[(da, i, db)] = [
+                red.get(tuple(sorted(left + right)), _ZERO_IMAGE)
+                for right in self.basis_ranks[db]]
         return row
 
     def linear_image(self, x: RingElement, table: list[Image],
-                     scale: Rational = 1) -> RingElement:
+                     scale: Rational = _ONE) -> RingElement:
         """scale * sum(v[i] * table[i]), where v are the coordinates of x
         and table[i] is the Image of basis monomial i under a linear map of
         x's degree: one summation in integer coordinates and one element
@@ -565,9 +584,8 @@ class GradedBasis:
         images = self._relabels.get((g, degree))
         if images is None:
             red = self.reduction[degree]
-            divisors = self.divisors
             images = self._relabels[(g, degree)] = [
-                red[tuple(divisors[r] for r in self.relabel_ranks(g, m))]
+                red[self.relabel_ranks(g, m)]
                 for m in self.basis_ranks[degree]]
         return images
 

@@ -102,11 +102,13 @@ def pushforward(space: SpaceDescriptor,
     """Proper pushforward of a formal combination of monomials of the
     6-marked space, in stack-weighted coordinates: a monomial maps onto the
     class W whose orbit holds it with degree k = ``cover_degree(W)``, and
-    contributes k [W] = k * aut(W) * w.  A monomial in no orbit raises
-    KeyError."""
+    contributes k [W] = k * aut(W) * w.  Each monomial is read as its
+    tuple of divisor ranks, the key of ``class_of``; a monomial in no orbit
+    raises KeyError."""
     out = NamedCombo(space.tag)
+    rank = space.gb.rank
     for m, c in coeffs.items():
-        name = space.class_of.get(m)
+        name = space.class_of.get(tuple(map(rank.get, m)))
         if name is None:
             raise KeyError(f"monomial {m} not tabled for {space.tag}")
         out.add((name,), c * space.cover_degree(name)
@@ -359,7 +361,7 @@ def push_to_base(space: SpaceDescriptor, element: RingElement) -> RingElement:
         if act(h, element, gb) != reduced:
             raise ValueError(f"push_to_base needs a {space.tag}-invariant "
                              f"class; the generator {h} moves this one")
-    table = average_images(load_space("M2").group, gb, element.degree)
+    table = average_images(space.base.group, gb, element.degree)
     return gb.linear_image(reduced, table, space.fundamental_pushforward)
 
 

@@ -6,19 +6,23 @@ is a quotient of the 6-marked rational curve space by a mark-permutation
 group.  Every preset class of a space is an orbit of boundary strata
 upstairs, and every one is held in one record, ``StratumEntry``: a sorted
 representative monomial of k compatible splits (k = 1 for a boundary
-divisor), its orbit, its dual tree with the edges at which the stable model
-is blown up, and the published values the entry must reproduce.  A divisor
-carries its mapping degree and fiber count over the base stratum, a
-stratum of higher codimension its pushforward coefficient; every entry
-carries its automorphism number.  Loading a space maps every monomial of
-every orbit to its class (``SpaceDescriptor.class_of``), refusing a
-monomial that two entries share, recomputes the published values from the
-dual-tree combinatorics, keeps each beside its table value in the entry's
-``checks`` and fails loudly on any mismatch.  ``cover_degree`` is the
-degree |G|/(|orbit| m) with which an orbit monomial upstairs maps onto its
-class; it is the divisor degree the audit checks and the degree every
-pushforward reads.  The forgetful degree |S_6|/|G|, the pullbacks of the
-base boundary classes (``pullback_tables``) and the Hodge class (Mumford's
+divisor), its orbit, its dual tree with the edges at which the stable
+model is blown up, and the published values the entry must reproduce.  A
+divisor carries its mapping degree and fiber count over the base stratum,
+a stratum of higher codimension its pushforward coefficient; every entry
+carries its automorphism number.  Orbits are kept in the kernel's terms:
+each monomial of an orbit is the sorted tuple of its divisor ranks, the
+key of the kernel's ``reduction`` tables.  Loading a space maps every
+monomial of every orbit to its class (``SpaceDescriptor.class_of``, keyed
+by those rank tuples), refusing a monomial that two entries share,
+recomputes the published values from the dual-tree combinatorics, keeps
+each beside its table value in the entry's ``checks`` and fails loudly on
+any mismatch.  ``cover_degree`` is the degree |G|/(|orbit| m) with which
+an orbit monomial upstairs maps onto its class; it is the divisor degree
+the audit checks and the degree every pushforward reads.  Each space knows
+its base (``SpaceDescriptor.base``): M2 for the three quotients, and M2
+for itself.  The forgetful degree |S_6|/|G|, the pullbacks of the base
+boundary classes (``pullback_tables``) and the Hodge class (Mumford's
 10 lambda = delta0 + 2 delta1, pulled back) are derived, never read.
 
 ``SpaceDescriptor.evaluate`` is the one evaluator of polynomials in named
@@ -37,7 +41,7 @@ from importlib import resources
 from math import factorial
 
 from .keel_ring import (GradedBasis, Monomial, RingElement,
-                        build_graded_basis, canonicalize)
+                        build_graded_basis, canonicalize, sum_images)
 from .reference import MUMFORD_LAMBDA
 from .strata_aut import (MarkedTree, count_marked_automorphisms,
                          fiber_count, prym_aut_number,
@@ -103,15 +107,15 @@ class NamedClass:
 
 class StratumEntry:
     """A preset class of codimension k = len(rep): its orbit of monomials
-    upstairs, with the table values of its kind and the data computed from
-    its dual tree.  A boundary divisor (k = 1) has a mapping degree and a
+    upstairs, each a sorted tuple of divisor ranks, with the table values
+    of its kind and the data computed from its dual tree.  A boundary divisor (k = 1) has a mapping degree and a
     fiber count; a stratum has a pushforward target and coefficient unless
     it is a base stratum.  Values a kind does not have are None.  The
     load audit fills ``checks`` with {what: (computed, table value)}."""
 
     def __init__(self, name: str, display: str, rep: Monomial,
-                 orbit: frozenset[Monomial], aut: int, stab_order: int,
-                 tree: MarkedTree, blown_edges: frozenset[int],
+                 orbit: frozenset[tuple[int, ...]], aut: int,
+                 stab_order: int, tree: MarkedTree, blown_edges: frozenset[int],
                  degree: int | None, fiber_count: int | None,
                  pushforward_target: str | None,
                  pushforward_coeff: Fraction | None):
@@ -131,24 +135,27 @@ class StratumEntry:
 
 
 class SpaceDescriptor:
-    """A loaded space: its group, its preset classes and the graded basis
-    of the 6-marked ring it lives in."""
+    """A loaded space: its group, its preset classes, the graded basis of
+    the 6-marked ring it lives in and its base space (itself for M2)."""
 
     def __init__(self, tag: str, group: PermGroup, n: int,
                  a_marks: frozenset[int], unordered_classes: bool,
                  boundary: dict[str, StratumEntry],
-                 class_of: dict[Monomial, str],
+                 class_of: dict[tuple[int, ...], str],
                  strata: dict[str, StratumEntry], lambda_name: str,
-                 lambda_coeffs: dict[str, Fraction], gb: GradedBasis):
+                 lambda_coeffs: dict[str, Fraction], gb: GradedBasis,
+                 base: SpaceDescriptor | None):
         self.tag = tag
         self.group = group
+        self.base = self if base is None else base
         self.n = n
         self.a_marks = a_marks
         self.unordered_classes = unordered_classes
         # degree of the forgetful map to the base: |S_n| / |G|
         self.fundamental_pushforward = Fraction(factorial(n), group.order)
         self.boundary = boundary
-        self.class_of = class_of  # each orbit monomial upstairs -> its class
+        # each orbit monomial upstairs, as sorted divisor ranks -> its class
+        self.class_of = class_of
         self.strata = strata
         self.lambda_name = lambda_name
         self.lambda_coeffs = lambda_coeffs
@@ -209,7 +216,12 @@ class SpaceDescriptor:
             raise KeyError(f"unknown class name {name!r} on {self.tag}")
         k = len(e.rep)
         mult = Fraction(e.stab_order, e.aut * 2 ** (k - 1))
-        return NamedClass(self.gb.element(k, dict.fromkeys(e.orbit, mult)))
+        # the orbit sum read straight off the kernel's table of degree k
+        gb = self.gb
+        red = gb.reduction[k]
+        p, q = mult.numerator, mult.denominator
+        return NamedClass(gb._element(k, *sum_images(
+            len(gb.basis[k]), [(p, q, red[m]) for m in e.orbit])))
 
     def evaluate(self, terms: dict[tuple[str, ...], Fraction]) -> RingElement:
         """The reduced sum of c times the product of the named classes, over
@@ -286,7 +298,7 @@ def load_space(tag: str) -> SpaceDescriptor:
     # class_of before any stratum reads which of its edges are blown up.
     boundary: dict[str, StratumEntry] = {}
     strata: dict[str, StratumEntry] = {}
-    class_of: dict[Monomial, str] = {}
+    class_of: dict[tuple[int, ...], str] = {}
     n_divisors = len(data["boundary"])
     for i, item in enumerate(data["boundary"] + data["strata"]):
         divisor = i < n_divisors
@@ -294,12 +306,12 @@ def load_space(tag: str) -> SpaceDescriptor:
         ranks = tuple(sorted(gb.rank[canonicalize(set(s), n)]
                              for s in item["rep"]))
         rep = tuple(divisors[r] for r in ranks)
-        orbit = frozenset(tuple(divisors[r] for r in m)
-                          for m in group.orbit(ranks, gb.relabel_ranks))
+        orbit = frozenset(group.orbit(ranks, gb.relabel_ranks))
         for m in orbit:
             if m in class_of:
+                shared = tuple(divisors[r] for r in m)
                 raise RegistryError(f"{tag}: orbits of {class_of[m]} and "
-                                    f"{name} share the monomial {m}")
+                                    f"{name} share the monomial {shared}")
             class_of[m] = name
         tree = tree_from_monomial(rep, n, a_marks)
         push = item.get("pushforward")
@@ -308,8 +320,8 @@ def load_space(tag: str) -> SpaceDescriptor:
             aut=int(item["aut"]),
             stab_order=count_marked_automorphisms(tree, unordered), tree=tree,
             # a divisor missing from every orbit fails the coverage audit
-            blown_edges=frozenset(k for k, d in enumerate(rep)
-                                  if class_of.get((d,)) in blown_names),
+            blown_edges=frozenset(k for k, r in enumerate(ranks)
+                                  if class_of.get((r,)) in blown_names),
             degree=int(item["degree"]) if divisor else None,
             fiber_count=int(item["fiber_count"]) if divisor else None,
             pushforward_target=push[0] if push else None,
@@ -325,13 +337,13 @@ def load_space(tag: str) -> SpaceDescriptor:
         lambda_name=data["lambda_class"]["name"],
         lambda_coeffs={w: share * c for b, share in MUMFORD_LAMBDA.items()
                        for w, c in pulled[b].items()},
-        gb=gb)
-    _audit(space, base or space)
+        gb=gb, base=base)
+    _audit(space)
     _SPACE_CACHE[key] = space
     return space
 
 
-def _audit(space: SpaceDescriptor, base: SpaceDescriptor):
+def _audit(space: SpaceDescriptor):
     """Checks that the boundary orbits cover every divisor and that each
     stratum's tree forgets to its pushforward target's; that no two entries
     share a monomial is checked by the loader as it fills ``class_of``.
@@ -339,8 +351,9 @@ def _audit(space: SpaceDescriptor, base: SpaceDescriptor):
     value): the automorphism number, for a divisor the ``cover_degree`` and
     the fiber count, for a stratum with a target the pushforward
     coefficient.  Any pair that differs raises."""
-    tag, swap = space.tag, space.unordered_classes
-    missing = [d for d in space.gb.divisors if (d,) not in space.class_of]
+    tag, swap, base = space.tag, space.unordered_classes, space.base
+    missing = [d for r, d in enumerate(space.gb.divisors)
+               if (r,) not in space.class_of]
     if missing:
         raise RegistryError(f"{tag}: boundary orbits do not cover all "
                             f"divisors; missing {sorted(map(str, missing))}")

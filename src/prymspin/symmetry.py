@@ -90,10 +90,15 @@ class PermGroup:
         return seen
 
 
+# Two generators per group, each pair generating the stabilizer of a
+# partition of the six marks:
+#   R2       {1,2} | {3,4,5,6}, the parts kept (S2 x S4, order 48);
+#   S2plus   {1,2,3} | {4,5,6}, the parts kept or swapped (S3 wr S2, 72);
+#   S2minus  {1} | {2,...,6}, mark 1 fixed (S5, 120);
+#   M2       no partition (S6, 720).
 _STANDARD = {
-    # Block structure, generators; orders 48, 72, 120, 720.
-    "R2": ("(1 2)", "(3 4)", "(3 4 5 6)"),
-    "S2plus": ("(1 2)", "(1 2 3)", "(4 5)", "(4 5 6)", "(1 4)(2 5)(3 6)"),
+    "R2": ("(1 2)(3 4 5 6)", "(3 4)"),
+    "S2plus": ("(1 2)", "(1 4 2 5 3 6)"),
     "S2minus": ("(2 3)", "(2 3 4 5 6)"),
     "M2": ("(1 2)", "(1 2 3 4 5 6)"),
 }
@@ -121,15 +126,14 @@ def average_images(group: PermGroup, gb: GradedBasis, d: int) -> list[Image]:
     table = gb.average_tables.get(key)
     if table is None:
         ranks = gb.basis_ranks.get(d, [])
-        divisors = gb.divisors
+        red = gb.reduction.get(d)
         averages: dict[tuple[int, ...], Image] = {}
         for m in ranks:
             if m in averages:
                 continue
             orbit = group.orbit(m, gb.relabel_ranks)
-            nums, den = sum_images(len(ranks), [
-                (1, 1, gb.reduction[d][tuple(divisors[r] for r in o)])
-                for o in orbit])
+            nums, den = sum_images(len(ranks), [(1, 1, red[o])
+                                                for o in orbit])
             den *= len(orbit)
             k = gcd(den, *nums)
             image = (den // k, tuple((i, v // k)

@@ -15,7 +15,8 @@ with no table of basis coordinates.  The tests compare a kernel element's
 ``coeffs`` with these dicts.  The pushforward to the base is recomputed by
 brute force over all of S_n with the same relabelling and a single
 reduction, and as the transfer over the left coset representatives of the
-group in S_n.  Exact
+group in S_n.  The group of each space is recomputed as the stabilizer
+of its partition of the marks, by a search of all n! permutations.  Exact
 elimination over Q is done by ``FractionEchelon``, a plain ``Fraction``
 Gauss-Jordan kept here as the reference for the integer-first production
 engine.  The order of the extremity kernel of a marked tree is the hand
@@ -444,6 +445,16 @@ def push_full_group(space, x: dict) -> dict:
         for im, k in _images_over_sn(m, space.n).items():
             acc[im] = acc.get(im, Fraction(0)) + c * k
     return reduce(space.n, {m: c / space.group.order for m, c in acc.items()})
+
+
+def partition_stabilizer(n: int, blocks) -> list[tuple[int, ...]]:
+    """Every permutation g of 1..n (g[i-1] the image of i) that maps the
+    partition of the marks into the blocks onto itself, blocks of equal
+    size possibly swapped, in increasing order: a search of all n!
+    permutations."""
+    parts = {frozenset(b) for b in blocks}
+    return [g for g in itertools.permutations(range(1, n + 1))
+            if {frozenset(g[i - 1] for i in b) for b in parts} == parts]
 
 
 def coset_representatives(group) -> list[tuple[int, ...]]:

@@ -193,7 +193,8 @@ class TestGradedBasis:
         for n in (4, 5, 6):
             gb = build_graded_basis(n)
             for d in range(gb.top + 1):
-                assert list(gb.reduction[d]) == _nonzero_monomials(n, d)
+                assert [tuple(gb.divisors[r] for r in m)
+                        for m in gb.reduction[d]] == _nonzero_monomials(n, d)
 
     def test_palindromic(self):
         for n in (4, 5, 6):

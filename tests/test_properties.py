@@ -24,7 +24,8 @@ small_ints = st.integers(min_value=-5, max_value=5)
 
 def elements(degree: int):
     """Integer combinations of nonzero monomials of a degree, reduced."""
-    monos = sorted(GB.reduction[degree])
+    monos = sorted(tuple(GB.divisors[r] for r in m)
+                   for m in GB.reduction[degree])
     return st.dictionaries(st.sampled_from(monos), small_ints,
                            min_size=1, max_size=4).map(
         lambda coeffs: GB.element(degree, coeffs))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from prymspin.keel_ring import (GradedBasis, RingElement, build_graded_basis,
-                                sum_images)
+                                canonicalize, sum_images)
 from prymspin.pushpull import push_to_base
 from prymspin.space_registry import SPACE_TAGS, load_space
 from prymspin.symmetry import act, invariant_basis, perm_from_cycles
@@ -29,7 +29,8 @@ def test_reduction_table_matches_oracle(n):
     gb = build_graded_basis(n)
     for d in range(gb.top + 1):
         table = oracles._reduction_table(n, d)
-        assert sorted(gb.reduction[d]) == sorted(table)
+        assert sorted(tuple(gb.divisors[r] for r in m)
+                      for m in gb.reduction[d]) == sorted(table)
         for m in table:
             x = {m: Fraction(1)}
             assert gb.element(d, x).coeffs == oracles.reduce(n, x), m
@@ -114,7 +115,8 @@ fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 def elements(degree: int):
     """(degree, coefficients) of rational combinations of nonzero monomials
     of a degree, unreduced."""
-    monos = sorted(GB.reduction[degree])
+    monos = sorted(tuple(GB.divisors[r] for r in m)
+                   for m in GB.reduction[degree])
     return st.dictionaries(st.sampled_from(monos), fractions,
                            min_size=1, max_size=5).map(
         lambda coeffs: (degree, coeffs))
@@ -182,10 +184,65 @@ def test_span_coordinates():
     span = [space.named_class(nm).value for nm in ("d0p", "d1", "d11")]
     x = gb.combine(1, [(span[0], 2), (span[1], Fraction(-1, 3)), (span[2], 5)])
     assert gb.span_coordinates(x, span) == [2, Fraction(-1, 3), 5]
-    # the one linear relation of R2 involves every boundary class
-    assert gb.span_coordinates(space.named_class("d0r").value, span) is None
-    assert gb.span_coordinates(gb.element(1, {}), []) == []
-    assert gb.span_coordinates(span[0], []) is None
+
+
+def _reference_span_coordinates(x, span):
+    """The solution of S z = t with every free variable 0, or None, from
+    the reference echelon of [S | t]: column k of S holds the coordinates
+    of span[k] and t those of x."""
+    k = len(span)
+    cols = [[Fraction(v, y.den) for v in y.nums] for y in span]
+    rows = [[c[i] for c in cols] + [Fraction(t, x.den)]
+            for i, t in enumerate(x.nums)]
+    pivots, red = oracles.reference_rref(rows, k + 1)
+    if k in pivots:
+        return None
+    z = [Fraction(0)] * k
+    for row, p in zip(red, pivots):
+        z[p] = row[k]
+    return z
+
+
+def _awkward_spans():
+    """(target, span, whether the target lies outside the span): dependent
+    spans, the empty span and targets outside the span, on R2 in degrees 1
+    and 2."""
+    space = load_space("R2")
+    gb = space.gb
+    cls = {nm: space.named_class(nm).value for nm in space.names()}
+    zero = gb.element(1, {})
+    d0p, d1, d11, d0r = cls["d0p"], cls["d1"], cls["d11"], cls["d0r"]
+    boundary = [cls[nm] for nm in space.boundary]
+    codim2 = [cls[nm] for nm, e in space.strata.items() if len(e.rep) == 2]
+    inside = gb.combine(1, [(d0p, 2), (d11, Fraction(-5, 7))])
+    # D^{1,3} is moved by R2, which keeps {1, 2}
+    moved = gb.element(1, {(canonicalize({1, 3}, 6),): 1})
+    cases = [
+        ("repeated vector", inside, [d0p, d1, d0p, d11], False),
+        ("zero vectors", inside, [zero, d0p, d11, zero], False),
+        ("zero vector alone", zero, [zero], False),
+        # the one linear relation of R2 involves every boundary class
+        ("linear relation", gb.combine(1, [(d0r, 3), (d1, -1)]), boundary,
+         False),
+        ("linear relation, target outside", moved, boundary, True),
+        ("9 strata in 4 dimensions", gb.combine(
+            2, [(c, k - 4) for k, c in enumerate(codim2)]), codim2, False),
+        ("9 strata, target outside", gb.multiply(moved, moved), codim2,
+         True),
+        ("empty span, zero target", zero, [], False),
+        ("empty span, nonzero target", d0p, [], True),
+        ("d0r outside d0p, d1, d11", d0r, [d0p, d1, d11], True),
+    ]
+    return [pytest.param(x, span, outside, id=label)
+            for label, x, span, outside in cases]
+
+
+@pytest.mark.parametrize("x,span,outside", _awkward_spans())
+def test_span_coordinates_match_reference(x, span, outside):
+    # free variables 0 for a dependent span, None outside the span
+    expected = _reference_span_coordinates(x, span)
+    assert (expected is None) == outside
+    assert x.kernel.span_coordinates(x, span) == expected
 
 
 def test_float_coefficients_are_refused():

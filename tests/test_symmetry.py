@@ -35,6 +35,23 @@ def test_standard_group_orders():
         standard_group("nope")
 
 
+# The partition of the six marks that each group stabilizes, blocks of
+# equal size possibly swapped.
+STABILIZED_PARTITIONS = {"R2": ({1, 2}, {3, 4, 5, 6}),
+                         "S2plus": ({1, 2, 3}, {4, 5, 6}),
+                         "S2minus": ({1}, {2, 3, 4, 5, 6}),
+                         "M2": ({1, 2, 3, 4, 5, 6},)}
+
+
+@pytest.mark.parametrize("tag", SPACE_TAGS)
+def test_standard_group_is_the_partition_stabilizer(tag):
+    # an order-48 subgroup of S6 other than S2 x S4 would pass the order
+    # test; the elements themselves must be the stabilizer, found by a
+    # search of all 720 permutations
+    assert standard_group(tag).elements == oracles.partition_stabilizer(
+        6, STABILIZED_PARTITIONS[tag])
+
+
 def test_group_order_divides_factorial():
     for tag in ("R2", "S2plus", "S2minus", "M2"):
         assert 720 % standard_group(tag).order == 0
